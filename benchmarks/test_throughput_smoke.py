@@ -1,24 +1,22 @@
 """Throughput smoke: the hot path must stay fast, run to run.
 
-Measures items/s on the fig8 internet workload for the four engine
+Measures items/s on the fig8 internet workload for the engine
 configurations this package ships —
 
 * ``scalar``           — reference :class:`QuantileFilter` insert loop,
-* ``batch_legacy``     — batch engine with the vectorised tier off
-  (``vectorize=False``: the per-item chunk loop),
 * ``batch``            — batch engine with the vectorised fast tier,
-* ``pipeline_pickle`` / ``pipeline_shm`` — 4-shard process pipeline
-  under both chunk transports,
+* ``pipeline_shm``     — 4-shard process pipeline,
 * ``threads_2w`` / ``threads_4w`` — the thread-parallel shared-sketch
   engine at 2 and 4 updater threads, head-to-head against the process
   pipeline at the same worker counts (``pipeline_shm_2w`` /
   ``pipeline_shm``) on the same stream and per-structure byte budget —
 
-and records them in ``BENCH_throughput.json`` at the repo root.
+and records them in ``BENCH_throughput.json`` at the repo root, with a
+``host`` block (CPU affinity set, Python and numpy versions).
 
 Gating: absolute items/s numbers track the host, so CI would flake on
-them; the *ratios* (vectorised speedup over the per-item loop, shm
-speedup over pickle) are what the optimizations own and are
+them; the *ratios* (vectorised speedup over the scalar filter, threads
+over the shm pipeline) are what the optimizations own and are
 machine-portable.  The test fails when a ratio regresses more than
 ``REGRESSION_PCT`` below the committed baseline
 (``benchmarks/baselines/throughput_baseline.json``) or drops through
@@ -28,8 +26,12 @@ noise-robust estimator, as in the observability bench.
 
 import gc
 import json
+import os
+import platform
 import time
 from pathlib import Path
+
+import numpy as np
 
 from benchmarks.conftest import BENCH_SCALE
 from repro.core.quantile_filter import QuantileFilter
@@ -39,10 +41,11 @@ from repro.parallel.pipeline import ParallelPipeline
 
 ROUNDS = 3
 REGRESSION_PCT = 15.0
-#: Hard floors, below which the PR-4 optimizations are considered
-#: broken regardless of what the committed baseline says.
-MIN_BATCH_SPEEDUP = 1.7
-MIN_SHM_SPEEDUP = 1.2
+#: Hard floor, below which the vectorised fast tier is considered
+#: broken regardless of what the committed baseline says (the old 1.7x
+#: floor over the per-item chunk loop, times that loop's measured 3.76x
+#: over the scalar filter).
+MIN_BATCH_SPEEDUP = 6.0
 #: The threads engine's whole pitch is skipping the per-chunk
 #: serialize/copy/deserialize transport tax, so at equal worker count
 #: it must at least match the shm pipeline.
@@ -92,10 +95,8 @@ def test_throughput_smoke():
         filt.insert_many(trace.keys, trace.values)
         return filt
 
-    def run_batch(vectorize):
-        filt = BatchQuantileFilter(
-            criteria, MEMORY_BYTES, vectorize=vectorize, **dims
-        )
+    def run_batch():
+        filt = BatchQuantileFilter(criteria, MEMORY_BYTES, **dims)
         filt.process(trace.keys, trace.values)
         return filt
 
@@ -105,29 +106,17 @@ def test_throughput_smoke():
         k: v for k, v in dims.items() if k != "candidate_fraction"
     }
 
-    def run_pipeline(transport, workers=NUM_SHARDS):
+    def run_pipeline(workers, engine="batch"):
+        # Threads share a single set of planes, so this is the same
+        # per-structure byte budget as one shm shard.
         pipe = ParallelPipeline(
-            criteria, workers, engine="batch", transport=transport,
+            criteria, workers, engine=engine,
             memory_bytes=MEMORY_BYTES, chunk_items=PIPELINE_CHUNK_ITEMS,
             **pipeline_dims,
         )
         return pipe.run(pipeline_trace.keys, pipeline_trace.values)
 
-    def run_threads(workers):
-        # Same per-structure byte budget as one shm shard: the N
-        # updater threads share a single set of planes.
-        pipe = ParallelPipeline(
-            criteria, workers, engine="threads",
-            memory_bytes=MEMORY_BYTES, chunk_items=PIPELINE_CHUNK_ITEMS,
-            **pipeline_dims,
-        )
-        return pipe.run(pipeline_trace.keys, pipeline_trace.values)
-
-    single = {
-        "scalar": lambda: run_scalar(),
-        "batch_legacy": lambda: run_batch(False),
-        "batch": lambda: run_batch(True),
-    }
+    single = {"scalar": run_scalar, "batch": run_batch}
     best = {name: float("inf") for name in single}
     reports = {}
     for name, run in single.items():  # warm every code path once
@@ -138,56 +127,29 @@ def test_throughput_smoke():
 
     # The optimization must not move detection output.
     assert (
-        reports["batch"].reported_keys
-        == reports["batch_legacy"].reported_keys
-    )
-    assert (
         reports["batch"].reported_keys == reports["scalar"].reported_keys
     )
 
-    pipeline_best = {}
-    pipeline_reports = {}
-    for transport in ("pickle", "shm"):
-        seconds = float("inf")
-        for _ in range(ROUNDS):
-            result = run_pipeline(transport)
-            seconds = min(seconds, result.seconds)
-            pipeline_reports[transport] = result.reported_keys
-        pipeline_best[transport] = seconds
-    assert pipeline_reports["shm"] == pipeline_reports["pickle"]
-
     # Equal-core head-to-head: threads vs the shm pipeline at the same
-    # worker count (pipeline_best["shm"] above IS the 4-worker run).
-    headtohead_best = {}
+    # worker counts.
+    parallel_best = {}
     for name, run in (
-        ("pipeline_shm_2w", lambda: run_pipeline("shm", workers=2)),
-        ("threads_2w", lambda: run_threads(2)),
-        ("threads_4w", lambda: run_threads(4)),
+        ("pipeline_shm", lambda: run_pipeline(NUM_SHARDS)),
+        ("pipeline_shm_2w", lambda: run_pipeline(2)),
+        ("threads_2w", lambda: run_pipeline(2, engine="threads")),
+        ("threads_4w", lambda: run_pipeline(4, engine="threads")),
     ):
         seconds = float("inf")
         for _ in range(ROUNDS):
             seconds = min(seconds, run().seconds)
-        headtohead_best[name] = seconds
+        parallel_best[name] = seconds
 
-    items_per_s = {
-        "scalar": scale / best["scalar"],
-        "batch_legacy": scale / best["batch_legacy"],
-        "batch": scale / best["batch"],
-        "pipeline_pickle": 4 * scale / pipeline_best["pickle"],
-        "pipeline_shm": 4 * scale / pipeline_best["shm"],
-        "pipeline_shm_2w": 4 * scale / headtohead_best["pipeline_shm_2w"],
-        "threads_2w": 4 * scale / headtohead_best["threads_2w"],
-        "threads_4w": 4 * scale / headtohead_best["threads_4w"],
-    }
+    items_per_s = {name: scale / seconds for name, seconds in best.items()}
+    for name, seconds in parallel_best.items():
+        items_per_s[name] = 4 * scale / seconds
     ratios = {
-        "batch_speedup_vs_legacy": (
-            items_per_s["batch"] / items_per_s["batch_legacy"]
-        ),
         "batch_speedup_vs_scalar": (
             items_per_s["batch"] / items_per_s["scalar"]
-        ),
-        "shm_speedup_vs_pickle": (
-            items_per_s["pipeline_shm"] / items_per_s["pipeline_pickle"]
         ),
         "threads_speedup_vs_shm": (
             items_per_s["threads_4w"] / items_per_s["pipeline_shm"]
@@ -197,6 +159,7 @@ def test_throughput_smoke():
         ),
     }
 
+    affinity = sorted(os.sched_getaffinity(0))
     result = {
         "bench": "throughput-smoke",
         "workload": "fig8-internet",
@@ -205,19 +168,21 @@ def test_throughput_smoke():
         "memory_bytes": MEMORY_BYTES,
         "num_shards": NUM_SHARDS,
         "rounds": ROUNDS,
+        "host": {
+            "affinity": affinity,
+            "cpus": len(affinity),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
         "items_per_s": {k: round(v, 1) for k, v in items_per_s.items()},
         "ratios": {k: round(v, 4) for k, v in ratios.items()},
     }
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
 
-    assert ratios["batch_speedup_vs_legacy"] >= MIN_BATCH_SPEEDUP, (
-        f"vectorised fast tier only {ratios['batch_speedup_vs_legacy']:.2f}x "
-        f"over the per-item chunk loop (floor {MIN_BATCH_SPEEDUP}x)"
-    )
-    assert ratios["shm_speedup_vs_pickle"] >= MIN_SHM_SPEEDUP, (
-        f"shm transport only {ratios['shm_speedup_vs_pickle']:.2f}x over "
-        f"pickle (floor {MIN_SHM_SPEEDUP}x)"
+    assert ratios["batch_speedup_vs_scalar"] >= MIN_BATCH_SPEEDUP, (
+        f"vectorised fast tier only {ratios['batch_speedup_vs_scalar']:.2f}x "
+        f"over the scalar filter (floor {MIN_BATCH_SPEEDUP}x)"
     )
     assert ratios["threads_speedup_vs_shm"] >= MIN_THREADS_SPEEDUP, (
         f"threads engine only {ratios['threads_speedup_vs_shm']:.2f}x over "

@@ -217,7 +217,6 @@ def batch_filter_state(bf) -> dict:
         "strategy": bf.strategy.name,
         "seed": bf.seed,
         "chunk_size": bf.chunk_size,
-        "vectorize": bf.vectorize,
         "items_processed": bf.items_processed,
         "report_count": bf.report_count,
         "candidate_hits": bf.candidate_hits,
@@ -259,7 +258,6 @@ def restore_batch_filter(state: dict):
         strategy=meta["strategy"],
         seed=meta["seed"],
         chunk_size=meta["chunk_size"],
-        vectorize=meta["vectorize"],
     )
     bf._cand_fps[...] = arrays["candidate_fps"]
     bf._cand_qws[...] = arrays["candidate_qws"]

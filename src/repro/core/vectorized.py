@@ -31,8 +31,7 @@ Semantics match the scalar filter configured with ``counter_kind=
 "float"`` and the same seed: identical hash families are constructed
 from identical seed derivations, so the two implementations report the
 same keys item-for-item.  The throughput experiments (Fig. 8/10) use
-this engine; ``vectorize=False`` pins the legacy all-scalar chunk loop
-(kept as the benchmark baseline and as a debugging aid).
+this engine.
 """
 
 from __future__ import annotations
@@ -84,11 +83,6 @@ class BatchQuantileFilter:
     Parameters mirror :class:`~repro.core.quantile_filter.QuantileFilter`
     where applicable; counters are plain Python floats (no saturation),
     matching the scalar filter's ``counter_kind="float"`` mode.
-
-    ``vectorize=False`` disables the bucket-segmented fast tier and runs
-    every item through the scalar branch — the pre-optimisation
-    behaviour, kept for benchmarking and for bisecting equivalence
-    failures.
     """
 
     def __init__(
@@ -105,13 +99,11 @@ class BatchQuantileFilter:
         strategy: str = "comparative",
         seed: int = 0,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        vectorize: bool = True,
     ):
         if chunk_size < 1:
             raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
         self.criteria = criteria
         self.chunk_size = chunk_size
-        self.vectorize = vectorize
 
         self.bucket_size = bucket_size
         self.depth = depth
@@ -198,7 +190,7 @@ class BatchQuantileFilter:
         # Chunk boundaries never change semantics (each chunk is exact),
         # only how much work lands in which tier.
         start = 0
-        size = min(_RAMP_FIRST_CHUNK, self.chunk_size) if self.vectorize else self.chunk_size
+        size = min(_RAMP_FIRST_CHUNK, self.chunk_size)
         while start < n:
             self._process_chunk(
                 keys[start:start + size], values[start:start + size]
@@ -280,12 +272,6 @@ class BatchQuantileFilter:
     def _process_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:
         n = int(keys.shape[0])
         fps, buckets, weights = self._chunk_parts(keys, values)
-
-        if not self.vectorize:
-            self._scalar_pass(keys, fps, buckets, weights, np.arange(n))
-            self.items_processed += n
-            return
-
         hit, fast_idx, slow_idx = self._classify_chunk(fps, buckets)
 
         # The two tiers commute: fast items touch only candidate slots

@@ -326,7 +326,6 @@ def _run_pipeline_shm(spec: CellSpec, trace: Trace):
         spec.criteria(),
         spec.shards,
         engine="batch",
-        transport="shm",
         memory_bytes=max(1 << 10, spec.memory_bytes // spec.shards),
         chunk_items=spec.chunk_items,
         seed=spec.seed,

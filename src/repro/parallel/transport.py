@@ -1,33 +1,32 @@
 """Zero-copy shared-memory chunk transport for the parallel pipeline.
 
-The default queue transport pickles every ``(keys, values)`` ndarray
-pair into the worker's ``multiprocessing.Queue`` — one serialize, one
-pipe write, one deserialize per chunk per shard.  At pipeline chunk
-rates that serialization is pure overhead: the arrays are plain
-fixed-width numbers that both sides could read in place.
+The pipeline's process workers receive their chunk slices through
+shared memory rather than as pickled ndarrays: the arrays are plain
+fixed-width numbers that both sides can read in place, so a
+serialize / pipe write / deserialize per chunk per shard is pure
+overhead.
 
-:class:`ShmSlotRing` removes it.  Each worker gets one
+Each worker gets one :class:`ShmSlotRing`: a
 ``multiprocessing.shared_memory`` block carved into ``num_slots``
 fixed-size chunk slots (an ``int64`` key plane followed by a
 ``float64`` value plane).  The master copies a chunk slice into a free
-slot once; the queue then carries only a tiny ``("chunk_shm",
-chunk_id, slot_id, length)`` descriptor, and the worker maps the slot
-as numpy views without copying anything.  Slot reuse is credit-based:
-a slot stays owned by the in-flight chunk until the worker's report
+slot once; the queue then carries only a tiny ``("chunk", chunk_id,
+slot_id, length)`` descriptor, and the worker maps the slot as numpy
+views without copying anything.  Slot reuse is credit-based: a slot
+stays owned by the in-flight chunk until the worker's report
 acknowledgement for that chunk returns the ``slot_id`` to the master's
 free list, so a ring of ``queue_capacity + 2`` slots can never be
 overwritten while a worker still reads it.
 
 Lifecycle: the master creates and ultimately unlinks every block;
-workers attach by name and must *not* register the segment with their
-own :mod:`multiprocessing.resource_tracker` (Python registers attached
-segments too, which would unlink the master's block when the first
-worker exits — see :meth:`ShmSlotRing.attach`).
+workers attach by name and only close their mapping (see
+:meth:`ShmSlotRing.attach` for why attaching leaves the resource
+tracker alone).
 """
 
 from __future__ import annotations
 
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 from typing import Tuple
 
 import numpy as np
@@ -92,32 +91,18 @@ class ShmSlotRing:
         return cls(shm, num_slots, slot_items, owner=True)
 
     @classmethod
-    def attach(
-        cls,
-        name: str,
-        num_slots: int,
-        slot_items: int,
-        untrack: bool = False,
-    ) -> "ShmSlotRing":
+    def attach(cls, name: str, num_slots: int, slot_items: int) -> "ShmSlotRing":
         """Worker side: map an existing block by name.
 
         Python's :class:`~multiprocessing.shared_memory.SharedMemory`
         registers even *attached* segments with the resource tracker.
         ``multiprocessing`` children share the creator's tracker (the
         tracker fd is inherited on fork and shipped in the spawn
-        preparation data), so for pipeline workers the duplicate
-        registration is harmless and ``untrack`` must stay False —
-        untracking would erase the master's claim.  Pass
-        ``untrack=True`` only from *unrelated* processes with their own
-        tracker, whose exit would otherwise unlink the master-owned
-        block.
+        preparation data), so the duplicate registration is harmless,
+        and unregistering it here would erase the master's claim on
+        the block.
         """
         shm = shared_memory.SharedMemory(name=name)
-        if untrack:
-            try:  # pragma: no cover - tracker internals vary per platform
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:
-                pass
         return cls(shm, num_slots, slot_items, owner=False)
 
     # ------------------------------------------------------------------

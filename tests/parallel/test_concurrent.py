@@ -208,7 +208,6 @@ class TestPipelineThreadsMode:
     def test_unsupported_feature_rejections(self):
         for kwargs in (
             dict(mode="ordered"),
-            dict(transport="shm"),
             dict(collect_trace=True),
             dict(collect_provenance=True),
             dict(record=True, incident_dir="/tmp"),
@@ -217,8 +216,3 @@ class TestPipelineThreadsMode:
                 ParallelPipeline(
                     CRIT, 2, engine="threads", **GEOMETRY, **kwargs
                 )
-
-    def test_num_stripes_rejected_for_process_engines(self):
-        with pytest.raises(ParameterError):
-            ParallelPipeline(CRIT, 2, engine="batch", num_stripes=8,
-                             **GEOMETRY)

@@ -1,9 +1,9 @@
-"""Property: the vectorised fast tier is bit-exact vs the scalar branch.
+"""Property: the vectorised fast tier is bit-exact vs the scalar filter.
 
-``BatchQuantileFilter(vectorize=True)`` splits every chunk into a
-vectorised candidate-hit tier and an exact scalar tier; this test lets
-hypothesis hunt for a stream where the split changes *anything*.  The
-scenarios deliberately stress the tier boundary:
+``BatchQuantileFilter`` splits every chunk into a vectorised
+candidate-hit tier and an exact scalar tier; this test lets hypothesis
+hunt for a stream where the split changes *anything*.  The scenarios
+deliberately stress the tier boundary:
 
 * tiny bucket counts force bucket collisions (shared slots, first-miss
   prefixes),
@@ -11,10 +11,11 @@ scenarios deliberately stress the tier boundary:
   inside the fast tier (the risky-slot replay path),
 * random chunk sizes move the classification boundary around.
 
-Beyond report equivalence, the final candidate state (fingerprints and
-float Qweights) must match the legacy all-scalar engine **bit for
-bit** — the fast tier commits through ordered ``np.add.at`` precisely
-so that float accumulation order is preserved.
+Beyond report equivalence, the final state (candidate fingerprints,
+float Qweights and vague counters) must match the scalar
+``QuantileFilter(counter_kind="float")`` **bit for bit** — the fast
+tier commits through ordered ``np.add.at`` precisely so that float
+accumulation order is preserved.
 """
 
 import numpy as np
@@ -62,7 +63,7 @@ def _build_stream(n, num_keys, hot_fraction, threshold, stream_seed):
 
 @given(scenario=fast_path_scenarios())
 @settings(max_examples=120, deadline=None)
-def test_fast_tier_bit_exact_vs_legacy_and_scalar(scenario):
+def test_fast_tier_bit_exact_vs_scalar(scenario):
     (num_buckets, bucket_size, vague_width, depth, seed, chunk,
      criteria, n, num_keys, hot_fraction, stream_seed) = scenario
     keys, values = _build_stream(
@@ -73,30 +74,22 @@ def test_fast_tier_bit_exact_vs_legacy_and_scalar(scenario):
         vague_width=vague_width, depth=depth, seed=seed,
     )
 
-    vectorized = BatchQuantileFilter(
-        criteria, chunk_size=chunk, vectorize=True, **dims
-    )
-    vectorized.process(keys, values)
-
-    legacy = BatchQuantileFilter(
-        criteria, chunk_size=chunk, vectorize=False, **dims
-    )
-    legacy.process(keys, values)
+    batch = BatchQuantileFilter(criteria, chunk_size=chunk, **dims)
+    batch.process(keys, values)
 
     scalar = QuantileFilter(criteria, counter_kind="float", **dims)
     for key, value in zip(keys.tolist(), values.tolist()):
         scalar.insert(key, value)
 
-    # Report-for-report equivalence across all three engines.
-    assert vectorized.reported_keys == legacy.reported_keys
-    assert vectorized.reported_keys == scalar.reported_keys
-    assert vectorized.report_count == legacy.report_count
-    assert vectorized.report_count == scalar.report_count
-    assert vectorized.candidate_reports == legacy.candidate_reports
-    assert vectorized.vague_reports == legacy.vague_reports
+    assert batch.reported_keys == scalar.reported_keys
+    assert batch.report_count == scalar.report_count
+    assert batch.candidate_reports == scalar.candidate_reports
+    assert batch.vague_reports == scalar.vague_reports
 
     # The float state must be IDENTICAL, not merely close: the fast
-    # tier preserves the scalar engine's left-to-right addition order.
-    assert np.array_equal(vectorized._cand_fps, legacy._cand_fps)
-    assert np.array_equal(vectorized._cand_qws, legacy._cand_qws)
-    assert vectorized._rows == legacy._rows
+    # tier preserves the scalar filter's left-to-right addition order.
+    assert np.array_equal(batch._cand_fps, scalar.candidate._fps)
+    assert np.array_equal(batch._cand_qws, scalar.candidate._qws)
+    assert np.array_equal(
+        np.array(batch._rows), scalar.vague.sketch.counters.data
+    )
