@@ -1,23 +1,24 @@
 #!/usr/bin/env python
 """Alerting end to end: drift trips a rule, the rule dumps a bundle.
 
-This is :mod:`examples.recorded_monitoring` with the declarative alert
-layer on top.  A :class:`~repro.observability.MetricStore` collects the
-filter's registry snapshot plus the derived health samples once per
-synthetic tick, and an :class:`~repro.observability.AlertEngine` runs
-the shipped rule pack (:func:`~repro.observability.default_rules`)
-plus one strict critical drift rule against the retained history.
+This is :mod:`examples.recorded_monitoring` with a custom rule added
+to the pack.  Once per synthetic tick the
+:class:`~repro.observability.FilterServeSource` collects the filter's
+registry snapshot plus the health signal gauges into its
+:class:`~repro.observability.MetricStore`, and its
+:class:`~repro.observability.AlertEngine` runs the shipped rule pack
+(:func:`~repro.observability.default_rules`) plus one strict critical
+drift rule with a ``for:`` hold against the retained history.
 
 Phase 1 feeds a benign :mod:`repro.streams.drift` trace — every rule
 stays ``inactive``.  Phase 2 injects a large anomalous key set; the
 exceedance drift z-score climbs, the strict rule's condition holds
 through its ``for:`` window (the example advances a synthetic clock,
 so no wall-clock waiting), and the rule walks
-``inactive -> pending -> firing``.  Because the rule is ``critical``
-and a :class:`~repro.observability.FlightRecorder` is attached, the
-firing transition **auto-dumps an incident bundle** tagged
-``alert:<rule>`` — the same forensic capsule a verdict flip produces,
-now triggered by a declarative rule instead of a hard-coded policy.
+``inactive -> pending -> firing``.  Because a
+:class:`~repro.observability.FlightRecorder` is attached, every rule
+entering firing **auto-dumps an incident bundle** tagged
+``alert:<rule>``.
 
 Run:  python examples/alerted_monitoring.py [incident-dir]
 """
@@ -26,10 +27,9 @@ import sys
 import tempfile
 
 from repro import Criteria, QuantileFilter
-from repro.core.inspect import structural_probe
 from repro.observability import (
-    AlertEngine,
     AlertRule,
+    FilterServeSource,
     FlightRecorder,
     HealthMonitor,
     MetricStore,
@@ -57,9 +57,9 @@ INJECTED = DriftConfig(
     anomalous_per_phase=120, anomaly_boost=25.0, seed=3,
 )
 
-#: A stricter twin of the shipped report-rate-drift rule: critical (so
-#: it dumps a bundle) and with a `for:` short enough that the injected
-#: phase holds it to firing within this example's run.
+#: A stricter twin of the shipped exceedance-drift rule: critical, and
+#: with a `for:` hold short enough that the injected phase keeps it
+#: firing within this example's run.
 STRICT_DRIFT = AlertRule(
     name="drift-critical",
     expr="max(qf_drift_z[60s]) >= 4",
@@ -84,29 +84,21 @@ def main(out_dir=None):
         config={"example": "alerted_monitoring", "stride": STRIDE},
         registry=registry,
     )
-    monitor = HealthMonitor.for_filter(
-        filt, drift_window_items=1_024, recorder=recorder
-    )
-
+    monitor = HealthMonitor.for_filter(filt, drift_window_items=1_024)
     clock = [0.0]
     store = MetricStore(clock=lambda: clock[0])
-    engine = AlertEngine(store, default_rules() + [STRICT_DRIFT])
+    # Rules entering `firing` dump forensic bundles through the recorder.
+    source = FilterServeSource(
+        filt, monitor=monitor, registry=registry, recorder=recorder,
+        rules=default_rules() + [STRICT_DRIFT], store=store,
+    )
+    engine = source.alerts
 
     def tick():
         """One collect + evaluate step on the synthetic clock."""
-        monitor.report(
-            registry.snapshot(),
-            probe=structural_probe(filt),
-            reported_keys=set(filt.reported_keys),
-        )
-        snapshot = registry.snapshot()
-        snapshot.update(monitor.health_samples())
-        store.collect(snapshot, now=clock[0])
-        transitions = engine.evaluate(now=clock[0])
+        transitions = source.tick(now=clock[0])
         for transition in transitions:
             print(f"  t={clock[0]:>5g}s  {transition}")
-        # Critical rules entering `firing` dump forensic bundles.
-        recorder.observe_alerts(transitions)
         clock[0] += TICK_SECONDS
         return transitions
 
@@ -133,14 +125,16 @@ def main(out_dir=None):
         "the strict drift rule should be firing after the injected phase"
     )
 
-    report = engine.report()
+    report = source.report()
     print(f"\nalert-layer verdict: {report.verdict}")
     for reason in report.reasons:
         print(f"  reason: {reason}")
 
     bundles = [m for m in list_incidents(out_dir)
                if str(m.get("reason", "")).startswith("alert:")]
-    assert bundles, "the firing critical rule should have dumped a bundle"
+    assert any(m["reason"] == "alert:drift-critical" for m in bundles), (
+        "the firing strict rule should have dumped a bundle"
+    )
     newest = bundles[0]
     print(f"\nincident bundle: {newest['bundle']}")
     print(f"  trigger: {newest['reason']}")

@@ -5,17 +5,19 @@ The observability layer can *measure* a filter; this example shows it
 *judging* one.  A :class:`~repro.observability.HealthMonitor` watches a
 standalone filter from the side — a drift detector on the raw values
 (the fraction exceeding the criteria threshold ``T``) plus a shadow
-accuracy estimator tracking a hash-sampled key slice exactly — while a
-:class:`~repro.observability.HealthServer` serves the verdict over
-HTTP.
+accuracy estimator tracking a hash-sampled key slice exactly — and
+turns what it sees into one gauge per health signal.  The serve
+source's ``tick()`` after every stride hands those gauges to the
+default alert rule pack, whose verdict a
+:class:`~repro.observability.HealthServer` serves over HTTP.
 
 Phase 1 feeds a benign :mod:`repro.streams.drift` trace (no anomalous
 keys): the drift detector locks its reference exceedance fraction and
 ``/healthz`` reports ``ok``.  Phase 2 feeds the same workload with a
 large anomalous key set injected, shifting the exceedance fraction far
-from the reference; the ``exceedance_drift`` signal flips to
-``degraded`` and names itself in the report's reasons — the page an
-operator would receive.
+from the reference; the ``exceedance-drift`` rule fires, the
+``exceedance_drift`` signal turns ``degraded`` and the report's
+reasons name it — the page an operator would receive.
 
 Run:  python examples/health_monitoring.py
 """
@@ -29,6 +31,9 @@ from repro.streams.drift import DriftConfig, generate_drift_trace
 
 CRITERIA = Criteria(delta=0.9, threshold=300.0, epsilon=5.0)
 GEOMETRY = dict(num_buckets=256, bucket_size=4, vague_width=1_024, seed=7)
+
+#: Items fed between ticks.
+STRIDE = 2_048
 
 #: Phase 1 is stationary (no anomalous keys); phase 2 is the same
 #: workload with a large anomalous set injected, so the value-vs-T
@@ -51,15 +56,21 @@ def main():
     monitor = HealthMonitor.for_filter(filt, drift_window_items=1_024)
     source = FilterServeSource(filt, monitor=monitor)
 
+    def feed(trace):
+        for start in range(0, len(trace), STRIDE):
+            keys = trace.keys[start:start + STRIDE]
+            values = trace.values[start:start + STRIDE]
+            filt.insert_many(keys, values)
+            monitor.observe_batch(keys, values)
+            source.tick()
+
     with HealthServer(source) as server:
         def healthz():
             with urllib.request.urlopen(server.url + "/healthz") as resp:
                 return json.load(resp)
 
         # Phase 1: stationary traffic establishes the drift reference.
-        for i in range(len(benign)):
-            filt.insert(int(benign.keys[i]), float(benign.values[i]))
-        monitor.observe_batch(benign.keys, benign.values)
+        feed(benign)
         baseline = healthz()
         drift_ok = next(
             s for s in baseline["signals"] if s["name"] == "exceedance_drift"
@@ -70,9 +81,7 @@ def main():
         print(f"baseline drift signal ok: {drift_ok['verdict'] == 'ok'}")
 
         # Phase 2: anomalies injected — concept drift across T.
-        for i in range(len(injected)):
-            filt.insert(int(injected.keys[i]), float(injected.values[i]))
-        monitor.observe_batch(injected.keys, injected.values)
+        feed(injected)
         drifted = healthz()
         drift_signal = next(
             s for s in drifted["signals"] if s["name"] == "exceedance_drift"
@@ -88,7 +97,7 @@ def main():
             print(f"  reason: {reason}")
 
         # The shadow sampler scores live accuracy on its exact slice.
-        score = monitor.last_shadow_score
+        score = monitor.shadow.score(filt.reported_keys)
         print(f"\nshadow slice: {score.sampled_keys} keys tracked exactly, "
               f"precision {score.precision:.2f} "
               f"[{score.precision_low:.2f}, {score.precision_high:.2f}], "

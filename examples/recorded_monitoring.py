@@ -1,25 +1,26 @@
 #!/usr/bin/env python
-"""Flight recording: a health flip dumps a bundle, replay proves it.
+"""Flight recording: a rule firing dumps a bundle, replay proves it.
 
 This is :mod:`examples.health_monitoring` with the black box attached.
 A :class:`~repro.observability.FlightRecorder` rides the filter's
 insert path at chunk granularity, retaining the last few raw chunks
 plus a base snapshot so ``base + chunks == live filter`` at every
-boundary.  A :class:`~repro.observability.HealthMonitor` watches the
-same filter from the side; because the recorder is wired into it,
-every health report feeds the recorder's trigger policy.
+boundary.  A :class:`~repro.observability.FilterServeSource` ticks
+after every stride — health signal gauges in, alert rule verdict out —
+and, because the recorder is attached to it, every rule entering the
+firing state dumps a bundle.
 
 Phase 1 feeds a benign :mod:`repro.streams.drift` trace — the drift
 detector locks its reference and the verdict is ``ok``.  Phase 2 feeds
 the same workload with a large anomalous key set injected; the
-``exceedance_drift`` signal flips the verdict to ``degraded``, and the
-flip **auto-dumps an incident bundle** — the captured stream window,
-forensic probes and expected outcomes, gzipped with a sidecar
-manifest.  The example then closes the loop the way an engineer
-triaging the incident would: it loads the bundle back, replays the
-window chunk-for-chunk through the same engine entry points, and
-checks the reports, final state fingerprint and structural health
-verdict reproduce bit-identically.
+``exceedance-drift`` rule fires, the verdict turns ``degraded``, and
+the firing rule **auto-dumps an incident bundle** — the captured
+stream window, forensic probes and expected outcomes, gzipped with a
+sidecar manifest.  The example then closes the loop the way an
+engineer triaging the incident would: it loads the bundle back,
+replays the window chunk-for-chunk through the same engine entry
+points, and checks the reports, final state fingerprint and structural
+signal values reproduce bit-identically.
 
 Run:  python examples/recorded_monitoring.py [incident-dir]
 """
@@ -28,8 +29,8 @@ import sys
 import tempfile
 
 from repro import Criteria, QuantileFilter
-from repro.core.inspect import structural_probe
 from repro.observability import (
+    FilterServeSource,
     FlightRecorder,
     HealthMonitor,
     list_incidents,
@@ -71,26 +72,23 @@ def main(out_dir=None):
         config={"example": "recorded_monitoring", "stride": STRIDE},
         registry=registry,
     )
-    monitor = HealthMonitor.for_filter(
-        filt, drift_window_items=1_024, recorder=recorder
+    monitor = HealthMonitor.for_filter(filt, drift_window_items=1_024)
+    source = FilterServeSource(
+        filt, monitor=monitor, registry=registry, recorder=recorder,
     )
 
     def feed_phase(trace):
         # The recorder IS the insert path while recording: each stride
         # is captured, then applied through the same insert_many an
-        # unrecorded feeder would use.
+        # unrecorded feeder would use.  Each tick hands the rules that
+        # enter firing to the recorder, which dumps one bundle each.
         for begin in range(0, len(trace), STRIDE):
             keys = [int(k) for k in trace.keys[begin:begin + STRIDE]]
             values = [float(v) for v in trace.values[begin:begin + STRIDE]]
             recorder.feed(keys, values)
             monitor.observe_batch(keys, values)
-        # One health report per phase; the monitor forwards it to the
-        # recorder's trigger policy, which dumps on a verdict flip.
-        return monitor.report(
-            registry.snapshot(),
-            probe=structural_probe(filt),
-            reported_keys=set(filt.reported_keys),
-        )
+            source.tick()
+        return source.report()
 
     baseline = feed_phase(benign)
     print(f"baseline verdict: {baseline.verdict}")
@@ -106,9 +104,11 @@ def main(out_dir=None):
         print(f"  reason: {reason}")
 
     incidents = list_incidents(out_dir)
-    assert incidents, "the verdict flip should have dumped a bundle"
+    assert incidents, "the firing rules should have dumped bundles"
+    print(f"\nbundles dumped: "
+          f"{sorted({m['reason'] for m in incidents})}")
     newest = incidents[0]
-    print(f"\nincident bundle: {newest['bundle']}")
+    print(f"incident bundle: {newest['bundle']}")
     print(f"  trigger: {newest['reason']}")
     print(f"  window: {newest['window_chunks']} chunks / "
           f"{newest['window_items']} items "
@@ -118,7 +118,7 @@ def main(out_dir=None):
 
     # Close the loop: rebuild the filter from the bundle's base
     # snapshot, re-feed the captured chunks, and verify everything —
-    # reports, counters, state fingerprint, health verdict — matches.
+    # reports, counters, state fingerprint, signal values — matches.
     result = replay_bundle(newest["path"])
     print(f"\n{result.summary()}")
     print(f"replay matches capture bit-identically: {result.ok}")

@@ -39,24 +39,23 @@ The subsystem has two tiers, all zero-dependency:
 * :mod:`~repro.observability.logs` — :func:`configure_json_logging` /
   :class:`JsonLogFormatter` for structured pipeline lifecycle logs.
 
-**Health & serving** (derived verdicts, HTTP endpoint):
+**Health & serving** (signal gauges, rule verdicts, HTTP endpoint):
 
-* :mod:`~repro.observability.health` — :class:`HealthModel` maps
-  snapshots + structural probes to ok/degraded/critical
-  :class:`HealthSignal` verdicts with reasons;
-  :class:`ExceedanceDriftDetector` watches the value-vs-T exceedance
-  fraction; :class:`HealthMonitor` bundles both with the shadow
-  accuracy estimator (:mod:`repro.detection.shadow`).
+* :mod:`~repro.observability.health` — :class:`HealthMonitor` maps
+  snapshots + structural probes to one ``qf_health_*`` gauge per
+  signal; :class:`ExceedanceDriftDetector` watches the value-vs-T
+  exceedance fraction and the shadow accuracy estimator
+  (:mod:`repro.detection.shadow`) scores a sampled exact slice.  The
+  alert rule pack turns the gauges into ok/degraded/critical verdicts.
 * :mod:`~repro.observability.server` — stdlib threaded
   :class:`HealthServer` exposing ``/metrics``, ``/healthz``,
-  ``/health/shards`` and ``/incidents`` for a filter
+  ``/health/shards``, ``/incidents`` and ``/alerts`` for a filter
   (:func:`serve_filter`) or pipeline (:func:`serve_pipeline`).
 * :mod:`~repro.observability.recorder` — :class:`FlightRecorder`
   flight recorder retaining the recent stream window plus forensic
-  snapshots in bounded memory, dumping versioned incident bundles on
-  critical verdicts / verdict flips / worker crashes / firing critical
-  alerts (:class:`TriggerPolicy`), with :func:`replay_bundle`
-  deterministic bit-identical replay.
+  snapshots in bounded memory, dumping versioned incident bundles when
+  an alert rule enters firing, a worker crashes or on demand, with
+  :func:`replay_bundle` deterministic bit-identical replay.
 
 **Time series & alerting** (history, rules, operator dashboard):
 
@@ -76,9 +75,9 @@ The subsystem has two tiers, all zero-dependency:
   the ``repro top`` frame renderer (degrades to plain text off-TTY).
 
 The ``repro`` CLI (:mod:`~repro.observability.cli`) exposes all of it:
-``repro stats`` / ``repro watch`` for metrics, ``repro trace`` for a
-fully instrumented run, ``repro serve`` / ``repro health`` for the
-health layer, ``repro top`` for the live dashboard and ``repro alerts
+``repro stats`` for metrics, ``repro trace`` for a fully instrumented
+run, ``repro serve`` / ``repro health`` for the health layer, ``repro
+top`` for the live dashboard (or periodic snapshots) and ``repro alerts
 check|list`` for one-shot rule evaluation.
 
 >>> from repro.observability import StatsRegistry, render_prometheus
@@ -145,12 +144,9 @@ from repro.observability.instrument import (
 from repro.observability.health import (
     HEALTH_METRIC_HELP,
     ExceedanceDriftDetector,
-    HealthModel,
     HealthMonitor,
     HealthReport,
     HealthSignal,
-    HealthThresholds,
-    aggregate_reports,
     worst_verdict,
 )
 from repro.observability.logs import JsonLogFormatter, configure_json_logging
@@ -159,7 +155,6 @@ from repro.observability.recorder import (
     RECORDER_METRIC_HELP,
     FlightRecorder,
     ReplayResult,
-    TriggerPolicy,
     list_incidents,
     load_bundle,
     observe_recorder,
@@ -221,12 +216,9 @@ __all__ = [
     "observe_filter",
     "HEALTH_METRIC_HELP",
     "ExceedanceDriftDetector",
-    "HealthModel",
     "HealthMonitor",
     "HealthReport",
     "HealthSignal",
-    "HealthThresholds",
-    "aggregate_reports",
     "worst_verdict",
     "FilterServeSource",
     "HealthServer",
@@ -240,7 +232,6 @@ __all__ = [
     "RECORDER_METRIC_HELP",
     "FlightRecorder",
     "ReplayResult",
-    "TriggerPolicy",
     "list_incidents",
     "load_bundle",
     "observe_recorder",

@@ -57,7 +57,12 @@ except ModuleNotFoundError:  # pragma: no cover - version-dependent
     tomllib = None
 
 from repro.common.errors import ParameterError
-from repro.observability.health import HealthReport, HealthSignal, worst_verdict
+from repro.observability.health import (
+    HealthReport,
+    HealthSignal,
+    verdict_rank,
+    worst_verdict,
+)
 from repro.observability.registry import SPEC_INDEX, MetricSpec, sample_name
 from repro.observability.timeseries import (
     DERIVATIONS,
@@ -465,10 +470,6 @@ class AlertEngine:
                 if self._status[rule.name].state == "firing"
             ]
 
-    def firing_critical(self) -> List[AlertRule]:
-        """Firing rules with critical severity."""
-        return [r for r in self.firing() if r.severity == "critical"]
-
     def samples(self) -> Dict[str, float]:
         """Registry-snapshot-shaped alert telemetry for ``/metrics``."""
         out: Dict[str, float] = {}
@@ -489,45 +490,55 @@ class AlertEngine:
         out["qf_alerts_firing"] = float(firing)
         return out
 
-    def report(self, now: Optional[float] = None) -> HealthReport:
-        """The rule set as a health report (for /healthz folding).
+    def verdict(self) -> str:
+        """The health verdict: the worst severity among firing rules
+        (``warning`` reads ``degraded``), ``ok`` when none fires."""
+        return worst_verdict(
+            _SEVERITY_VERDICT[rule.severity] for rule in self.firing()
+        )
 
-        Firing rules become non-ok signals named ``alert:<rule>`` —
-        ``critical`` severity maps to a critical verdict, ``warning``
-        to degraded — so the aggregate /healthz verdict and its
-        ``reasons`` list name the firing rule directly.
+    def report(
+        self,
+        signals: Optional[Mapping[str, float]] = None,
+        now: Optional[float] = None,
+    ) -> HealthReport:
+        """The rule verdict as a health report (the ``/healthz`` body).
+
+        ``signals`` maps health signal names to their latest values;
+        each becomes an ok signal unless a firing rule carries it in
+        its ``signal`` label, in which case it takes the worst such
+        rule's verdict and names the rule in its reason.  A firing rule
+        without a ``signal`` label is listed as ``alert:<rule>``.
         """
         if now is None:
             now = self.clock()
-        signals: List[HealthSignal] = []
+        chosen: Dict[str, HealthSignal] = {
+            name: HealthSignal(name, "ok", float(value), "no rule firing")
+            for name, value in (signals or {}).items()
+        }
         with self._lock:
             for rule in self.rules:
                 status = self._status[rule.name]
-                if status.state == "firing":
-                    verdict = _SEVERITY_VERDICT[rule.severity]
-                    held = (
-                        0.0 if status.firing_since is None
-                        else max(0.0, float(now) - status.firing_since)
-                    )
-                    value = "n/a" if status.last_value is None else (
-                        f"{status.last_value:.6g}"
-                    )
-                    reason = (
-                        f"rule {rule.name} firing for {held:.0f}s: "
-                        f"{rule.expr} (value {value})"
-                    )
-                else:
-                    verdict = "ok"
-                    reason = f"state {status.state}"
-                signals.append(HealthSignal(
-                    name=f"alert:{rule.name}",
-                    verdict=verdict,
-                    value=STATE_VALUES[status.state],
-                    reason=reason,
-                ))
-        verdict = worst_verdict([s.verdict for s in signals] or ["ok"])
+                name = rule.labels.get("signal", f"alert:{rule.name}")
+                verdict = _SEVERITY_VERDICT[rule.severity]
+                current = chosen.get(name)
+                if status.state != "firing" or current is not None and (
+                    verdict_rank(current.verdict) >= verdict_rank(verdict)
+                ):
+                    continue
+                held = max(0.0, float(now) - status.firing_since)
+                # Missing data holds a rule firing with no value.
+                value = status.last_value
+                value_text = "n/a" if value is None else f"{value:.6g}"
+                chosen[name] = HealthSignal(
+                    name, verdict, 0.0 if value is None else float(value),
+                    f"rule {rule.name} firing for {held:.0f}s: {rule.expr} "
+                    f"(value {value_text}) — {rule.description}",
+                )
+        signals_out = tuple(chosen.values())
         return HealthReport(
-            verdict=verdict, signals=tuple(signals), source="alerts"
+            verdict=worst_verdict(s.verdict for s in signals_out),
+            signals=signals_out,
         )
 
     def as_dict(self, now: Optional[float] = None) -> dict:
@@ -600,78 +611,125 @@ def load_rules(path) -> List[AlertRule]:
 
 
 def default_rules() -> List[AlertRule]:
-    """The shipped default pack (source of truth for
-    ``benchmarks/alerts/default.toml`` — the TOML/JSON twins are
-    parity-checked against this list in the tests).
+    """The shipped default pack, parsed from :data:`DEFAULT_RULE_TABLES`.
 
-    The pack watches the operational failure modes the health model
-    and pipeline already instrument: report-rate drift around the
-    threshold T, worker death, vague-sketch saturation, recorder/tracer
-    ring drops, and scrape staleness.
+    ``repro alerts list --format json`` prints it as a loadable
+    ``{"rule": [...]}`` pack to start a custom one from.
     """
     return parse_rules(DEFAULT_RULE_TABLES)
 
 
-#: The default pack as plain tables (shared with the shipped files).
+def _signal_rule(name, signal, expr, severity, description, response):
+    """One health-signal rule: no ``for`` hold and no ``resolve`` band,
+    so the verdict follows the signal tick by tick."""
+    return {
+        "name": name,
+        "expr": expr,
+        "severity": severity,
+        "labels": {"signal": signal},
+        "description": description,
+        "response": response,
+    }
+
+
+#: The default pack as plain tables: one rule per health signal and
+#: severity (the only place a health signal meets its threshold), plus
+#: the observability pipeline's own rules.
 DEFAULT_RULE_TABLES: Tuple[Mapping, ...] = (
-    {
-        "name": "report-rate-drift",
-        "expr": "max(qf_drift_z[120s]) >= 4",
-        "for": "45s",
-        "resolve": 2.0,
-        "severity": "warning",
-        "labels": {"subsystem": "detection"},
-        "description":
-            "Exceedance drift z-score exceeds the health model's "
-            "degraded threshold: the share of items above T moved.",
-        "response":
-            "Inspect /healthz drift signals; if the workload shifted "
-            "for good, retarget T (repro.controller or retarget()).",
-    },
-    {
-        "name": "report-storm",
-        "expr": 'mean(qf_health_signal{signal="report_rate"}[60s]) >= 1',
-        "for": "30s",
-        "resolve": 0.5,
-        "severity": "warning",
-        "labels": {"subsystem": "detection"},
-        "description":
-            "The report_rate health signal has been non-ok for a "
-            "sustained period: reports are flooding downstream.",
-        "response":
-            "Raise T or tighten epsilon; check for a hot-key burst in "
-            "the trace before changing criteria.",
-    },
-    {
-        "name": "worker-death",
-        "expr": "delta(pipeline_workers_alive[60s]) < 0",
-        "for": 0,
-        "resolve": 0.0,
-        "severity": "critical",
-        "labels": {"subsystem": "pipeline"},
-        "description": "A shard worker process died.",
-        "response":
-            "Check the incident bundle (worker_crash dump) and worker "
-            "stderr; restart the pipeline — shard state is lost.",
-    },
-    {
-        "name": "vague-saturation",
-        "expr": "max(qf_vague_saturation[120s]) >= 0.25",
-        "for": 0,
-        "resolve": 0.05,
-        "severity": "critical",
-        "labels": {"subsystem": "sketch"},
-        "description":
-            "Vague counters pinned at their clamp value: accuracy near "
-            "T is no longer trustworthy.",
-        "response":
-            "Grow memory_bytes (wider vague sketch) or reset the "
-            "filter; confirm via qf_vague_saturation after restart.",
-    },
+    _signal_rule(
+        "candidate-occupancy", "candidate_occupancy",
+        "qf_health_candidate_occupancy > 0.98", "warning",
+        "The candidate part is packed solid: new keys only enter by "
+        "eviction.",
+        "Raise num_buckets (or memory_bytes); confirm with "
+        "qf.candidate_hit_rate().",
+    ),
+    _signal_rule(
+        "candidate-churn", "candidate_churn",
+        "qf_health_candidate_churn > 0.2", "warning",
+        "Buckets thrash between keys of similar weight: bucket minimums "
+        "keep losing.",
+        "Raise num_buckets or bucket_size; check for adversarial key "
+        "skew upstream.",
+    ),
+    _signal_rule(
+        "vague-pressure", "vague_pressure",
+        "qf_health_vague_pressure > 0.1", "warning",
+        "Over 10% of inserts overflow into the vague sketch: collision "
+        "noise is in play.",
+        "Usually benign while churn is low; otherwise grow the candidate "
+        "part.",
+    ),
+    _signal_rule(
+        "vague-saturation-warning", "vague_saturation",
+        "qf_health_vague_saturation >= 0.05", "warning",
+        "Vague counters are starting to clamp: Qweights bias low.",
+        "Widen counter_kind, shorten the window, or grow vague_width.",
+    ),
+    _signal_rule(
+        "vague-saturation", "vague_saturation",
+        "qf_health_vague_saturation >= 0.25", "critical",
+        "A quarter of the vague counters are pinned at their clamp "
+        "value: accuracy near T is no longer trustworthy.",
+        "Grow memory_bytes (wider vague sketch) or reset the filter; "
+        "confirm the gauge recovered after restart.",
+    ),
+    _signal_rule(
+        "fingerprint-collision", "fingerprint_collision",
+        "qf_health_fingerprint_collision > 0.01", "warning",
+        "Distinct keys alias in the candidate part and merge Qweights.",
+        "Raise fp_bits or grow the candidate part; treat recent reports "
+        "as suspect.",
+    ),
+    _signal_rule(
+        "vague-noise-warning", "vague_noise",
+        "qf_health_vague_noise >= 0.5", "warning",
+        "Vague-part noise is half the report threshold: accuracy is "
+        "eroding.",
+        "Grow vague_width.",
+    ),
+    _signal_rule(
+        "vague-noise", "vague_noise",
+        "qf_health_vague_noise >= 1", "critical",
+        "Vague-part noise exceeds the report threshold: vague-part "
+        "reports are coin flips.",
+        "Grow vague_width; distrust reports near T until it recovers.",
+    ),
+    _signal_rule(
+        "report-rate", "report_rate",
+        "qf_health_report_rate > 0.05", "warning",
+        "Over 5% of the items since the last tick triggered reports: T "
+        "likely sits below normal traffic.",
+        "Attach the adaptive threshold controller or re-calibrate the "
+        "criteria; check for a hot-key burst first.",
+    ),
+    _signal_rule(
+        "exceedance-drift", "exceedance_drift",
+        "qf_health_exceedance_drift >= 4", "warning",
+        "The share of values above T moved (z >= 4, shift >= 1 point): "
+        "the criteria were calibrated for another distribution.",
+        "Decide drift vs incident; let the controller retarget T, or "
+        "retarget() by hand.",
+    ),
+    _signal_rule(
+        "shadow-accuracy", "shadow_accuracy",
+        "qf_health_shadow_accuracy < 0.9", "warning",
+        "Shadow precision or recall fell below 0.9 on the sampled exact "
+        "slice: the structure is undersized for this stream.",
+        "Check the saturation and noise rules first; grow memory if they "
+        "are quiet.",
+    ),
+    _signal_rule(
+        "worker-death", "workers_alive",
+        "qf_health_workers_missing > 0", "critical",
+        "A shard worker process died; the next feed() or finish() "
+        "raises.",
+        "Check the incident bundle (worker_crash dump) and worker "
+        "stderr; restart the pipeline — shard state is lost.",
+    ),
     {
         "name": "ring-buffer-drops",
         "expr": "delta(tracer_dropped_events_total[300s]) > 0",
-        "for": 0,
         "resolve": 0.0,
         "severity": "warning",
         "labels": {"subsystem": "observability"},
@@ -684,7 +742,6 @@ DEFAULT_RULE_TABLES: Tuple[Mapping, ...] = (
     {
         "name": "scrape-staleness",
         "expr": "age(qf_items_total) > 30",
-        "for": 0,
         "resolve": 10.0,
         "severity": "warning",
         "labels": {"subsystem": "observability"},

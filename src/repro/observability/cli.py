@@ -1,5 +1,5 @@
-"""The ``repro`` operations CLI: ``stats``, ``watch``, ``trace``,
-``serve``, ``health``, ``top``, ``alerts``, ``record`` and ``matrix``.
+"""The ``repro`` operations CLI: ``stats``, ``trace``, ``serve``,
+``health``, ``top``, ``alerts``, ``record`` and ``matrix``.
 
 ``repro matrix run|report|gate`` (the config-driven experiment matrix
 with persisted runs, trend reports and regression gates) is documented
@@ -11,9 +11,6 @@ a registered dataset and export its telemetry:
 
 * ``repro stats`` — run the stream to completion and print one final
   aggregated snapshot (Prometheus text by default).
-* ``repro watch`` — print a periodic snapshot every ``--every`` chunks
-  while the stream is flowing (JSON lines by default, one object per
-  tick — the format to pipe into a file and tail).
 * ``repro trace`` — run a fully instrumented pipeline (tracing +
   report provenance + stats) and write ``<out>.trace.json`` (Chrome
   trace-event JSON, load it at https://ui.perfetto.dev) plus
@@ -24,23 +21,32 @@ a registered dataset and export its telemetry:
   exposes ``/metrics``, ``/healthz`` and ``/health/shards`` live (see
   :mod:`repro.observability.server`); ``--linger`` keeps serving the
   final snapshot after the stream ends.
-* ``repro health`` — run the stream and print the final
-  :class:`~repro.observability.health.HealthReport`; the exit code is
-  2 on a critical verdict, so scripts can gate on it.  With
-  ``--trace`` the pipeline also runs the tracer, and the text verdict
-  includes the per-role ring-buffer drop counters.
+* ``repro health`` — run the stream and print the final rule verdict
+  (a :class:`~repro.observability.health.HealthReport` with every
+  signal value); the exit code is 2 on a critical verdict, so scripts
+  can gate on it.  With ``--trace`` the pipeline also runs the tracer,
+  and the text verdict includes the per-role ring-buffer drop counters.
 * ``repro top`` — live operator dashboard: throughput/report-rate
-  sparklines, the threshold T, the health verdict and active alert
+  sparklines, the threshold T, the rule verdict and active alert
   states, redrawn in place on an ANSI terminal (see
   :mod:`repro.observability.term`) and degraded to plain appended
   frames when stdout is not a TTY or ``TERM=dumb``; ``--once`` prints
-  a single final frame.
+  a single final frame.  ``--format json`` instead appends one JSON
+  snapshot per ``--every`` stride (the format to pipe into a file and
+  tail), and ``--format prom`` prints Prometheus snapshots, redrawn in
+  place on a TTY.
 * ``repro alerts check|list`` — one-shot alert evaluation over a
   dataset run (``check`` exits 2 when any critical rule is firing at
-  the end, 1 for warnings) and a rule-pack linter/printer (``list``).
+  the end, 1 for warnings) and a rule-pack linter/printer (``list``;
+  ``--format json`` prints a loadable ``{"rule": [...]}`` pack).
   Rules default to the shipped pack
   (:func:`repro.observability.alerts.default_rules`); ``--rules``
   loads a TOML/JSON pack.
+
+``serve``, ``health``, ``top`` and ``alerts check`` share one feed
+loop: feed a stride, refresh the pipeline's stats view, and ``tick()``
+the :class:`~repro.observability.server.PipelineServeSource` — the one
+call that advances the verdict.
 * ``repro record dump|replay|list`` — flight-recorder forensics (see
   :mod:`repro.observability.recorder`): ``dump`` runs a recorded
   stream and writes an incident bundle, ``replay`` re-runs a bundle
@@ -50,7 +56,7 @@ a registered dataset and export its telemetry:
 Examples::
 
     repro stats --dataset cloud --shards 4
-    repro watch --every 8 --format json > stats.jsonl
+    repro top --every 8 --format json > stats.jsonl
     repro trace --scale 20000 --out /tmp/run1
     repro serve --port 9133 --linger 60
     repro health --dataset cloud --format json
@@ -64,7 +70,7 @@ The parser is plain argparse:
 
 >>> build_parser().parse_args(["stats", "--shards", "3"]).shards
 3
->>> build_parser().parse_args(["watch"]).format
+>>> build_parser().parse_args(["top", "--format", "json"]).format
 'json'
 >>> build_parser().parse_args(["trace", "--out", "/tmp/t"]).out
 '/tmp/t'
@@ -93,7 +99,6 @@ import sys
 from typing import Dict, Optional
 
 from repro.observability.exporters import (
-    JsonLinesEmitter,
     render_histogram_summaries,
     render_prometheus,
     render_snapshot_text,
@@ -101,6 +106,51 @@ from repro.observability.exporters import (
 
 #: Default byte budget per shard for the CLI's demonstration runs.
 DEFAULT_MEMORY_BYTES = 64 * 1024
+
+
+def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
+    """The dataset and pipeline shape every pipeline command takes."""
+    parser.add_argument(
+        "--dataset", default="internet",
+        help="registered dataset name (internet/cloud/drift/zipf-*)",
+    )
+    parser.add_argument(
+        "--scale", type=int, default=50_000, help="stream length",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=2, help="worker process count",
+    )
+    parser.add_argument(
+        "--memory-bytes", type=int, default=DEFAULT_MEMORY_BYTES,
+        help="per-shard byte budget",
+    )
+    parser.add_argument(
+        "--chunk-items", type=int, default=8_192,
+        help="items per pipeline chunk",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_feed_args(parser: argparse.ArgumentParser, between: str,
+                   throttle: bool = True) -> None:
+    """``--every`` (and ``--throttle``) for commands on the feed loop."""
+    parser.add_argument(
+        "--every", type=int, default=4,
+        help=f"chunks between {between} (default 4)",
+    )
+    if throttle:
+        parser.add_argument(
+            "--throttle", type=float, default=0.0,
+            help="seconds to sleep between feed strides (slows the demo "
+            "stream down to scrape or watch it)",
+        )
+
+
+def _add_rules_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--rules", default=None,
+        help="alert rule pack (.toml/.json); default: the shipped pack",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a pipeline over a dataset and print one final "
         "telemetry snapshot",
     )
-    watch = sub.add_parser(
-        "watch",
-        help="run a pipeline and print periodic telemetry snapshots "
-        "while the stream flows",
-    )
     trace = sub.add_parser(
         "trace",
         help="run a fully instrumented pipeline and write a Chrome "
@@ -131,46 +176,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health = sub.add_parser(
         "health",
-        help="run a pipeline and print the final health report "
+        help="run a pipeline and print the final rule verdict "
         "(exit code 2 on a critical verdict)",
     )
     top = sub.add_parser(
         "top",
         help="run a pipeline under a live operator dashboard "
-        "(in-place ANSI refresh on a TTY, plain frames otherwise)",
+        "(in-place ANSI refresh on a TTY, plain frames otherwise), or "
+        "print a JSON/Prometheus snapshot per stride",
     )
     for sub_parser, default_format in (
-        (stats, "prom"), (watch, "json"), (trace, "text"),
+        (stats, "prom"), (trace, "text"),
         (serve, "prom"), (health, "text"), (top, "text"),
     ):
-        sub_parser.add_argument(
-            "--dataset", default="internet",
-            help="registered dataset name (internet/cloud/zipf-*)",
-        )
-        sub_parser.add_argument(
-            "--scale", type=int, default=50_000, help="stream length",
-        )
-        sub_parser.add_argument(
-            "--shards", type=int, default=2, help="worker process count",
-        )
-        sub_parser.add_argument(
-            "--memory-bytes", type=int, default=DEFAULT_MEMORY_BYTES,
-            help="per-shard byte budget",
-        )
-        sub_parser.add_argument(
-            "--chunk-items", type=int, default=8_192,
-            help="items per pipeline chunk",
-        )
-        sub_parser.add_argument("--seed", type=int, default=0)
+        _add_pipeline_args(sub_parser)
         sub_parser.add_argument(
             "--format", choices=("prom", "json", "text"),
             default=default_format,
             help=f"snapshot output format (default {default_format})",
         )
-    watch.add_argument(
-        "--every", type=int, default=4,
-        help="chunks between telemetry snapshots (default 4)",
-    )
     trace.add_argument(
         "--out", default="repro_trace",
         help="output path prefix; writes <out>.trace.json and "
@@ -189,15 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind port (default 0 = ephemeral; the chosen port is "
         "printed on stderr)",
     )
-    serve.add_argument(
-        "--every", type=int, default=4,
-        help="chunks between stats/health refreshes (default 4)",
-    )
-    serve.add_argument(
-        "--throttle", type=float, default=0.0,
-        help="seconds to sleep between feed strides (slows the demo "
-        "stream down so there is time to scrape it)",
-    )
+    _add_feed_args(serve, "stats/health ticks")
     serve.add_argument(
         "--linger", type=float, default=0.0,
         help="seconds to keep serving the final snapshot after the "
@@ -208,23 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the tracer so the verdict summary includes "
         "per-role ring-buffer drop counters",
     )
-    top.add_argument(
-        "--every", type=int, default=4,
-        help="chunks between dashboard frames (default 4)",
-    )
-    top.add_argument(
-        "--throttle", type=float, default=0.0,
-        help="seconds to sleep between feed strides (slows the demo "
-        "stream down to a watchable pace)",
-    )
-    top.add_argument(
-        "--rules", default=None,
-        help="alert rule pack (.toml/.json); default: the shipped pack",
-    )
-    top.add_argument(
-        "--no-alerts", action="store_true",
-        help="run the dashboard without the alert engine",
-    )
+    _add_feed_args(top, "dashboard frames or snapshots")
+    _add_rules_arg(top)
     top.add_argument(
         "--once", action="store_true",
         help="print a single final frame (no live refresh) and exit",
@@ -249,31 +250,9 @@ def build_alerts_parser() -> argparse.ArgumentParser:
         help="run a pipeline, evaluate the rules each stride, and exit "
         "2 if any critical rule is firing at the end (1 for warnings)",
     )
-    check.add_argument(
-        "--dataset", default="internet",
-        help="registered dataset name (internet/cloud/drift/zipf-*)",
-    )
-    check.add_argument("--scale", type=int, default=50_000,
-                       help="stream length")
-    check.add_argument("--shards", type=int, default=2,
-                       help="worker process count")
-    check.add_argument(
-        "--memory-bytes", type=int, default=DEFAULT_MEMORY_BYTES,
-        help="per-shard byte budget",
-    )
-    check.add_argument(
-        "--chunk-items", type=int, default=8_192,
-        help="items per pipeline chunk",
-    )
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument(
-        "--every", type=int, default=4,
-        help="chunks between alert evaluations (default 4)",
-    )
-    check.add_argument(
-        "--rules", default=None,
-        help="alert rule pack (.toml/.json); default: the shipped pack",
-    )
+    _add_pipeline_args(check)
+    _add_feed_args(check, "alert evaluations", throttle=False)
+    _add_rules_arg(check)
     check.add_argument(
         "--tick", type=float, default=5.0,
         help="synthetic seconds each evaluation advances the alert "
@@ -286,10 +265,7 @@ def build_alerts_parser() -> argparse.ArgumentParser:
     listing = sub.add_parser(
         "list", help="parse a rule pack and print every rule",
     )
-    listing.add_argument(
-        "--rules", default=None,
-        help="alert rule pack (.toml/.json); default: the shipped pack",
-    )
+    _add_rules_arg(listing)
     listing.add_argument(
         "--format", choices=("text", "json"), default="text",
     )
@@ -307,7 +283,7 @@ def build_record_parser() -> argparse.ArgumentParser:
     dump = sub.add_parser(
         "dump",
         help="run a recorded stream on a standalone filter and write "
-        "an incident bundle (plus any the trigger policy fires)",
+        "an incident bundle (plus one per alert rule entering firing)",
     )
     dump.add_argument(
         "--dataset", default="internet",
@@ -360,17 +336,11 @@ def build_record_parser() -> argparse.ArgumentParser:
 
 def _render(snapshot: Dict[str, float], fmt: str, **context) -> str:
     if fmt == "json":
-        return JsonLinesEmitter(stream=_NullStream()).emit(snapshot, **context)
+        # One JSON line, context tags first (the JsonLinesEmitter shape).
+        return json.dumps({**context, **snapshot})
     if fmt == "text":
         return render_snapshot_text(snapshot)
     return render_prometheus(snapshot)
-
-
-class _NullStream:
-    """Sink for JsonLinesEmitter when the caller prints the line itself."""
-
-    def write(self, _text: str) -> None:
-        pass
 
 
 def _build_pipeline(args: argparse.Namespace, **overrides):
@@ -402,54 +372,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         f"{len(result.reported_keys)} reported keys",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    if args.every < 1:
-        print(f"--every must be >= 1, got {args.every}", file=sys.stderr)
-        return 2
-    from repro.observability.term import LiveScreen, ansi_capable
-
-    pipeline, trace = _build_pipeline(args)
-    stride = args.chunk_items * args.every
-    # On an ANSI-capable TTY the prom/text formats redraw one snapshot
-    # in place (cursor-home + erase-to-right per line — no full-screen
-    # clear, so no flicker).  JSON always appends one object per tick:
-    # it is the format to pipe into a file, and a live repaint would
-    # corrupt the stream.  Non-TTY / TERM=dumb degrade the same way.
-    live = args.format != "json" and ansi_capable(sys.stdout)
-    screen = LiveScreen(sys.stdout) if live else None
-    try:
-        with pipeline:
-            for start in range(0, trace.keys.shape[0], stride):
-                pipeline.feed(
-                    trace.keys[start:start + stride],
-                    trace.values[start:start + stride],
-                )
-                view = pipeline.collect_stats_view()
-                text = _render(view, args.format, items=pipeline.items_fed)
-                header = f"# --- after {pipeline.items_fed} items ---"
-                if screen is not None:
-                    screen.render(f"{header}\n{text}")
-                else:
-                    if args.format == "prom":
-                        print(header)
-                    print(text)
-            result = pipeline.finish()
-        final = _render(
-            result.stats, args.format, items=result.items, final=True
-        )
-        if screen is not None:
-            screen.render(f"# --- final ---\n{final}")
-        else:
-            if args.format == "prom":
-                print("# --- final ---")
-            print(final)
-    finally:
-        if screen is not None:
-            screen.close()
-            print()
     return 0
 
 
@@ -521,25 +443,31 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serving_loop(args: argparse.Namespace, pipeline, trace, monitor, source):
-    """Feed the stream while refreshing the cached stats/health views."""
+def _feed_loop(args: argparse.Namespace, pipeline, trace, source,
+               on_tick=None):
+    """Feed a started pipeline one stride at a time, ticking after each.
+
+    The monitor watches the raw stride off the insert path (the workers
+    never see it), the pipeline refreshes its cached stats view, and
+    ``source.tick()`` advances the verdict; ``on_tick`` receives each
+    tick's transitions.  Returns the finished pipeline's result.
+    """
     import time
 
-    stride = args.chunk_items * args.every
+    stride = args.chunk_items * getattr(args, "every", 4)
+    throttle = getattr(args, "throttle", 0.0)
     for start in range(0, trace.keys.shape[0], stride):
         keys = trace.keys[start:start + stride]
         values = trace.values[start:start + stride]
-        # The monitor watches the raw stream (drift + shadow) off the
-        # insert path; the workers never see it.
-        monitor.observe_batch(keys, values)
+        source.monitor.observe_batch(keys, values)
         pipeline.feed(keys, values)
         pipeline.collect_stats_view()
-        source.refresh()
-        throttle = getattr(args, "throttle", 0.0)
+        transitions = source.tick()
+        if on_tick is not None:
+            on_tick(transitions)
         if throttle:
             time.sleep(throttle)
-    result = pipeline.finish()
-    return result, source.refresh()
+    return pipeline.finish()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -548,24 +476,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     import time
 
-    from repro.observability.health import HealthMonitor
     from repro.observability.server import HealthServer, PipelineServeSource
 
     pipeline, trace = _build_pipeline(args)
-    monitor = HealthMonitor.for_criteria(pipeline.criteria)
-    source = PipelineServeSource(pipeline, monitor=monitor)
+    source = PipelineServeSource(pipeline)
     server = HealthServer(source, host=args.host, port=args.port)
     with pipeline:
-        pipeline.start()
+        # One tick before serving, so the first scrape already sees the
+        # worker signal.
+        source.tick()
         server.start()
         print(f"serving on {server.url}", file=sys.stderr)
         try:
-            result, report = _serving_loop(
-                args, pipeline, trace, monitor, source
-            )
+            result = _feed_loop(args, pipeline, trace, source)
             print(
                 f"# run: {result.items} items, {result.num_shards} shards, "
-                f"verdict {report.verdict}",
+                f"verdict {source.alerts.verdict()}",
                 file=sys.stderr,
             )
             if args.linger:
@@ -580,7 +506,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _render_health_text(report, stats: Optional[Dict[str, float]] = None) -> str:
-    lines = [f"verdict: {report.verdict} (source {report.source})"]
+    lines = [f"verdict: {report.verdict}"]
     for signal in report.signals:
         lines.append(
             f"  [{signal.verdict:>8}] {signal.name} = {signal.value:.4g} — "
@@ -616,22 +542,25 @@ def _render_tracer_drops(stats: Dict[str, float]) -> str:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.observability.health import HealthMonitor
+    from repro.observability.health import HEALTH_METRIC_HELP
+    from repro.observability.registry import base_name
     from repro.observability.server import PipelineServeSource
 
     pipeline, trace = _build_pipeline(
         args, collect_trace=getattr(args, "trace", False)
     )
-    monitor = HealthMonitor.for_criteria(pipeline.criteria)
-    source = PipelineServeSource(pipeline, monitor=monitor)
-    args.every = getattr(args, "every", 4)
+    source = PipelineServeSource(pipeline)
     with pipeline:
-        pipeline.start()
-        result, report = _serving_loop(args, pipeline, trace, monitor, source)
+        result = _feed_loop(args, pipeline, trace, source)
+    report = source.report()
     if args.format == "json":
         print(json.dumps(report.as_dict(), indent=2))
     elif args.format == "prom":
-        print(render_prometheus(monitor.health_samples()))
+        print(render_prometheus({
+            sample: value
+            for sample, value in source.metrics_snapshot().items()
+            if base_name(sample) in HEALTH_METRIC_HELP
+        }))
     else:
         print(_render_health_text(report, stats=result.stats or {}))
     print(
@@ -655,71 +584,61 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.every < 1:
         print(f"--every must be >= 1, got {args.every}", file=sys.stderr)
         return 2
-    import time
-
     from repro.common.errors import ParameterError
     from repro.observability.dashboard import Dashboard
-    from repro.observability.health import HealthMonitor
     from repro.observability.server import PipelineServeSource
     from repro.observability.term import LiveScreen, ansi_capable
-    from repro.observability.timeseries import MetricStore
 
     try:
-        rules = [] if args.no_alerts else _load_rules_arg(args.rules)
+        rules = _load_rules_arg(args.rules)
     except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     pipeline, trace = _build_pipeline(args)
-    monitor = HealthMonitor.for_criteria(pipeline.criteria)
-    # An explicit store so the dashboard has history even with alerts
-    # off; step 0 collects on every tick the loop drives.
-    store = MetricStore(step_seconds=0.0)
-    source = PipelineServeSource(
-        pipeline, monitor=monitor, rules=rules or None, store=store
+    source = PipelineServeSource(pipeline, rules=rules)
+    # On an ANSI-capable TTY the dashboard and prom snapshots redraw in
+    # place (cursor-home + erase-to-right per line — no full-screen
+    # clear, so no flicker).  JSON always appends one object per
+    # stride: it is the format to pipe into a file, and a live repaint
+    # would corrupt the stream.  Non-TTY / TERM=dumb degrade the same
+    # way.
+    live = (
+        args.format != "json" and ansi_capable(sys.stdout) and not args.once
     )
-    live = ansi_capable(sys.stdout) and not args.once
+    screen = LiveScreen(sys.stdout) if live else None
     dash = Dashboard(
-        store,
+        source.store,
         engine=source.alerts,
         title=f"repro top · {args.dataset}",
         window_seconds=args.window,
         ascii_only=not live,
     )
-    screen = LiveScreen(sys.stdout) if live else None
-    stride = args.chunk_items * args.every
+
+    def frame(status: str, **context) -> str:
+        if args.format == "text":
+            return dash.render(report=source.report(), status=status)
+        text = _render(source.metrics_snapshot(), args.format,
+                       items=pipeline.items_fed, **context)
+        return text if args.format == "json" else f"# --- {status} ---\n{text}"
+
+    def show(text: str) -> None:
+        if screen is not None:
+            screen.render(text)
+        else:  # plain dashboard frames stay apart by one blank line
+            print(text + ("\n" if args.format == "text" else ""))
+
+    def on_tick(_transitions) -> None:
+        if not args.once:
+            show(frame(f"after {pipeline.items_fed} items"))
+
     try:
         with pipeline:
-            pipeline.start()
-            for start in range(0, trace.keys.shape[0], stride):
-                keys = trace.keys[start:start + stride]
-                values = trace.values[start:start + stride]
-                monitor.observe_batch(keys, values)
-                pipeline.feed(keys, values)
-                pipeline.collect_stats_view()
-                source.tick()
-                if screen is not None or not args.once:
-                    frame = dash.render(
-                        report=monitor.last_report,
-                        status=f"{pipeline.items_fed} items fed",
-                    )
-                    if screen is not None:
-                        screen.render(frame)
-                    else:
-                        print(frame)
-                        print()
-                if args.throttle:
-                    time.sleep(args.throttle)
-            pipeline.collect_stats_view()
-            source.tick()
-            result = pipeline.finish()
-        final = dash.render(
-            report=monitor.last_report,
-            status=f"done · {result.items} items · {result.mops:.2f} MOPS",
-        )
-        if screen is not None:
-            screen.render(final)
-        else:
-            print(final)
+            result = _feed_loop(args, pipeline, trace, source, on_tick)
+        show(frame(
+            "final" if args.format != "text"
+            else f"done · {result.items} items · {result.mops:.2f} MOPS",
+            final=True,
+        ))
     finally:
         if screen is not None:
             screen.close()
@@ -732,7 +651,7 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
         print(f"--every must be >= 1, got {args.every}", file=sys.stderr)
         return 3
     from repro.common.errors import ParameterError
-    from repro.observability.health import HealthMonitor
+    from repro.observability.health import verdict_rank
     from repro.observability.server import PipelineServeSource
     from repro.observability.timeseries import MetricStore
 
@@ -742,38 +661,24 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     pipeline, trace = _build_pipeline(args)
-    monitor = HealthMonitor.for_criteria(pipeline.criteria)
     # A synthetic clock (--tick seconds per evaluation) so for:/window
     # durations elapse over an offline run that finishes in wall-clock
     # milliseconds per stride.
-    now = 0.0
-    store = MetricStore(step_seconds=0.0, clock=lambda: now)
-    source = PipelineServeSource(
-        pipeline, monitor=monitor, rules=rules, store=store
-    )
+    clock = {"now": 0.0}
+    store = MetricStore(step_seconds=0.0, clock=lambda: clock["now"])
+    source = PipelineServeSource(pipeline, rules=rules, store=store)
     transitions = []
-    stride = args.chunk_items * args.every
+
+    def on_tick(fresh) -> None:
+        transitions.extend(fresh)
+        clock["now"] += args.tick
+
     with pipeline:
-        pipeline.start()
-        for start in range(0, trace.keys.shape[0], stride):
-            keys = trace.keys[start:start + stride]
-            values = trace.values[start:start + stride]
-            monitor.observe_batch(keys, values)
-            pipeline.feed(keys, values)
-            pipeline.collect_stats_view()
-            transitions.extend(source.tick(now=now))
-            now += args.tick
-        pipeline.collect_stats_view()
-        transitions.extend(source.tick(now=now))
-        pipeline.finish()
+        _feed_loop(args, pipeline, trace, source, on_tick)
     payload = source.alerts_payload()
     firing = [
         status for status in payload["alerts"]
         if status["state"] == "firing"
-    ]
-    firing_critical = [
-        status for status in firing
-        if status["rule"]["severity"] == "critical"
     ]
     if args.format == "json":
         payload["transitions"] = [str(t) for t in transitions]
@@ -783,16 +688,15 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
             print(transition)
         if not firing:
             print(f"ok: no firing alerts ({payload['rules']} rules "
-                  f"evaluated over {now:g} synthetic seconds)")
+                  f"evaluated over {clock['now']:g} synthetic seconds)")
         for status in firing:
             rule = status["rule"]
             print(
                 f"FIRING [{rule['severity']}] {rule['name']}: "
                 f"{rule['expr']} (value {status['last_value']})"
             )
-    if firing_critical:
-        return 2
-    return 1 if firing else 0
+    # The verdict rank is the exit code: 0 ok, 1 warning, 2 critical.
+    return verdict_rank(source.alerts.verdict())
 
 
 def _cmd_alerts_list(args: argparse.Namespace) -> int:
@@ -804,7 +708,9 @@ def _cmd_alerts_list(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.format == "json":
-        print(json.dumps([rule.as_dict() for rule in rules], indent=2))
+        print(json.dumps(
+            {"rule": [rule.as_dict() for rule in rules]}, indent=2
+        ))
         return 0
     for rule in rules:
         for_text = (
@@ -829,11 +735,10 @@ def alerts_main(argv: Optional[list] = None) -> int:
 
 
 def _cmd_record_dump(args: argparse.Namespace) -> int:
-    from repro.core.inspect import structural_probe
     from repro.experiments.config import build_trace, default_criteria_for
-    from repro.observability.health import HealthMonitor
     from repro.observability.instrument import observe_filter
     from repro.observability.recorder import FlightRecorder
+    from repro.observability.server import FilterServeSource
 
     trace = build_trace(args.dataset, scale=args.scale, seed=args.seed)
     criteria = default_criteria_for(args.dataset)
@@ -864,17 +769,14 @@ def _cmd_record_dump(args: argparse.Namespace) -> int:
             "memory_bytes": args.memory_bytes,
         },
     )
-    monitor = HealthMonitor.for_criteria(criteria, recorder=recorder)
+    # Every rule entering firing dumps an alert:<rule> bundle on the way.
+    source = FilterServeSource(filt, registry=registry, recorder=recorder)
     for start in range(0, trace.keys.shape[0], args.chunk_items):
         keys = trace.keys[start:start + args.chunk_items]
         values = trace.values[start:start + args.chunk_items]
-        monitor.observe_batch(keys, values)
+        source.monitor.observe_batch(keys, values)
         recorder.feed(keys, values)
-        monitor.report(
-            registry.snapshot(),
-            probe=structural_probe(filt),
-            reported_keys=set(filt.reported_keys),
-        )
+        source.tick()
     path = recorder.dump("explicit")
     print(path)
     print(
@@ -917,8 +819,7 @@ def _cmd_record_list(args: argparse.Namespace) -> int:
             f"{manifest.get('bundle')}  reason={manifest.get('reason')}  "
             f"engine={manifest.get('engine')}  "
             f"items={manifest.get('items_processed')}  "
-            f"window={manifest.get('window_items')}  "
-            f"verdict={manifest.get('verdict')}"
+            f"window={manifest.get('window_items')}"
         )
     return 0
 
@@ -956,9 +857,7 @@ def main(argv: Optional[list] = None) -> int:
         return _cmd_serve(args)
     if args.command == "health":
         return _cmd_health(args)
-    if args.command == "top":
-        return _cmd_top(args)
-    return _cmd_watch(args)
+    return _cmd_top(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

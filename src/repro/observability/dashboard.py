@@ -3,7 +3,8 @@
 A :class:`Dashboard` turns the live observability state — a
 :class:`~repro.observability.timeseries.MetricStore` for history, an
 optional :class:`~repro.observability.alerts.AlertEngine` for rule
-states, and the latest health report — into a plain multi-line string.
+states, and the rule verdict report (a serve source's ``report()``) —
+into a plain multi-line string.
 It owns **no** I/O and **no** ANSI: the CLI pairs it with
 :class:`~repro.observability.term.LiveScreen` on a capable terminal
 and plain ``print`` everywhere else, so one renderer serves both the

@@ -1,11 +1,11 @@
-"""Sketch health: turn raw telemetry into ok/degraded/critical verdicts.
+"""Sketch health: one gauge per way the report guarantee can fail.
 
 PRs 2–3 made a running filter *measurable* (StatsRegistry snapshots,
 tracing, histograms); this module makes it *interpretable*.  A
-:class:`HealthModel` consumes a metrics snapshot plus a structural
+:class:`HealthMonitor` consumes a metrics snapshot plus a structural
 probe (:func:`repro.core.inspect.structural_probe`) and derives one
-:class:`HealthSignal` per failure mode the paper's (epsilon, delta)
-guarantee can silently lose:
+gauge per failure mode the paper's (epsilon, delta) guarantee can
+silently lose (the signal name is the ``signal`` label of its rules):
 
 * ``candidate_occupancy`` / ``candidate_churn`` — the candidate part is
   packed solid or thrashing, so hot keys fall through to the noisy
@@ -17,62 +17,105 @@ guarantee can silently lose:
 * ``vague_noise`` — live Count-Sketch noise scale relative to the
   report threshold (noise comparable to the threshold means vague-part
   reports are coin flips).
-* ``report_rate`` — reports per item over the window between
-  evaluations (a spike usually means the threshold drifted below the
-  traffic, not that the traffic got worse).
+* ``report_rate`` — reports per item since the previous call (a spike
+  usually means the threshold drifted below the traffic, not that the
+  traffic got worse).
 * ``exceedance_drift`` — a z-test on the value-vs-``T`` exceedance
   fraction (:class:`ExceedanceDriftDetector`, the statistic from
   :mod:`repro.streams.drift`): the criteria were calibrated for a
   distribution the stream no longer follows.
-* ``shadow_accuracy`` — live precision/recall from the
-  :class:`~repro.detection.shadow.ShadowAccuracyEstimator`.
-* ``workers_alive`` — pipeline only: dead shard workers are critical.
+* ``shadow_accuracy`` — the lower of live precision and recall from
+  the :class:`~repro.detection.shadow.ShadowAccuracyEstimator`.
+* ``workers_alive`` — pipeline only: expected minus alive shard
+  workers.
 
-Verdicts order ``ok < degraded < critical``; aggregation across shards
-is worst-wins (:func:`aggregate_reports`).  :class:`HealthMonitor`
-bundles a model with the optional drift detector and shadow estimator
-and caches its latest :class:`HealthReport`, which the HTTP layer
-(:mod:`repro.observability.server`) serves as ``/healthz``.
+The monitor judges nothing.  Every threshold lives in the alert rule
+pack (:data:`~repro.observability.alerts.DEFAULT_RULE_TABLES`), and
+the :class:`~repro.observability.alerts.AlertEngine` verdict is the
+health verdict: ``ok``, ``degraded`` (a warning rule firing) or
+``critical``.  The only constants here are the definedness gates that
+decide whether a signal has a meaningful value yet.
 
->>> model = HealthModel()
->>> report = model.evaluate({"qf_items_total": 50_000.0,
-...                          "qf_candidate_occupancy": 0.999,
-...                          "qf_candidate_swaps_total": 100.0})
->>> report.verdict
-'degraded'
->>> any("candidate_occupancy" in reason for reason in report.reasons)
-True
+>>> from repro.observability.alerts import AlertEngine, default_rules
+>>> from repro.observability.timeseries import MetricStore
+>>> snapshot = {"qf_items_total": 50_000.0,
+...             "qf_candidate_occupancy": 0.999,
+...             "qf_candidate_swaps_total": 100.0}
+>>> gauges = HealthMonitor().samples(snapshot)
+>>> gauges["qf_health_candidate_occupancy"]
+0.999
+>>> gauges["qf_health_candidate_churn"]
+0.002
+>>> store = MetricStore(clock=lambda: 0.0)
+>>> engine = AlertEngine(store, default_rules())
+>>> _ = store.collect({**snapshot, **gauges})
+>>> [t.rule.name for t in engine.evaluate()], engine.verdict()
+(['candidate-occupancy'], 'degraded')
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.common.errors import ParameterError
-from repro.observability.registry import (
-    SPEC_INDEX,
-    MetricSpec,
-    StatsRegistry,
-    base_name,
-    sample_name,
-)
+from repro.observability.registry import SPEC_INDEX, MetricSpec, base_name
 
 #: Verdicts in severity order (list index = severity rank).
 VERDICTS = ("ok", "degraded", "critical")
 
-#: Help text for the derived health samples the monitor contributes to
-#: ``/metrics`` snapshots (kept separate from the raw-telemetry
-#: families in ``instrument.FILTER_METRIC_HELP``).
+#: Items a view must have processed before its signals emit samples:
+#: young structures read high on every ratio.  Worker liveness is
+#: exempt.
+WARMUP_ITEMS = 1_000
+#: Smallest exceedance-fraction shift the drift signal reports a z for.
+DRIFT_MIN_SHIFT = 0.01
+#: Reported (outstanding) sampled keys the shadow precision (recall)
+#: needs before it counts.
+SHADOW_MIN_DECISIONS = 5
+
+#: Health signal name -> the gauge family that exports it.
+SIGNAL_FAMILIES = {
+    "candidate_occupancy": "qf_health_candidate_occupancy",
+    "candidate_churn": "qf_health_candidate_churn",
+    "vague_pressure": "qf_health_vague_pressure",
+    "vague_saturation": "qf_health_vague_saturation",
+    "fingerprint_collision": "qf_health_fingerprint_collision",
+    "vague_noise": "qf_health_vague_noise",
+    "report_rate": "qf_health_report_rate",
+    "exceedance_drift": "qf_health_exceedance_drift",
+    "shadow_accuracy": "qf_health_shadow_accuracy",
+    "workers_alive": "qf_health_workers_missing",
+}
+
+#: Help text for the samples the monitor and the serve sources add to
+#: ``/metrics`` (kept separate from the raw-telemetry families in
+#: ``instrument.FILTER_METRIC_HELP``).
 HEALTH_METRIC_HELP = {
     "qf_health_status":
-        "Aggregated health verdict (0 ok, 1 degraded, 2 critical).",
-    "qf_health_signal":
-        "Per-signal health verdict (0 ok, 1 degraded, 2 critical).",
+        "Alert-rule verdict (0 ok, 1 degraded, 2 critical).",
+    "qf_health_candidate_occupancy":
+        "Fraction of candidate slots occupied.",
+    "qf_health_candidate_churn": "Candidate swaps per item processed.",
+    "qf_health_vague_pressure":
+        "Fraction of inserts that overflowed into the vague part.",
+    "qf_health_vague_saturation":
+        "Fraction of vague counters pinned at their clamp value.",
+    "qf_health_fingerprint_collision":
+        "Probability that a fresh key aliases an occupied candidate slot.",
+    "qf_health_vague_noise":
+        "Vague-part noise std divided by the report threshold.",
+    "qf_health_report_rate": "Reports per item since the previous tick.",
+    "qf_health_exceedance_drift":
+        "Exceedance-fraction drift z-score (0 until the reference is set "
+        "and the shift passes DRIFT_MIN_SHIFT).",
+    "qf_health_shadow_accuracy":
+        "Lower of shadow precision and recall (each 1.0 below "
+        "SHADOW_MIN_DECISIONS).",
+    "qf_health_workers_missing": "Expected shard workers not alive.",
     "qf_shadow_precision":
         "Live precision estimate from the shadow-sampled exact slice.",
     "qf_shadow_recall":
@@ -86,14 +129,14 @@ HEALTH_METRIC_HELP = {
         "reference.",
 }
 
+# Aggregation keeps the worst view: the highest signal value, the
+# lowest shadow accuracy.
 _HEALTH_GAUGE_AGG = {
-    "qf_health_status": "max",
-    "qf_health_signal": "max",
+    "qf_health_shadow_accuracy": "min",
     "qf_shadow_precision": "mean",
     "qf_shadow_recall": "mean",
     "qf_shadow_sampled_keys": "sum",
     "qf_drift_exceedance_fraction": "mean",
-    "qf_drift_z": "max",
 }
 
 # Snapshots cross process and HTTP boundaries as bare dicts, so the
@@ -104,7 +147,7 @@ for _name, _help in HEALTH_METRIC_HELP.items():
         _name,
         MetricSpec(
             name=_name, kind="gauge", help=_help,
-            agg=_HEALTH_GAUGE_AGG[_name],
+            agg=_HEALTH_GAUGE_AGG.get(_name, "max"),
         ),
     )
 del _name, _help
@@ -128,9 +171,18 @@ def worst_verdict(verdicts: Iterable[str]) -> str:
     return VERDICTS[rank]
 
 
+def signal_values(samples: Mapping[str, float]) -> Dict[str, float]:
+    """``{signal name: value}`` for the signal gauges in ``samples``."""
+    return {
+        name: samples[family]
+        for name, family in SIGNAL_FAMILIES.items()
+        if family in samples
+    }
+
+
 @dataclass(frozen=True)
 class HealthSignal:
-    """One derived health signal with its verdict and explanation."""
+    """One health signal with its verdict and explanation."""
 
     name: str
     verdict: str
@@ -138,17 +190,13 @@ class HealthSignal:
     reason: str
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "value": self.value,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class HealthReport:
-    """A set of signals plus their aggregated verdict.
+    """The rule verdict plus every health signal (the ``/healthz`` body,
+    built by :meth:`~repro.observability.alerts.AlertEngine.report`).
 
     ``reasons`` lists only the non-ok signals, each as
     ``"<signal>: <explanation>"`` — the JSON a pager should show.
@@ -156,7 +204,6 @@ class HealthReport:
 
     verdict: str
     signals: Tuple[HealthSignal, ...]
-    source: str = "default"
 
     @property
     def reasons(self) -> List[str]:
@@ -176,72 +223,9 @@ class HealthReport:
     def as_dict(self) -> dict:
         return {
             "verdict": self.verdict,
-            "source": self.source,
             "reasons": self.reasons,
             "signals": [signal.as_dict() for signal in self.signals],
         }
-
-
-def aggregate_reports(
-    reports: Iterable[HealthReport], source: str = "aggregate"
-) -> HealthReport:
-    """Fold per-shard reports into one: worst verdict wins per signal.
-
-    Signals sharing a name keep the most severe instance (its reason is
-    prefixed with the owning report's source so the pager still names
-    the shard); the aggregate verdict is the worst across everything.
-    """
-    chosen: Dict[str, HealthSignal] = {}
-    order: List[str] = []
-    for report in reports:
-        for signal in report.signals:
-            prefixed = (
-                signal
-                if report.source in ("default", "aggregate")
-                else HealthSignal(
-                    name=signal.name,
-                    verdict=signal.verdict,
-                    value=signal.value,
-                    reason=f"[{report.source}] {signal.reason}",
-                )
-            )
-            current = chosen.get(signal.name)
-            if current is None:
-                chosen[signal.name] = prefixed
-                order.append(signal.name)
-            elif verdict_rank(prefixed.verdict) > verdict_rank(current.verdict):
-                chosen[signal.name] = prefixed
-    signals = tuple(chosen[name] for name in order)
-    return HealthReport(
-        verdict=worst_verdict(s.verdict for s in signals),
-        signals=signals,
-        source=source,
-    )
-
-
-@dataclass(frozen=True)
-class HealthThresholds:
-    """Signal thresholds; the defaults follow ``docs/operations.md``.
-
-    Signals below ``min_items`` observed items report ok ("warming up")
-    — young structures read degraded on every ratio.
-    """
-
-    min_items: int = 1_000
-    occupancy_degraded: float = 0.98
-    churn_degraded: float = 0.2
-    vague_pressure_degraded: float = 0.10
-    saturation_degraded: float = 0.05
-    saturation_critical: float = 0.25
-    collision_degraded: float = 0.01
-    noise_degraded: float = 0.5
-    noise_critical: float = 1.0
-    report_rate_degraded: float = 0.05
-    drift_z_degraded: float = 4.0
-    drift_min_delta: float = 0.01
-    shadow_precision_degraded: float = 0.9
-    shadow_recall_degraded: float = 0.9
-    shadow_min_decisions: int = 5
 
 
 class ExceedanceDriftDetector:
@@ -339,305 +323,39 @@ class ExceedanceDriftDetector:
         self._window_above = 0
 
 
-class HealthModel:
-    """Stateless-ish signal computation over snapshots and probes.
-
-    The only state kept is the per-source ``(items, reports)`` pair
-    from the previous evaluation, which turns the cumulative report
-    counter into a per-window report *rate*.
-    """
-
-    def __init__(self, thresholds: HealthThresholds = HealthThresholds()):
-        self.thresholds = thresholds
-        self._windows: Dict[str, Tuple[float, float]] = {}
-
-    # -- snapshot helpers ----------------------------------------------
-    @staticmethod
-    def _family_sum(
-        snapshot: Mapping[str, float], family: str
-    ) -> Optional[float]:
-        values = [
-            value for sample, value in snapshot.items()
-            if base_name(sample) == family
-        ]
-        return sum(values) if values else None
-
-    @staticmethod
-    def _family_mean(
-        snapshot: Mapping[str, float], family: str
-    ) -> Optional[float]:
-        values = [
-            value for sample, value in snapshot.items()
-            if base_name(sample) == family
-        ]
-        return sum(values) / len(values) if values else None
-
-    # -- evaluation ----------------------------------------------------
-    def evaluate(
-        self,
-        snapshot: Mapping[str, float],
-        *,
-        probe: Optional[Mapping] = None,
-        drift: Optional[ExceedanceDriftDetector] = None,
-        shadow_score=None,
-        expected_workers: Optional[int] = None,
-        source: str = "default",
-    ) -> HealthReport:
-        """Compute every applicable signal for one snapshot.
-
-        Parameters
-        ----------
-        snapshot:
-            A registry snapshot (live, cached, or cross-shard
-            aggregate).
-        probe:
-            A :func:`~repro.core.inspect.structural_probe` dict for the
-            structure behind the snapshot (enables the collision and
-            noise signals).
-        drift:
-            The stream's :class:`ExceedanceDriftDetector`, if one is
-            watching the raw values.
-        shadow_score:
-            A :class:`~repro.detection.shadow.ShadowScore`, if a shadow
-            estimator is attached.
-        expected_workers:
-            For pipelines: how many shard workers should be alive right
-            now (None skips the signal).
-        source:
-            Names the report (shard id or "aggregate"); also keys the
-            report-rate window state.
-        """
-        t = self.thresholds
-        probe = probe or {}
-        items = self._family_sum(snapshot, "qf_items_total") or 0.0
-        warming = items < t.min_items
-        signals: List[HealthSignal] = []
-
-        def emit(name, verdict, value, reason):
-            if warming and verdict != "ok" and name != "workers_alive":
-                verdict, reason = "ok", (
-                    f"warming up ({items:.0f} < {t.min_items} items); "
-                    + reason
-                )
-            signals.append(HealthSignal(
-                name=name, verdict=verdict, value=float(value),
-                reason=reason,
-            ))
-
-        # Candidate part: occupancy and election churn.
-        occupancy = self._family_mean(snapshot, "qf_candidate_occupancy")
-        if occupancy is None and "candidate_occupancy" in probe:
-            occupancy = float(probe["candidate_occupancy"])
-        if occupancy is not None:
-            if occupancy > t.occupancy_degraded:
-                emit("candidate_occupancy", "degraded", occupancy,
-                     f"candidate part {occupancy:.1%} full — new keys "
-                     "only enter by eviction; grow num_buckets")
-            else:
-                emit("candidate_occupancy", "ok", occupancy,
-                     f"occupancy {occupancy:.1%}")
-
-        swaps = self._family_sum(snapshot, "qf_candidate_swaps_total")
-        if swaps is not None and items > 0:
-            churn = swaps / items
-            if churn > t.churn_degraded:
-                emit("candidate_churn", "degraded", churn,
-                     f"election churn {churn:.1%} per item — bucket "
-                     "minimums keep losing; more buckets would "
-                     "stabilise the candidate set")
-            else:
-                emit("candidate_churn", "ok", churn,
-                     f"churn {churn:.2%} per item")
-
-        # Vague part: overflow pressure, clamping, collision, noise.
-        vague_inserts = self._family_sum(snapshot, "qf_vague_inserts_total")
-        if vague_inserts is not None and items > 0:
-            pressure = vague_inserts / items
-            if pressure > t.vague_pressure_degraded:
-                emit("vague_pressure", "degraded", pressure,
-                     f"{pressure:.1%} of inserts overflow into the "
-                     "vague sketch — collision noise is in play; grow "
-                     "the candidate part")
-            else:
-                emit("vague_pressure", "ok", pressure,
-                     f"overflow fraction {pressure:.2%}")
-
-        saturation = self._family_mean(snapshot, "qf_vague_saturation")
-        if saturation is None and "vague_saturation" in probe:
-            saturation = float(probe["vague_saturation"])
-        if saturation is not None:
-            if saturation >= t.saturation_critical:
-                emit("vague_saturation", "critical", saturation,
-                     f"{saturation:.1%} of vague counters clamped — "
-                     "Qweights biased low; widen counters now")
-            elif saturation >= t.saturation_degraded:
-                emit("vague_saturation", "degraded", saturation,
-                     f"{saturation:.1%} of vague counters clamped — "
-                     "widen counters (counter_kind) or reset sooner")
-            else:
-                emit("vague_saturation", "ok", saturation,
-                     f"saturation {saturation:.2%}")
-
-        collision = probe.get("fingerprint_collision_probability")
-        if collision is not None:
-            if collision > t.collision_degraded:
-                emit("fingerprint_collision", "degraded", collision,
-                     f"fingerprint collision probability {collision:.2%}"
-                     " — distinct keys alias in the candidate part; "
-                     "raise fp_bits")
-            else:
-                emit("fingerprint_collision", "ok", collision,
-                     f"collision probability {collision:.3%}")
-
-        noise_std = probe.get("vague_noise_std")
-        report_threshold = probe.get("report_threshold")
-        if noise_std is not None and report_threshold:
-            ratio = noise_std / report_threshold
-            if ratio >= t.noise_critical:
-                emit("vague_noise", "critical", ratio,
-                     f"vague noise std {noise_std:.1f} exceeds the "
-                     f"report threshold {report_threshold:.1f} — "
-                     "vague-part reports are noise; grow vague_width")
-            elif ratio >= t.noise_degraded:
-                emit("vague_noise", "degraded", ratio,
-                     f"vague noise std {noise_std:.1f} is "
-                     f"{ratio:.0%} of the report threshold — accuracy "
-                     "eroding; grow vague_width")
-            else:
-                emit("vague_noise", "ok", ratio,
-                     f"noise/threshold ratio {ratio:.3f}")
-
-        # Report rate over the window since the previous evaluation.
-        reports = self._family_sum(snapshot, "qf_reports_total")
-        if reports is not None:
-            prev_items, prev_reports = self._windows.get(
-                source, (0.0, 0.0)
-            )
-            delta_items = items - prev_items
-            delta_reports = reports - prev_reports
-            if delta_items < 0 or delta_reports < 0:
-                # Counter reset (new run reusing the source name).
-                delta_items, delta_reports = items, reports
-            self._windows[source] = (items, reports)
-            rate = (
-                delta_reports / delta_items if delta_items > 0 else 0.0
-            )
-            if delta_items > 0 and rate > t.report_rate_degraded:
-                emit("report_rate", "degraded", rate,
-                     f"{rate:.1%} of the last {delta_items:.0f} items "
-                     "triggered reports — threshold T likely sits "
-                     "below normal traffic; re-calibrate criteria")
-            else:
-                emit("report_rate", "ok", rate,
-                     f"report rate {rate:.3%} per item")
-
-        # Threshold-exceedance drift.
-        if drift is not None:
-            if not drift.warmed_up:
-                emit("exceedance_drift", "ok", drift.last_fraction,
-                     f"establishing reference "
-                     f"({drift.windows_completed}/"
-                     f"{drift.warmup_windows} warmup windows)")
-            else:
-                z = drift.last_z
-                shifted = abs(drift.last_fraction - drift.reference)
-                if z >= t.drift_z_degraded and shifted >= t.drift_min_delta:
-                    emit("exceedance_drift", "degraded", z,
-                         f"exceedance fraction {drift.last_fraction:.1%}"
-                         f" vs reference {drift.reference:.1%} "
-                         f"(z={z:.1f}) — value distribution drifted "
-                         "across T; re-calibrate criteria or reset")
-                else:
-                    emit("exceedance_drift", "ok", z,
-                         f"exceedance {drift.last_fraction:.1%} "
-                         f"(reference {drift.reference:.1%}, z={z:.1f})")
-
-        # Shadow accuracy.
-        if shadow_score is not None:
-            enough_reported = (
-                shadow_score.true_positives + shadow_score.false_positives
-                >= t.shadow_min_decisions
-            )
-            enough_truth = (
-                shadow_score.true_positives + shadow_score.false_negatives
-                >= t.shadow_min_decisions
-            )
-            bad_precision = (
-                enough_reported
-                and shadow_score.precision < t.shadow_precision_degraded
-            )
-            bad_recall = (
-                enough_truth
-                and shadow_score.recall < t.shadow_recall_degraded
-            )
-            value = min(shadow_score.precision, shadow_score.recall)
-            if bad_precision or bad_recall:
-                emit("shadow_accuracy", "degraded", value,
-                     f"shadow precision {shadow_score.precision:.2f} "
-                     f"[{shadow_score.precision_low:.2f}, "
-                     f"{shadow_score.precision_high:.2f}] / recall "
-                     f"{shadow_score.recall:.2f} "
-                     f"[{shadow_score.recall_low:.2f}, "
-                     f"{shadow_score.recall_high:.2f}] on the sampled "
-                     "slice — the structure is undersized for this "
-                     "stream")
-            else:
-                emit("shadow_accuracy", "ok", value,
-                     f"shadow precision {shadow_score.precision:.2f} / "
-                     f"recall {shadow_score.recall:.2f} over "
-                     f"{shadow_score.sampled_keys} sampled keys")
-
-        # Worker liveness (pipelines).
-        if expected_workers is not None:
-            alive = self._family_mean(snapshot, "pipeline_workers_alive")
-            if alive is not None:
-                if alive < expected_workers:
-                    emit("workers_alive", "critical", alive,
-                         f"{alive:.0f}/{expected_workers} shard workers"
-                         " alive — a worker died; the next feed() or "
-                         "finish() will raise")
-                else:
-                    emit("workers_alive", "ok", alive,
-                         f"{alive:.0f}/{expected_workers} workers alive")
-
-        return HealthReport(
-            verdict=worst_verdict(s.verdict for s in signals),
-            signals=tuple(signals),
-            source=source,
-        )
+def _family(snapshot: Mapping[str, float], family: str,
+            mean: bool = False) -> Optional[float]:
+    """Sum (or mean) of every sample of ``family``; None when absent."""
+    values = [
+        value for sample, value in snapshot.items()
+        if base_name(sample) == family
+    ]
+    if not values:
+        return None
+    return sum(values) / len(values) if mean else sum(values)
 
 
 class HealthMonitor:
-    """A model plus its stream-side detectors, with a cached report.
+    """The health signals of one deployment, as gauges.
 
-    Ties together the pieces one deployment needs: the
-    :class:`HealthModel`, an optional :class:`ExceedanceDriftDetector`
-    (fed the raw values), and an optional
-    :class:`~repro.detection.shadow.ShadowAccuracyEstimator` (fed keys
-    and values).  ``report()`` recomputes and caches
-    :attr:`last_report`; :meth:`health_samples` renders the cached
-    report as metric samples for ``/metrics`` — reading the *cache*
-    keeps sample rendering free of recursion into the registry and
-    cheap enough for any scrape interval.
+    Ties together the stream-side detectors one deployment needs — an
+    optional :class:`ExceedanceDriftDetector` (fed the raw values) and
+    an optional :class:`~repro.detection.shadow.ShadowAccuracyEstimator`
+    (fed keys and values) — with the snapshot and probe readings, and
+    turns them into one gauge per signal (:meth:`samples`).
+
+    Besides the detectors, the only state is the per-source
+    ``(items, reports)`` pair from the previous :meth:`samples` call,
+    which turns the cumulative report counter into a per-window report
+    rate.  Call it once per tick from the feeding thread; the serve
+    sources' ``tick()`` is that caller.
     """
 
-    def __init__(
-        self,
-        model: Optional[HealthModel] = None,
-        *,
-        drift: Optional[ExceedanceDriftDetector] = None,
-        shadow=None,
-        recorder=None,
-        labels: Optional[Mapping[str, str]] = None,
-    ):
-        self.model = model if model is not None else HealthModel()
+    def __init__(self, *, drift: Optional[ExceedanceDriftDetector] = None,
+                 shadow=None):
         self.drift = drift
         self.shadow = shadow
-        self.recorder = recorder
-        self.labels = dict(labels or {})
-        self.last_report: Optional[HealthReport] = None
-        self.last_shadow_score = None
-        self._lock = threading.Lock()
+        self._windows: Dict[str, Tuple[float, float]] = {}
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -645,13 +363,10 @@ class HealthMonitor:
         cls,
         criteria,
         *,
-        thresholds: HealthThresholds = HealthThresholds(),
         drift_window_items: int = 2_048,
         drift_warmup_windows: int = 3,
         shadow_sample_rate: Optional[int] = 64,
         shadow_seed: int = 0,
-        recorder=None,
-        labels: Optional[Mapping[str, str]] = None,
     ) -> "HealthMonitor":
         """Build the standard monitor for a filter/pipeline's criteria.
 
@@ -671,10 +386,7 @@ class HealthMonitor:
             )
             if shadow_sample_rate is not None else None
         )
-        return cls(
-            HealthModel(thresholds), drift=drift, shadow=shadow,
-            recorder=recorder, labels=labels,
-        )
+        return cls(drift=drift, shadow=shadow)
 
     @classmethod
     def for_filter(cls, filt, **kwargs) -> "HealthMonitor":
@@ -696,8 +408,8 @@ class HealthMonitor:
         if self.shadow is not None:
             self.shadow.observe_batch(keys, values)
 
-    # -- reporting -----------------------------------------------------
-    def report(
+    # -- signals -------------------------------------------------------
+    def samples(
         self,
         snapshot: Mapping[str, float],
         *,
@@ -705,66 +417,107 @@ class HealthMonitor:
         reported_keys=None,
         expected_workers: Optional[int] = None,
         source: str = "default",
-    ) -> HealthReport:
-        """Evaluate and cache a fresh :class:`HealthReport`.
+    ) -> Dict[str, float]:
+        """One gauge per applicable signal, plus the detector gauges.
 
-        When a :class:`~repro.observability.recorder.FlightRecorder` is
-        attached, every report is forwarded to its trigger policy —
-        outside the monitor lock, so a bundle dump in flight never
-        blocks concurrent ``health_samples()`` readers or scrapes.
+        Parameters
+        ----------
+        snapshot:
+            A registry snapshot (live, cached, or cross-shard
+            aggregate).
+        probe:
+            A :func:`~repro.core.inspect.structural_probe` dict for the
+            structure behind the snapshot (enables the collision and
+            noise signals).
+        reported_keys:
+            The structure's reported keys; scores the shadow estimator
+            when one is attached.
+        expected_workers:
+            For pipelines: how many shard workers should be alive right
+            now (None skips the signal).
+        source:
+            Keys the report-rate window state (shard id, "aggregate").
+
+        A view below :data:`WARMUP_ITEMS` items emits no signal gauge
+        except ``workers_alive``.  A signal whose gate is unmet emits a
+        value no default rule trips on: drift ``0`` while the reference
+        is unset or the shift is under :data:`DRIFT_MIN_SHIFT`, shadow
+        precision/recall ``1.0`` under :data:`SHADOW_MIN_DECISIONS`.
         """
-        with self._lock:
-            shadow_score = None
-            if self.shadow is not None and reported_keys is not None:
-                shadow_score = self.shadow.score(reported_keys)
-                self.last_shadow_score = shadow_score
-            report = self.model.evaluate(
-                snapshot,
-                probe=probe,
-                drift=self.drift,
-                shadow_score=shadow_score,
-                expected_workers=expected_workers,
-                source=source,
-            )
-            self.last_report = report
-        if self.recorder is not None:
-            self.recorder.observe_health(report)
-        return report
+        probe = probe or {}
+        items = _family(snapshot, "qf_items_total") or 0.0
+        signals: Dict[str, float] = {}
+        gauges: Dict[str, float] = {}
 
-    def health_samples(self) -> Dict[str, float]:
-        """The cached report as metric samples (for ``/metrics``).
+        # Fill ratios: the snapshot gauge, else the structural probe.
+        for name in ("candidate_occupancy", "vague_saturation"):
+            value = _family(snapshot, f"qf_{name}", mean=True)
+            if value is None:
+                value = probe.get(name)
+            if value is not None:
+                signals[name] = value
+        # Per-item event rates over the structure's lifetime.
+        for name, counter in (("candidate_churn", "qf_candidate_swaps_total"),
+                              ("vague_pressure", "qf_vague_inserts_total")):
+            count = _family(snapshot, counter)
+            if count is not None and items > 0:
+                signals[name] = count / items
+        collision = probe.get("fingerprint_collision_probability")
+        if collision is not None:
+            signals["fingerprint_collision"] = collision
+        noise_std = probe.get("vague_noise_std")
+        report_threshold = probe.get("report_threshold")
+        if noise_std is not None and report_threshold:
+            signals["vague_noise"] = noise_std / report_threshold
 
-        Empty until the first :meth:`report` call.
-        """
-        report = self.last_report
-        if report is None:
-            return {}
-        samples: Dict[str, float] = {
-            sample_name("qf_health_status", self.labels or None):
-                float(verdict_rank(report.verdict)),
-        }
-        for signal in report.signals:
-            labels = dict(self.labels)
-            labels["signal"] = signal.name
-            samples[sample_name("qf_health_signal", labels)] = float(
-                verdict_rank(signal.verdict)
+        # Report rate over the window since the previous call.
+        reports = _family(snapshot, "qf_reports_total")
+        if reports is not None:
+            prev_items, prev_reports = self._windows.get(source, (0.0, 0.0))
+            delta_items = items - prev_items
+            delta_reports = reports - prev_reports
+            if delta_items < 0 or delta_reports < 0:
+                # Counter reset (new run reusing the source name).
+                delta_items, delta_reports = items, reports
+            self._windows[source] = (items, reports)
+            signals["report_rate"] = (
+                delta_reports / delta_items if delta_items > 0 else 0.0
             )
-        if self.drift is not None:
-            samples[sample_name(
-                "qf_drift_exceedance_fraction", self.labels or None
-            )] = self.drift.last_fraction
-            samples[sample_name("qf_drift_z", self.labels or None)] = (
-                self.drift.last_z
+
+        drift = self.drift
+        if drift is not None:
+            gauges["qf_drift_exceedance_fraction"] = drift.last_fraction
+            gauges["qf_drift_z"] = drift.last_z
+            shifted = drift.warmed_up and (
+                abs(drift.last_fraction - drift.reference) >= DRIFT_MIN_SHIFT
             )
-        score = self.last_shadow_score
-        if score is not None:
-            samples[sample_name(
-                "qf_shadow_precision", self.labels or None
-            )] = score.precision
-            samples[sample_name(
-                "qf_shadow_recall", self.labels or None
-            )] = score.recall
-            samples[sample_name(
-                "qf_shadow_sampled_keys", self.labels or None
-            )] = float(score.sampled_keys)
-        return samples
+            signals["exceedance_drift"] = drift.last_z if shifted else 0.0
+
+        if self.shadow is not None and reported_keys is not None:
+            score = self.shadow.score(reported_keys)
+            gauges["qf_shadow_precision"] = score.precision
+            gauges["qf_shadow_recall"] = score.recall
+            gauges["qf_shadow_sampled_keys"] = float(score.sampled_keys)
+            tp = score.true_positives
+            precision = (
+                score.precision
+                if tp + score.false_positives >= SHADOW_MIN_DECISIONS
+                else 1.0
+            )
+            recall = (
+                score.recall
+                if tp + score.false_negatives >= SHADOW_MIN_DECISIONS
+                else 1.0
+            )
+            signals["shadow_accuracy"] = min(precision, recall)
+
+        if items < WARMUP_ITEMS:
+            signals.clear()
+        if expected_workers is not None:
+            alive = _family(snapshot, "pipeline_workers_alive", mean=True)
+            if alive is not None:
+                signals["workers_alive"] = expected_workers - alive
+
+        for name, value in signals.items():
+            gauges[SIGNAL_FAMILIES[name]] = float(value)
+        return gauges

@@ -1,10 +1,11 @@
 """Flight recorder: capture the stream window around an incident, replay it.
 
-The health layer (:mod:`repro.observability.health`) can say *that* a
-filter went degraded or critical; this module preserves *why*.  A
-:class:`FlightRecorder` rides a filter's insert path at **chunk
-granularity** — the unit the batch engine, the pipeline workers and the
-serve loop already feed in — and retains, in bounded memory:
+The alert rules (:mod:`repro.observability.alerts`) over the health
+signal gauges can say *that* a filter went degraded or critical; this
+module preserves *why*.  A :class:`FlightRecorder` rides a filter's
+insert path at **chunk granularity** — the unit the batch engine, the
+pipeline workers and the serve loop already feed in — and retains, in
+bounded memory:
 
 * a **base snapshot** of the full filter state
   (:func:`repro.core.persistence.engine_state`), refreshed whenever the
@@ -17,16 +18,17 @@ serve loop already feed in — and retains, in bounded memory:
   :class:`~repro.detection.threshold.ThresholdDecision` records and
   :class:`~repro.observability.provenance.ReportProvenance` entries.
 
-When a :class:`TriggerPolicy` fires — critical verdict, verdict flip,
-explicit ``repro record dump``, or a pipeline worker crash — the
-recorder writes a self-contained, versioned **incident bundle**
-(``incident-<ts>.json.gz`` plus a small sidecar manifest) atomically,
-runstore-style.  :func:`replay_bundle` closes the loop: it rebuilds the
-filter from the base snapshot, re-feeds every captured chunk through the
-same engine entry point (``insert_many`` / ``process``) and asserts the
-captured reports, final counters, state fingerprint and structural
-health verdict reproduce **bit-identically** — every production
-incident becomes a runnable regression test.
+When an alert rule enters the firing state
+(:meth:`FlightRecorder.observe_alerts`), on an explicit ``repro record
+dump``, or when a pipeline worker crashes, the recorder writes a
+self-contained, versioned **incident bundle** (``incident-<ts>.json.gz``
+plus a small sidecar manifest) atomically, runstore-style.
+:func:`replay_bundle` closes the loop: it rebuilds the filter from the
+base snapshot, re-feeds every captured chunk through the same engine
+entry point (``insert_many`` / ``process``) and asserts the captured
+reports, final counters, state fingerprint and structural health signal
+values reproduce **bit-identically** — every production incident
+becomes a runnable regression test.
 
 Determinism contract: chunks are replayed through one engine call each,
 exactly as they were captured.  The batch engine's geometric cold-start
@@ -73,7 +75,9 @@ from repro.observability.registry import (
 PathLike = Union[str, Path]
 
 #: Incident-bundle schema version (bump on incompatible layout changes).
-BUNDLE_SCHEMA_VERSION = 1
+#: Version 2 stores structural signal values where version 1 stored a
+#: health verdict.
+BUNDLE_SCHEMA_VERSION = 2
 
 #: Help text for the recorder's ``/metrics`` gauges, mirrored into
 #: ``SPEC_INDEX`` at import time like the health and filter families.
@@ -114,26 +118,6 @@ for _name, _help in RECORDER_METRIC_HELP.items():
 del _name, _help
 
 
-@dataclass(frozen=True)
-class TriggerPolicy:
-    """When :meth:`FlightRecorder.observe_health` dumps a bundle.
-
-    ``on_critical`` fires on any transition *into* the critical verdict;
-    ``on_flip`` fires on every verdict change (including critical
-    transitions, which then carry the flip reason).  Both are deduped:
-    a verdict that merely *stays* critical never re-dumps.
-
-    ``on_alert`` extends the same contract to the declarative alert
-    engine (:meth:`FlightRecorder.observe_alerts`): a critical rule
-    *entering* the firing state dumps one bundle; a rule that stays
-    firing never re-dumps because the engine only reports transitions.
-    """
-
-    on_critical: bool = True
-    on_flip: bool = True
-    on_alert: bool = True
-
-
 def _persistence():
     """Deferred import: :mod:`repro.core` imports this package for
     provenance, so the snapshot layer cannot load at import time."""
@@ -167,27 +151,24 @@ def _report_entry(report) -> dict:
     }
 
 
-def _probe_health(filt) -> dict:
-    """Structural health evaluation — a pure function of filter state.
+def _structural_signals(filt) -> Dict[str, float]:
+    """Structural signal gauges — a pure function of filter state.
 
-    Runs a fresh :class:`~repro.observability.health.HealthModel` over a
-    minimal snapshot (items + reports, both filter-carried) and the live
-    structural probe, so capture time and replay time evaluate the exact
-    same inputs and must agree signal-for-signal.
+    Runs a fresh :class:`~repro.observability.health.HealthMonitor`
+    over a minimal snapshot (items + reports, both filter-carried) and
+    the live structural probe, so capture time and replay time read the
+    exact same inputs and must agree value-for-value.
     """
     # Deferred: core.quantile_filter imports this package for
     # provenance, so inspect cannot load at observability import time.
     from repro.core.inspect import structural_probe
-    from repro.observability.health import HealthModel
+    from repro.observability.health import HealthMonitor
 
     snapshot = {
         "qf_items_total": float(filt.items_processed),
         "qf_reports_total": float(filt.report_count),
     }
-    report = HealthModel().evaluate(
-        snapshot, probe=structural_probe(filt), source="recorder"
-    )
-    return report.as_dict()
+    return HealthMonitor().samples(snapshot, probe=structural_probe(filt))
 
 
 class FlightRecorder:
@@ -210,11 +191,9 @@ class FlightRecorder:
     forensic_every:
         Take a structural probe (plus a registry snapshot when one is
         attached) every N recorded chunks; 0 disables periodic probes.
-    policy:
-        The :class:`TriggerPolicy` for :meth:`observe_health`.
     incident_dir:
         Where :meth:`dump` writes bundles; ``None`` keeps the recorder
-        memory-only (``observe_health`` then never dumps).
+        memory-only (``observe_alerts`` then never dumps).
     config:
         Free-form JSON-able deployment context copied into every
         bundle manifest (shard id, dataset name, CLI arguments, ...).
@@ -233,7 +212,6 @@ class FlightRecorder:
         max_chunks: int = 32,
         chunk_items: int = 4_096,
         forensic_every: int = 8,
-        policy: TriggerPolicy = TriggerPolicy(),
         incident_dir: Optional[PathLike] = None,
         config: Optional[dict] = None,
         registry: Optional[StatsRegistry] = None,
@@ -259,7 +237,6 @@ class FlightRecorder:
         self.max_chunks = max_chunks
         self.chunk_items = chunk_items
         self.forensic_every = forensic_every
-        self.policy = policy
         self.incident_dir = Path(incident_dir) if incident_dir else None
         self.config = dict(config or {})
         self.registry = registry
@@ -274,8 +251,6 @@ class FlightRecorder:
         self._provenance: Deque[dict] = deque(maxlen=max_provenance)
         self._known = set(filt.reported_keys) if self.engine == "batch" else None
         self._chunks_since_probe = 0
-        self._last_verdict: Optional[str] = None
-        self._last_health: Optional[dict] = None
         self.snapshots_total = 0
         self.dumps_total = 0
         self.last_dump_unix = 0.0
@@ -434,48 +409,25 @@ class FlightRecorder:
         with self._lock:
             self._decisions.append(asdict(decision))
 
-    # -- trigger policy -------------------------------------------------
-    def observe_health(self, report) -> Optional[Path]:
-        """Feed a :class:`HealthReport`; dump when the policy fires.
-
-        Returns the bundle path when one was written, else ``None``.
-        """
-        with self._lock:
-            prev = self._last_verdict
-            self._last_verdict = report.verdict
-            self._last_health = report.as_dict()
-            if self.incident_dir is None:
-                return None
-            reason = None
-            if prev is not None and report.verdict != prev and self.policy.on_flip:
-                reason = f"verdict_flip:{prev}->{report.verdict}"
-            elif (
-                report.verdict == "critical"
-                and prev != "critical"
-                and self.policy.on_critical
-            ):
-                reason = "critical"
-            if reason is None:
-                return None
-            return self.dump(reason, health=report.as_dict())
-
+    # -- triggers -------------------------------------------------------
     def observe_alerts(self, transitions) -> List[Path]:
-        """Feed alert-engine transitions; dump per critical rule firing.
+        """Feed alert-engine transitions; dump per rule entering firing.
 
         Takes the list returned by
         :meth:`~repro.observability.alerts.AlertEngine.evaluate` and
-        writes one bundle (reason ``alert:<rule>``) for every
-        *critical* rule that entered the firing state this tick.
+        writes one bundle (reason ``alert:<rule>``) for every rule that
+        entered the firing state this tick, whatever its severity.
         Deduplication is structural: the engine reports each edge once,
         so a rule that stays firing cannot re-trigger until it has
-        resolved and fired again.  Returns the bundle paths written.
+        resolved and fired again.  Returns the bundle paths written
+        (none for a memory-only recorder).
         """
         paths: List[Path] = []
-        if self.incident_dir is None or not self.policy.on_alert:
+        if self.incident_dir is None:
             return paths
         for transition in transitions:
             rule = transition.rule
-            if transition.new_state != "firing" or rule.severity != "critical":
+            if transition.new_state != "firing":
                 continue
             paths.append(self.dump(
                 f"alert:{rule.name}",
@@ -505,14 +457,12 @@ class FlightRecorder:
         """Approximate raw-chunk footprint (16 B per key/value pair)."""
         return self.retained_items * 16
 
-    def bundle(self, reason: str, *, health: Optional[dict] = None,
-               extra: Optional[dict] = None) -> dict:
+    def bundle(self, reason: str, *, extra: Optional[dict] = None) -> dict:
         """Build (in memory) the incident bundle for the current window."""
         with self._lock:
             self._seal_pending()
             meta = self._base_state["meta"]
             window_items = sum(len(c["keys"]) for c in self._chunks)
-            health = health if health is not None else self._last_health
             manifest = {
                 "schema_version": BUNDLE_SCHEMA_VERSION,
                 "created_unix": time.time(),
@@ -525,7 +475,6 @@ class FlightRecorder:
                 "items_processed": self.filt.items_processed,
                 "window_items": window_items,
                 "window_chunks": len(self._chunks),
-                "verdict": (health or {}).get("verdict"),
             }
             persistence = _persistence()
             return {
@@ -537,7 +486,6 @@ class FlightRecorder:
                     "probes": list(self._probes),
                     "decisions": list(self._decisions),
                     "provenance": list(self._provenance),
-                    "health": health,
                     "extra": extra,
                 },
                 "expected": {
@@ -545,7 +493,7 @@ class FlightRecorder:
                     "report_count": self.filt.report_count,
                     "state_fingerprint":
                         persistence.state_fingerprint(self.filt),
-                    "health": _probe_health(self.filt),
+                    "signals": _structural_signals(self.filt),
                 },
             }
 
@@ -555,8 +503,7 @@ class FlightRecorder:
 
         return git_revision(Path(__file__).parent)
 
-    def dump(self, reason: str, *, health: Optional[dict] = None,
-             extra: Optional[dict] = None) -> Path:
+    def dump(self, reason: str, *, extra: Optional[dict] = None) -> Path:
         """Write an incident bundle atomically; returns its path."""
         if self.incident_dir is None:
             raise ParameterError(
@@ -564,7 +511,7 @@ class FlightRecorder:
                 "to enable dumps"
             )
         with self._lock:
-            bundle = self.bundle(reason, health=health, extra=extra)
+            bundle = self.bundle(reason, extra=extra)
             self.incident_dir.mkdir(parents=True, exist_ok=True)
             stamp = int(bundle["manifest"]["created_unix"] * 1000)
             path = self.incident_dir / f"incident-{stamp}.json.gz"
@@ -675,7 +622,7 @@ class ReplayResult:
     """Outcome of one deterministic replay.
 
     ``ok`` requires every per-chunk report stream, the final counters,
-    the state fingerprint and the structural health verdict to match
+    the state fingerprint and the structural signal values to match
     the capture exactly; ``mismatches`` names each deviation.
     """
 
@@ -686,9 +633,7 @@ class ReplayResult:
     reports_expected: int
     reports_replayed: int
     fingerprint_ok: bool
-    verdict: Optional[str]
-    expected_verdict: Optional[str]
-    verdict_ok: bool
+    signals_ok: bool
     mismatches: List[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -700,9 +645,7 @@ class ReplayResult:
             "reports_expected": self.reports_expected,
             "reports_replayed": self.reports_replayed,
             "fingerprint_ok": self.fingerprint_ok,
-            "verdict": self.verdict,
-            "expected_verdict": self.expected_verdict,
-            "verdict_ok": self.verdict_ok,
+            "signals_ok": self.signals_ok,
             "mismatches": list(self.mismatches),
         }
 
@@ -714,9 +657,8 @@ class ReplayResult:
             f"reports={self.reports_replayed}/{self.reports_expected}",
             f"  state fingerprint: "
             f"{'identical' if self.fingerprint_ok else 'DIVERGED'}",
-            f"  health verdict: {self.verdict} "
-            f"(captured {self.expected_verdict}) — "
-            f"{'identical' if self.verdict_ok else 'DIVERGED'}",
+            f"  structural signals: "
+            f"{'identical' if self.signals_ok else 'DIVERGED'}",
         ]
         for mismatch in self.mismatches[:20]:
             lines.append(f"  mismatch: {mismatch}")
@@ -812,16 +754,9 @@ def replay_bundle(bundle: Union[dict, PathLike]) -> ReplayResult:
     )
     if not fingerprint_ok:
         mismatches.append("final state fingerprint diverged from capture")
-    replay_health = _probe_health(filt)
-    expected_health = expected.get("health") or {}
-    verdict = replay_health.get("verdict")
-    expected_verdict = expected_health.get("verdict")
-    verdict_ok = replay_health == expected_health
-    if not verdict_ok:
-        mismatches.append(
-            f"structural health report diverged (verdict {verdict} vs "
-            f"captured {expected_verdict})"
-        )
+    signals_ok = _structural_signals(filt) == expected["signals"]
+    if not signals_ok:
+        mismatches.append("structural signal values diverged from capture")
     return ReplayResult(
         ok=not mismatches,
         engine=engine,
@@ -830,8 +765,6 @@ def replay_bundle(bundle: Union[dict, PathLike]) -> ReplayResult:
         reports_expected=reports_expected,
         reports_replayed=reports_replayed,
         fingerprint_ok=fingerprint_ok,
-        verdict=verdict,
-        expected_verdict=expected_verdict,
-        verdict_ok=verdict_ok,
+        signals_ok=signals_ok,
         mismatches=mismatches,
     )

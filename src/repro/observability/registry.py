@@ -36,7 +36,7 @@ the sample name:
 
 Per-shard snapshots aggregate with :func:`aggregate_snapshots`:
 counters and summable gauges add up, ``agg="mean"`` gauges average,
-``agg="max"`` gauges take the maximum:
+``agg="max"`` / ``agg="min"`` gauges take the maximum / minimum:
 
 >>> aggregate_snapshots([{"demo_inserts_total": 3.0, "demo_occupancy": 0.5},
 ...                      {"demo_inserts_total": 4.0, "demo_occupancy": 0.3}],
@@ -55,7 +55,7 @@ from repro.common.errors import ParameterError
 KINDS = ("counter", "gauge", "histogram")
 
 #: Recognised cross-registry aggregation rules.
-AGGREGATIONS = ("sum", "mean", "max")
+AGGREGATIONS = ("sum", "mean", "max", "min")
 
 #: Global name -> spec index, so exporters can render HELP/TYPE text for
 #: snapshots that travelled as bare dicts (e.g. from worker processes).
@@ -78,7 +78,7 @@ class MetricSpec:
     agg:
         How per-shard samples combine into one aggregate sample:
         ``"sum"`` (default; all counters), ``"mean"`` (ratios such as
-        occupancy) or ``"max"``.
+        occupancy), ``"max"`` or ``"min"``.
     """
 
     name: str
@@ -414,10 +414,10 @@ def aggregate_snapshots(
     """Fold per-shard snapshot dicts into one aggregate snapshot.
 
     Counters (and ``agg="sum"`` gauges) add; ``agg="mean"`` gauges
-    average over the snapshots that carry the sample; ``agg="max"``
-    gauges take the maximum.  Unknown samples default to summing, the
-    right behaviour for every monotonic count.  ``specs`` defaults to
-    the process-wide :data:`SPEC_INDEX`.
+    average over the snapshots that carry the sample; ``agg="max"`` and
+    ``agg="min"`` gauges take the maximum and minimum.  Unknown samples
+    default to summing, the right behaviour for every monotonic count.
+    ``specs`` defaults to the process-wide :data:`SPEC_INDEX`.
     """
     snapshots = list(snapshots)
     if specs is None:
@@ -425,12 +425,15 @@ def aggregate_snapshots(
     sums: Dict[str, float] = {}
     counts: Dict[str, int] = {}
     maxima: Dict[str, float] = {}
+    minima: Dict[str, float] = {}
     for snap in snapshots:
         for sample, value in snap.items():
             sums[sample] = sums.get(sample, 0.0) + float(value)
             counts[sample] = counts.get(sample, 0) + 1
             if sample not in maxima or value > maxima[sample]:
                 maxima[sample] = float(value)
+            if sample not in minima or value < minima[sample]:
+                minima[sample] = float(value)
     out: Dict[str, float] = {}
     for sample, total in sums.items():
         spec = specs.get(base_name(sample)) or SPEC_INDEX.get(base_name(sample))
@@ -439,6 +442,8 @@ def aggregate_snapshots(
             out[sample] = total / counts[sample]
         elif agg == "max":
             out[sample] = maxima[sample]
+        elif agg == "min":
+            out[sample] = minima[sample]
         else:
             out[sample] = total
     return out

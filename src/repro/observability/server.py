@@ -2,40 +2,44 @@
 
 Five routes, one tiny threaded server:
 
-* ``GET /metrics`` — the current snapshot in the Prometheus text
-  exposition format (telemetry families plus the derived ``qf_health_*``
-  samples, process gauges, metric-store accounting and ``qf_alert_*``
-  states), ready for a scraper.
-* ``GET /healthz`` — the aggregated :class:`~repro.observability.health.
-  HealthReport` as JSON; status 200 for ok/degraded, 503 for critical,
-  so a load balancer can act on the status code alone.  Firing alert
-  rules fold in as ``alert:<rule>`` signals, so the verdict's
-  ``reasons`` name the rule.
-* ``GET /health/shards`` — the per-shard report breakdown (pipelines;
-  a standalone filter serves a single-entry list).
+* ``GET /metrics`` — the last tick's snapshot in the Prometheus text
+  exposition format (telemetry families, the ``qf_health_*`` signal
+  gauges and verdict, process gauges, metric-store accounting and
+  ``qf_alert_*`` states), ready for a scraper.
+* ``GET /healthz`` — the alert-rule verdict as a
+  :class:`~repro.observability.health.HealthReport` JSON: every health
+  signal with its last value, and each firing rule named in the
+  ``reasons`` of its signal.  Status 200 for ok/degraded, 503 for
+  critical, so a load balancer can act on the status code alone.
+* ``GET /health/shards`` — the per-shard signal values of the last
+  tick (pipelines; a standalone filter serves a single entry).
 * ``GET /incidents`` — manifests of the flight recorder's recent
   incident bundles, newest first (empty list when no recorder or
   incident directory is attached; see
   :mod:`repro.observability.recorder`).
 * ``GET /alerts`` — the alert engine's full rule/state payload as
-  JSON (a stub with zero rules when the source has no alert engine).
+  JSON.
 
-The server never touches the monitored structure's hot path: a
-*serve source* adapts each deployment shape to the routes.
+The server never touches the monitored structure's hot path, and a
+scrape never changes what the next scrape reads.  A *serve source*
+adapts each deployment shape to the routes, and its ``tick()`` —
+called by the feeding loop, never by an HTTP thread — is the only code
+that advances the verdict: it computes the
+:class:`~repro.observability.health.HealthMonitor` signal gauges,
+collects them with the telemetry snapshot into the
+:class:`~repro.observability.timeseries.MetricStore`, evaluates the
+:class:`~repro.observability.alerts.AlertEngine` (the shipped
+:func:`~repro.observability.alerts.default_rules` unless ``rules`` is
+given) and sends every rule entering firing to the deployment's
+incident dumps.  The routes only read the last tick's state.
+
 :class:`FilterServeSource` snapshots the filter's registry (pull-model
 reads of plain attributes) and probes its structure;
-:class:`PipelineServeSource` only reads the pipeline's **cached**
+:class:`PipelineServeSource` reads the pipeline's **cached**
 ``last_stats`` / ``last_per_shard_stats`` — worker stats syncs ride the
 input queues and must stay on the feeding thread, so the feeder calls
-``pipeline.collect_stats_view()`` at its own cadence and the HTTP
-threads serve whatever view is current.
-
-The same split governs alerting: the feeder drives :meth:`tick` —
-collect into the :class:`~repro.observability.timeseries.MetricStore`,
-evaluate the :class:`~repro.observability.alerts.AlertEngine`, and run
-any alert-triggered incident dumps (which, for pipelines, ride the
-worker queues and therefore must never run on an HTTP thread) — while
-the HTTP threads only *read* the engine's cached state.
+``pipeline.collect_stats_view()`` before each tick — and folds the
+per-shard signal gauges into the aggregate ones, worst shard winning.
 
 >>> from repro.core.criteria import Criteria
 >>> from repro.core.quantile_filter import QuantileFilter
@@ -43,12 +47,16 @@ the HTTP threads only *read* the engine's cached state.
 ...                                epsilon=5.0), num_buckets=8,
 ...                       vague_width=64)
 >>> source = FilterServeSource(filt)
->>> for i in range(100):
+>>> for i in range(2_000):
 ...     _ = filt.insert(i % 7, 10.0)
->>> print(source.metrics_text().splitlines()[0])
-# HELP qf_candidate_entries Occupied candidate slots.
->>> source.refresh().verdict
-'ok'
+>>> source.tick()
+[]
+>>> lines = source.metrics_text().splitlines()
+>>> "qf_health_status 0" in lines, "qf_health_report_rate 0" in lines
+(True, True)
+>>> report = source.report()
+>>> report.verdict, report.signal("report_rate").value
+('ok', 0.0)
 """
 
 from __future__ import annotations
@@ -59,115 +67,120 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 from urllib.parse import urlsplit
 
+from repro.observability.alerts import AlertEngine, default_rules
 from repro.observability.exporters import render_prometheus
 from repro.observability.health import (
     HealthMonitor,
     HealthReport,
-    aggregate_reports,
+    signal_values,
     verdict_rank,
 )
 from repro.observability.instrument import observe_filter, observe_process
-from repro.observability.registry import StatsRegistry
+from repro.observability.recorder import list_incidents, observe_recorder
+from repro.observability.registry import StatsRegistry, aggregate_snapshots
+from repro.observability.timeseries import MetricStore
 
-#: The /alerts payload served when a source carries no alert engine.
-_NO_ALERTS = {"evaluated_at": None, "rules": 0, "firing": [], "alerts": []}
 
+class _ServeSource:
+    """Tick and read plumbing shared by both serve sources.
 
-class _AlertingSource:
-    """Shared store/alert-engine plumbing for both serve sources.
-
-    Subclasses call :meth:`_init_alerting` at the end of construction
-    and implement ``_tick_snapshot()`` (what to collect) and
-    ``_dump_on_alerts(transitions)`` (how a critical firing rule turns
-    into incident bundles).  The thread contract mirrors the stats one:
-    :meth:`tick` belongs to the feeding thread; every other method is
-    safe from HTTP threads because it only reads cached/locked state.
+    Subclasses set ``monitor`` and implement ``_views()`` — the
+    telemetry snapshot plus ``(source, signal gauges)`` for every view
+    they judge — and ``_dump_on_alerts(transitions)``, then call
+    :meth:`_init_source`.  The thread contract: :meth:`tick` belongs to
+    the feeding thread; every other method is safe from HTTP threads
+    because it only reads the last tick's state.
     """
 
-    def _init_alerting(self, rules, store, step_seconds: float) -> None:
-        from repro.observability.timeseries import MetricStore
-
+    def _init_source(self, rules, store) -> None:
         # Process gauges live on their own registry so they never skew
         # per-shard aggregation invariants on the filter registries.
         self.process_registry = observe_process()
-        if store is None and rules is None:
-            self.store = None
-            self.alerts = None
-            return
-        self.store = store if store is not None else MetricStore(
-            step_seconds=step_seconds
+        self.store = store if store is not None else MetricStore()
+        self.alerts = AlertEngine(
+            self.store, default_rules() if rules is None else list(rules)
         )
-        if rules:
-            from repro.observability.alerts import AlertEngine
-
-            self.alerts = AlertEngine(self.store, list(rules))
-        else:
-            self.alerts = None
+        self._lock = threading.Lock()
+        self._snapshot: Dict[str, float] = {}
+        self._signals: Dict[str, float] = {}
+        self._shards: List[dict] = []
 
     # -- feeder-thread side -------------------------------------------
     def tick(self, now: Optional[float] = None) -> list:
-        """Collect + evaluate one alerting tick (feeding thread only).
+        """Advance the health verdict one step (feeding thread only).
 
-        Refreshes the health report, collects the full metrics
-        snapshot into the store (subject to its ``step_seconds``
-        throttle), evaluates every rule, and routes critical firing
-        transitions to the deployment's incident-dump mechanism.
-        Returns the state transitions taken (empty without an engine).
+        Computes every view's signal gauges and folds them (worst view
+        wins), collects them with the telemetry snapshot into the store
+        — subject to the store's ``step_seconds`` throttle: a throttled
+        tick changes nothing the routes serve — evaluates every rule,
+        and sends the rules that entered firing to the incident dumps.
+        Returns the state transitions taken.
         """
-        self.refresh()
-        if self.store is None:
-            return []
+        snapshot, views = self._views()
+        signals = aggregate_snapshots(gauges for _, gauges in views)
         if now is None:
             now = self.store.clock()
-        collected = self.store.collect(self._tick_snapshot(), now=now)
-        if self.alerts is None:
-            return []
-        if not collected:
-            # Throttled: the engine would re-evaluate unchanged data.
-            return []
-        transitions = self.alerts.evaluate(now=now)
-        firing_critical = [
-            t for t in transitions
-            if t.new_state == "firing" and t.rule.severity == "critical"
-        ]
-        if firing_critical:
-            self._dump_on_alerts(firing_critical)
+        with self._lock:
+            collected = self.store.collect(
+                {**snapshot, **signals, **self.process_registry.snapshot()},
+                now=now,
+            )
+            if not collected:
+                return []
+            self._snapshot = snapshot
+            self._signals = signals
+            self._shards = [
+                {"source": source, "signals": signal_values(gauges)}
+                for source, gauges in views
+                if source != "aggregate"
+            ]
+            transitions = self.alerts.evaluate(now=now)
+        fired = [t for t in transitions if t.new_state == "firing"]
+        if fired:
+            self._dump_on_alerts(fired)
         return transitions
 
-    def _tick_snapshot(self) -> Dict[str, float]:
-        raise NotImplementedError
-
-    def _dump_on_alerts(self, transitions: list) -> None:
-        raise NotImplementedError
-
     # -- HTTP-thread side ---------------------------------------------
+    def report(self) -> HealthReport:
+        """The last tick's rule verdict with every signal (``/healthz``)."""
+        with self._lock:
+            return self.alerts.report(signal_values(self._signals))
+
+    def metrics_snapshot(self) -> Dict[str, float]:
+        """The last tick's snapshot, signal gauges and verdict rank,
+        plus process gauges, store accounting and alert states."""
+        with self._lock:
+            snapshot = {**self._snapshot, **self._signals}
+            snapshot["qf_health_status"] = float(
+                verdict_rank(self.alerts.verdict())
+            )
+        snapshot.update(self.process_registry.snapshot())
+        snapshot.update(self.store.samples())
+        snapshot.update(self.alerts.samples())
+        return snapshot
+
+    def metrics_text(self) -> str:
+        return render_prometheus(self.metrics_snapshot())
+
+    def shard_signals(self) -> List[dict]:
+        """Per-shard ``{"source", "signals"}`` of the last tick."""
+        with self._lock:
+            return list(self._shards)
+
     def alerts_payload(self) -> dict:
-        """The ``/alerts`` JSON body (stub when no engine)."""
-        if self.alerts is None:
-            return dict(_NO_ALERTS)
+        """The ``/alerts`` JSON body."""
         return self.alerts.as_dict()
 
-    def _fold_alerts(self, report: HealthReport) -> HealthReport:
-        """Aggregate firing-rule signals into the health report."""
-        if self.alerts is None:
-            return report
-        folded = aggregate_reports(
-            [report, self.alerts.report()], source=report.source
-        )
-        self.monitor.last_report = folded
-        return folded
-
-    def _observability_samples(self) -> Dict[str, float]:
-        """Process gauges + store accounting + alert states."""
-        samples = self.process_registry.snapshot()
-        if self.store is not None:
-            samples.update(self.store.samples())
-        if self.alerts is not None:
-            samples.update(self.alerts.samples())
-        return samples
+    def incidents(self) -> List[dict]:
+        """Recent incident-bundle manifests under :attr:`incident_dir`
+        (recursive, so pipeline workers' per-shard directories count),
+        newest first; empty when nothing records."""
+        if self.incident_dir is None:
+            return []
+        return list_incidents(self.incident_dir)
 
 
-class FilterServeSource(_AlertingSource):
+class FilterServeSource(_ServeSource):
     """Serve source for a standalone filter (any engine).
 
     Instruments the filter on construction when it is not already
@@ -176,14 +189,10 @@ class FilterServeSource(_AlertingSource):
     Feed the monitor (``source.monitor.observe_batch(keys, values)``)
     alongside the filter's inserts to enable the drift and shadow
     signals — without it the structural and telemetry signals still
-    work.
+    work.  Drive :meth:`tick` from the feeding loop.
 
-    Pass ``rules`` (a list of
-    :class:`~repro.observability.alerts.AlertRule`) to attach an alert
-    engine; drive :meth:`tick` from the feeding loop.  A critical rule
-    entering the firing state dumps an incident bundle through the
-    attached recorder (when there is one), subject to its
-    ``TriggerPolicy.on_alert``.
+    With a ``recorder`` attached, every rule entering the firing state
+    dumps one ``alert:<rule>`` incident bundle through it.
     """
 
     def __init__(
@@ -194,7 +203,6 @@ class FilterServeSource(_AlertingSource):
         recorder=None,
         rules=None,
         store=None,
-        step_seconds: float = 0.0,
     ):
         self.filt = filt
         self.registry = (
@@ -203,80 +211,46 @@ class FilterServeSource(_AlertingSource):
             else observe_filter(filt)
         )
         self.monitor = (
-            monitor
-            if monitor is not None
-            else HealthMonitor.for_filter(filt, recorder=recorder)
+            monitor if monitor is not None else HealthMonitor.for_filter(filt)
         )
-        self.recorder = (
-            recorder if recorder is not None else self.monitor.recorder
-        )
-        if self.recorder is not None:
-            from repro.observability.recorder import observe_recorder
+        self.recorder = recorder
+        self.incident_dir = getattr(recorder, "incident_dir", None)
+        if recorder is not None:
+            observe_recorder(recorder, self.registry)
+        self._init_source(rules, store)
 
-            observe_recorder(self.recorder, self.registry)
-        self._lock = threading.Lock()
-        self._init_alerting(rules, store, step_seconds)
-
-    def refresh(self) -> HealthReport:
-        """Recompute the health report from a fresh snapshot."""
+    def _views(self):
         # Deferred: core.quantile_filter imports the observability
         # package for provenance, so inspect cannot load at import time.
         from repro.core.inspect import structural_probe
 
-        with self._lock:
-            report = self.monitor.report(
-                self.registry.snapshot(),
-                probe=structural_probe(self.filt),
-                reported_keys=set(self.filt.reported_keys),
-            )
-            return self._fold_alerts(report)
-
-    def metrics_snapshot(self) -> Dict[str, float]:
-        """Registry snapshot overlaid with the derived health samples."""
-        self.refresh()
         snapshot = self.registry.snapshot()
-        snapshot.update(self.monitor.health_samples())
-        snapshot.update(self._observability_samples())
-        return snapshot
-
-    def metrics_text(self) -> str:
-        return render_prometheus(self.metrics_snapshot())
-
-    def shard_reports(self) -> List[HealthReport]:
-        return [self.refresh()]
-
-    def incidents(self) -> List[dict]:
-        """Recent incident-bundle manifests (no recorder → empty)."""
-        if self.recorder is None:
-            return []
-        return self.recorder.list_incidents()
-
-    # -- alerting hooks ------------------------------------------------
-    def _tick_snapshot(self) -> Dict[str, float]:
-        snapshot = self.registry.snapshot()
-        snapshot.update(self.monitor.health_samples())
-        snapshot.update(self.process_registry.snapshot())
-        return snapshot
+        gauges = self.monitor.samples(
+            snapshot,
+            probe=structural_probe(self.filt),
+            reported_keys=set(self.filt.reported_keys),
+        )
+        return snapshot, [("filter", gauges)]
 
     def _dump_on_alerts(self, transitions: list) -> None:
         if self.recorder is not None:
             self.recorder.observe_alerts(transitions)
 
 
-class PipelineServeSource(_AlertingSource):
+class PipelineServeSource(_ServeSource):
     """Serve source for a running :class:`~repro.parallel.pipeline.
     ParallelPipeline`.
 
     Reads only the pipeline's cached cross-shard views — the feeding
-    thread refreshes them with ``pipeline.collect_stats_view()``; HTTP
-    threads must never ride the worker queues themselves.  Per-shard
-    verdicts come from evaluating each cached worker view separately;
-    the aggregate is worst-wins across the global report and every
-    shard report.
+    thread refreshes them with ``pipeline.collect_stats_view()`` before
+    each :meth:`tick`; HTTP threads must never ride the worker queues
+    themselves.  The aggregate view carries the stream signals (drift,
+    shadow, worker liveness); each cached worker view adds its own
+    structural and telemetry signals, and the fold keeps the worst.
 
-    With ``rules`` attached, drive :meth:`tick` from the feeding loop
-    (never an HTTP thread: a critical rule firing broadcasts
-    ``pipeline.request_incident_dump``, which rides the worker queues).
+    Never tick from an HTTP thread: a rule entering the firing state
+    broadcasts ``pipeline.request_incident_dump``, which rides the
+    worker queues.
     """
 
     def __init__(
@@ -285,7 +259,6 @@ class PipelineServeSource(_AlertingSource):
         monitor: Optional[HealthMonitor] = None,
         rules=None,
         store=None,
-        step_seconds: float = 0.0,
     ):
         self.pipeline = pipeline
         self.monitor = (
@@ -293,12 +266,13 @@ class PipelineServeSource(_AlertingSource):
             if monitor is not None
             else HealthMonitor.for_criteria(pipeline.criteria)
         )
-        self._lock = threading.Lock()
-        self._shard_reports: List[HealthReport] = []
+        # Shard views get structural/telemetry signals only: the stream
+        # detectors watch the whole stream, not one shard.
+        self._shard_monitor = HealthMonitor()
         # Workers dump into per-shard subdirectories of this root when
         # the pipeline was built with record=True.
         self.incident_dir = getattr(pipeline, "incident_dir", None)
-        self._init_alerting(rules, store, step_seconds)
+        self._init_source(rules, store)
 
     def _global_snapshot(self) -> Dict[str, float]:
         if self.pipeline.last_stats is not None:
@@ -307,58 +281,21 @@ class PipelineServeSource(_AlertingSource):
         # (pull gauges over plain attributes — safe from any thread).
         return self.pipeline.stats.snapshot()
 
-    def refresh(self) -> HealthReport:
-        with self._lock:
-            expected = (
-                self.pipeline.num_shards if self.pipeline.running else None
-            )
-            report = self.monitor.report(
-                self._global_snapshot(),
-                reported_keys=self.pipeline.reported_keys,
-                expected_workers=expected,
-                source="aggregate",
-            )
-            per_shard = self.pipeline.last_per_shard_stats or []
-            shard_reports = [
-                self.monitor.model.evaluate(view, source=f"shard-{shard}")
-                for shard, view in enumerate(per_shard)
-            ]
-            self._shard_reports = shard_reports
-            if shard_reports:
-                report = aggregate_reports(
-                    [report] + shard_reports, source="aggregate"
-                )
-                self.monitor.last_report = report
-            return self._fold_alerts(report)
-
-    def metrics_snapshot(self) -> Dict[str, float]:
-        self.refresh()
+    def _views(self):
         snapshot = self._global_snapshot()
-        snapshot.update(self.monitor.health_samples())
-        snapshot.update(self._observability_samples())
-        return snapshot
-
-    def metrics_text(self) -> str:
-        return render_prometheus(self.metrics_snapshot())
-
-    def shard_reports(self) -> List[HealthReport]:
-        self.refresh()
-        return list(self._shard_reports)
-
-    def incidents(self) -> List[dict]:
-        """Manifests across every worker's incident subdirectory."""
-        if self.incident_dir is None:
-            return []
-        from repro.observability.recorder import list_incidents
-
-        return list_incidents(self.incident_dir)
-
-    # -- alerting hooks ------------------------------------------------
-    def _tick_snapshot(self) -> Dict[str, float]:
-        snapshot = self._global_snapshot()
-        snapshot.update(self.monitor.health_samples())
-        snapshot.update(self.process_registry.snapshot())
-        return snapshot
+        expected = self.pipeline.num_shards if self.pipeline.running else None
+        views = [("aggregate", self.monitor.samples(
+            snapshot,
+            reported_keys=self.pipeline.reported_keys,
+            expected_workers=expected,
+            source="aggregate",
+        ))]
+        for shard, view in enumerate(self.pipeline.last_per_shard_stats or []):
+            source = f"shard-{shard}"
+            views.append(
+                (source, self._shard_monitor.samples(view, source=source))
+            )
+        return snapshot, views
 
     def _dump_on_alerts(self, transitions: list) -> None:
         if not self.pipeline.running:
@@ -370,48 +307,37 @@ class PipelineServeSource(_AlertingSource):
 
 
 class _HealthRequestHandler(BaseHTTPRequestHandler):
-    """Routes /metrics, /healthz, /health/shards, /incidents."""
+    """Routes /metrics, /healthz, /health/shards, /incidents, /alerts."""
 
     server_version = "QuantileFilterHealth/1.0"
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         path = urlsplit(self.path).path
         try:
+            source = self.server.source
             if path == "/metrics":
-                body = self.server.source.metrics_text() + "\n"
+                body = source.metrics_text() + "\n"
                 self._respond(
                     200, body, "text/plain; version=0.0.4; charset=utf-8"
                 )
             elif path == "/healthz":
-                report = self.server.source.refresh()
+                report = source.report()
                 status = 503 if report.verdict == "critical" else 200
                 self._respond_json(status, report.as_dict())
             elif path == "/alerts":
-                payload = getattr(
-                    self.server.source, "alerts_payload", None
-                )
-                self._respond_json(
-                    200,
-                    payload() if payload is not None else dict(_NO_ALERTS),
-                )
+                self._respond_json(200, source.alerts_payload())
             elif path == "/incidents":
-                incidents = getattr(self.server.source, "incidents", None)
-                manifests = incidents() if incidents is not None else []
+                manifests = source.incidents()
                 self._respond_json(
                     200,
                     {"count": len(manifests), "incidents": manifests},
                 )
             elif path == "/health/shards":
-                reports = self.server.source.shard_reports()
-                verdict = "ok"
-                for report in reports:
-                    if verdict_rank(report.verdict) > verdict_rank(verdict):
-                        verdict = report.verdict
                 self._respond_json(
                     200,
                     {
-                        "verdict": verdict,
-                        "shards": [r.as_dict() for r in reports],
+                        "verdict": source.alerts.verdict(),
+                        "shards": source.shard_signals(),
                     },
                 )
             else:
@@ -511,16 +437,19 @@ class HealthServer:
 def serve_filter(
     filt, host: str = "127.0.0.1", port: int = 0, rules=None
 ) -> HealthServer:
-    """Start a health server for a standalone filter; returns it running."""
-    return HealthServer(
-        FilterServeSource(filt, rules=rules), host=host, port=port
-    ).start()
+    """Tick a standalone filter's source once and serve it; returns the
+    server running (keep calling ``server.source.tick()`` as the filter
+    is fed)."""
+    source = FilterServeSource(filt, rules=rules)
+    source.tick()
+    return HealthServer(source, host=host, port=port).start()
 
 
 def serve_pipeline(
     pipeline, host: str = "127.0.0.1", port: int = 0, rules=None
 ) -> HealthServer:
-    """Start a health server for a pipeline; returns it running."""
-    return HealthServer(
-        PipelineServeSource(pipeline, rules=rules), host=host, port=port
-    ).start()
+    """Tick a pipeline's source once and serve it; returns the server
+    running (the feeding loop keeps calling ``server.source.tick()``)."""
+    source = PipelineServeSource(pipeline, rules=rules)
+    source.tick()
+    return HealthServer(source, host=host, port=port).start()

@@ -1,6 +1,6 @@
-"""Terminal rendering helpers shared by ``repro watch`` and ``repro top``.
+"""Terminal rendering helpers for ``repro top``.
 
-Two concerns live here so both commands behave identically:
+Two concerns live here so every output format behaves the same way:
 
 * **capability detection** — :func:`ansi_capable` decides whether a
   stream can take in-place ANSI redraws (a real TTY with a non-dumb

@@ -4,7 +4,7 @@ Every exporter in this package serves *point-in-time* snapshots; this
 module adds the missing time axis under a strict memory contract.  A
 :class:`MetricStore` scrapes any snapshot-shaped source (a
 :class:`~repro.observability.registry.StatsRegistry`, the health
-model's ``health_samples()``, the recorder gauges — anything producing
+monitor's signal gauges, the recorder gauges — anything producing
 ``{sample_name: float}``) into one :class:`Series` per sample.
 
 Retention follows the same compaction discipline as the quantile
@@ -354,6 +354,9 @@ class MetricStore:
         self.max_series = int(max_series)
         self.clock = clock
         self._series: Dict[str, Series] = {}
+        #: Family name -> its series by sample name, so a bare-family
+        #: lookup never parses every retained sample name.
+        self._families: Dict[str, Dict[str, Series]] = {}
         self._lock = threading.RLock()
         self._last_collect: Optional[float] = None
         self.collections = 0
@@ -411,6 +414,7 @@ class MetricStore:
                 sample, self.capacity, self.downsample, self.coarse_capacity
             )
             self._series[sample] = series
+            self._families.setdefault(base_name(sample), {})[sample] = series
         return series
 
     def _evict_stalest_locked(self) -> None:
@@ -422,6 +426,10 @@ class MetricStore:
         self._evicted_carry += stalest.ingested
         self.series_evicted += 1
         del self._series[stalest.name]
+        family = base_name(stalest.name)
+        del self._families[family][stalest.name]
+        if not self._families[family]:
+            del self._families[family]
 
     # ------------------------------------------------------------------
     # lookup
@@ -436,10 +444,7 @@ class MetricStore:
             exact = self._series.get(metric)
             if exact is not None:
                 return [exact]
-            return [
-                s for name, s in self._series.items()
-                if base_name(name) == metric
-            ]
+            return list(self._families.get(metric, {}).values())
 
     def names(self) -> List[str]:
         """All retained sample names, sorted."""

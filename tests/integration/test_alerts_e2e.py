@@ -76,9 +76,7 @@ class TestDriftFiresRuleEndToEnd:
             filt, max_chunks=16, chunk_items=STRIDE,
             incident_dir=incident_dir, registry=registry,
         )
-        monitor = HealthMonitor.for_filter(
-            filt, drift_window_items=1_024, recorder=recorder
-        )
+        monitor = HealthMonitor.for_filter(filt, drift_window_items=1_024)
         clock = {"t": 0.0}
         store = MetricStore(clock=lambda: clock["t"])
         source = FilterServeSource(

@@ -61,11 +61,12 @@ class TestFastExamples:
         output = capsys.readouterr().out
         assert "baseline verdict: ok" in output
         assert "drifted verdict: degraded" in output
-        assert "trigger: verdict_flip:ok->degraded" in output
+        assert "alert:exceedance-drift" in output
+        assert "trigger: alert:" in output
         assert "replay MATCH" in output
         assert "replay matches capture bit-identically: True" in output
         assert result.ok
-        # The flip dump landed where the caller asked.
+        # The alert dumps landed where the caller asked.
         assert list(tmp_path.glob("incident-*.json.gz"))
         assert list(tmp_path.glob("incident-*.manifest.json"))
 

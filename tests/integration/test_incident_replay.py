@@ -1,10 +1,11 @@
 """End-to-end incident forensics: drift fires a dump, replay reproduces it.
 
 The acceptance scenario for the flight recorder: an injected-drift
-incident on BOTH engines must auto-dump a bundle whose replay is
-bit-identical, the ``repro record`` CLI must round-trip it with honest
-exit codes, and a crashing pipeline worker must leave behind a bundle
-that replays the exact chunks it ingested before dying.
+incident on BOTH engines must fire a rule that auto-dumps a bundle
+whose replay is bit-identical, the ``repro record`` CLI must
+round-trip it with honest exit codes, and a crashing pipeline worker
+must leave behind a bundle that replays the exact chunks it ingested
+before dying.
 """
 
 import gzip
@@ -16,17 +17,18 @@ import numpy as np
 import pytest
 
 from repro.core.criteria import Criteria
-from repro.core.inspect import structural_probe
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 from repro.observability.cli import main as cli_main
 from repro.observability.health import HealthMonitor
+from repro.observability.instrument import observe_filter
 from repro.observability.recorder import (
     FlightRecorder,
     list_incidents,
     load_bundle,
     replay_bundle,
 )
+from repro.observability.server import FilterServeSource
 from repro.parallel.pipeline import ParallelPipeline, WorkerFailedError
 from repro.streams.drift import DriftConfig, generate_drift_trace
 
@@ -44,9 +46,9 @@ INJECTED = DriftConfig(
 )
 
 
-def drive_incident(filt, recorder, monitor):
-    """Benign phase then injected drift; returns the flip bundle path."""
-    flip_path = None
+def drive_incident(recorder, source):
+    """Benign phase then injected drift, ticking per stride; returns
+    the bundle the first rule entering firing dumped, and that rule."""
     for trace in (generate_drift_trace(BENIGN),
                   generate_drift_trace(INJECTED)):
         for begin in range(0, len(trace), STRIDE):
@@ -55,19 +57,14 @@ def drive_incident(filt, recorder, monitor):
                 float(v) for v in trace.values[begin:begin + STRIDE]
             ]
             recorder.feed(keys, values)
-            monitor.observe_batch(keys, values)
-        before = recorder.dumps_total
-        report = monitor.report(
-            {
-                "qf_items_total": float(filt.items_processed),
-                "qf_reports_total": float(filt.report_count),
-            },
-            probe=structural_probe(filt),
-        )
-        if recorder.dumps_total > before:
-            flip_path = recorder.list_incidents()[0]["path"]
-            assert report.verdict != "ok"
-    return flip_path
+            source.monitor.observe_batch(keys, values)
+            fired = [
+                t.rule for t in source.tick() if t.new_state == "firing"
+            ]
+            if fired:
+                assert source.report().verdict != "ok"
+                return recorder.list_incidents()[0]["path"], fired[-1]
+    return None, None
 
 
 @pytest.mark.parametrize("engine", ["scalar", "batch"])
@@ -76,29 +73,34 @@ def test_drift_incident_replays_bit_identically(engine, tmp_path):
         filt = QuantileFilter(CRITERIA, **GEOMETRY)
     else:
         filt = BatchQuantileFilter(CRITERIA, chunk_size=STRIDE, **GEOMETRY)
+    # Instrument before the recorder takes its base snapshot: the batch
+    # engine's stats tallies are part of its state.
+    registry = observe_filter(filt)
     recorder = FlightRecorder(
         filt, max_chunks=8, chunk_items=STRIDE, incident_dir=tmp_path,
         config={"scenario": "injected-drift", "engine": engine},
     )
     monitor = HealthMonitor.for_criteria(
         CRITERIA, drift_window_items=512, shadow_sample_rate=None,
-        recorder=recorder,
+    )
+    source = FilterServeSource(
+        filt, monitor=monitor, registry=registry, recorder=recorder,
     )
 
-    flip_path = drive_incident(filt, recorder, monitor)
-    assert flip_path is not None, "drift injection must flip the verdict"
-    bundle = load_bundle(flip_path)
+    path, rule = drive_incident(recorder, source)
+    assert path is not None, "drift injection must fire a rule"
+    bundle = load_bundle(path)
     assert bundle["manifest"]["engine"] == engine
-    assert bundle["manifest"]["reason"].startswith("verdict_flip:ok->")
-    assert bundle["forensics"]["health"]["verdict"] != "ok"
+    assert bundle["manifest"]["reason"] == f"alert:{rule.name}"
+    assert bundle["forensics"]["extra"]["alert"]["rule"] == rule.as_dict()
 
-    result = replay_bundle(flip_path)
+    result = replay_bundle(path)
     assert result.ok, result.mismatches
     assert result.engine == engine
-    assert result.fingerprint_ok and result.verdict_ok
+    assert result.fingerprint_ok and result.signals_ok
     # Replaying a second time from the same bytes is just as identical:
     # the bundle is self-contained, not dependent on ambient state.
-    again = replay_bundle(flip_path)
+    again = replay_bundle(path)
     assert again.as_dict() == result.as_dict()
 
 

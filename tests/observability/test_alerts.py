@@ -1,7 +1,6 @@
 """Alert grammar, rule loading, engine state machine, exports."""
 
 import json
-import sys
 
 import pytest
 
@@ -19,10 +18,8 @@ from repro.observability.alerts import (
     parse_duration,
     parse_rules,
 )
+from repro.observability.health import SIGNAL_FAMILIES
 from repro.observability.timeseries import MetricStore
-
-RULE_PACK_TOML = "benchmarks/alerts/default.toml"
-RULE_PACK_JSON = "benchmarks/alerts/default.json"
 
 
 class TestGrammar:
@@ -50,9 +47,9 @@ class TestGrammar:
 
     def test_labelled_metric_condition(self):
         cond = parse_condition(
-            'mean(qf_health_signal{signal="report_rate"}[60s]) >= 1'
+            'mean(qf_alert_state{rule="worker-death"}[60s]) >= 1'
         )
-        assert cond.metric == 'qf_health_signal{signal="report_rate"}'
+        assert cond.metric == 'qf_alert_state{rule="worker-death"}'
 
     def test_point_condition_and_implicit_value(self):
         assert parse_condition("age(qf_items_total) > 30").fn == "age"
@@ -137,28 +134,32 @@ class TestRulePacks:
         rules = default_rules()
         names = {rule.name for rule in rules}
         assert {
-            "report-rate-drift", "worker-death", "vague-saturation",
+            "exceedance-drift", "worker-death", "vague-saturation",
             "ring-buffer-drops", "scrape-staleness",
         } <= names
         for rule in rules:
             assert rule.severity in SEVERITIES
             assert rule.description
             assert rule.response
+        # One rule per health signal and severity, reading the signal's
+        # gauge with no `for` hold and no `resolve` band.
+        signal_rules = [r for r in rules if "signal" in r.labels]
+        keys = {(r.labels["signal"], r.severity) for r in signal_rules}
+        assert len(keys) == len(signal_rules) == 12 and len(rules) == 14
+        assert {signal for signal, _ in keys} == set(SIGNAL_FAMILIES)
+        for rule in signal_rules:
+            assert (rule.condition.fn, rule.condition.metric) == (
+                "value", SIGNAL_FAMILIES[rule.labels["signal"]]
+            )
+            assert rule.for_seconds == 0 and rule.resolve is None
 
-    def test_json_twin_matches_builtin(self):
-        pack = load_rules(RULE_PACK_JSON)
-        assert [r.as_dict() for r in pack] == [
-            r.as_dict() for r in default_rules()
-        ]
-
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="tomllib needs Python 3.11+"
-    )
-    def test_toml_twin_matches_builtin(self):
-        pack = load_rules(RULE_PACK_TOML)
-        assert [r.as_dict() for r in pack] == [
-            r.as_dict() for r in default_rules()
-        ]
+    def test_user_packs_load_from_toml(self, tmp_path):
+        pytest.importorskip("tomllib")
+        pack = tmp_path / "pack.toml"
+        pack.write_text('[[rule]]\nname = "r"\nexpr = "m > 5"\nfor = "30s"\n')
+        assert load_rules(pack) == parse_rules(
+            [{"name": "r", "expr": "m > 5", "for": 30.0}]
+        )
 
     def test_tables_parse_standalone(self):
         assert len(parse_rules(DEFAULT_RULE_TABLES)) == len(
@@ -273,7 +274,8 @@ class TestEngine:
             'qf_alert_state{rule="r",severity="critical"}'
         ] == float(STATE_VALUES["firing"])
         assert samples["qf_alerts_firing"] == 1.0
-        assert engine.firing_critical()[0].name == "r"
+        assert [r.name for r in engine.firing()] == ["r"]
+        assert engine.verdict() == "critical"
 
     def test_report_names_firing_rule(self):
         store, engine, rule, _ = engine_with(
@@ -289,6 +291,27 @@ class TestEngine:
         assert payload["firing"] == ["r"]
         assert payload["rules"] == 1
         assert payload["alerts"][0]["state"] == "firing"
+
+    def test_report_folds_firing_rules_into_their_signals(self):
+        store = MetricStore(clock=lambda: 0.0)
+        engine = AlertEngine(store, [
+            AlertRule(name="sat-warning", expr="s >= 0.05",
+                      labels={"signal": "vague_saturation"}),
+            AlertRule(name="sat", expr="s >= 0.25", severity="critical",
+                      labels={"signal": "vague_saturation"}),
+            AlertRule(name="unlabelled", expr="f > 1"),
+        ])
+        store.collect({"s": 0.3, "f": 2.0}, now=0.0)
+        engine.evaluate(now=0.0)
+        report = engine.report(
+            {"vague_saturation": 0.3, "report_rate": 0.01}, now=0.0
+        )
+        assert engine.verdict() == report.verdict == "critical"
+        saturation = report.signal("vague_saturation")
+        assert saturation.verdict == "critical"
+        assert "rule sat firing" in saturation.reason
+        assert report.signal("report_rate").verdict == "ok"
+        assert report.signal("alert:unlabelled").verdict == "degraded"
 
     def test_states_catalogue(self):
         assert STATES == ("inactive", "pending", "firing", "resolved")

@@ -1,4 +1,4 @@
-"""The `repro stats` / `repro watch` CLI, checked against the docs.
+"""The `repro` operations CLI, checked against the docs.
 
 The acceptance criterion for the telemetry layer is self-enforcing
 here: every metric family documented in ``docs/observability.md`` must
@@ -60,11 +60,6 @@ class TestParser:
         assert args.command == "stats"
         assert args.format == "prom"
         assert args.shards == 2
-
-    def test_watch_defaults_to_json(self):
-        args = build_parser().parse_args(["watch"])
-        assert args.format == "json"
-        assert args.every == 4
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -131,8 +126,8 @@ class TestStatsCommand:
             pytest.fail("qf_items_total sample missing")
 
 
-def test_watch_emits_valid_json_lines(capsys):
-    rc = main(["watch", *STATS_ARGS, "--every", "1"])
+def test_top_json_emits_valid_json_lines(capsys):
+    rc = main(["top", *STATS_ARGS, "--every", "1", "--format", "json"])
     assert rc == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert len(lines) >= 2  # at least one stride plus the final record
@@ -324,12 +319,6 @@ class TestTopCommand:
         assert "throughput" in out
         assert "alerts (" in out  # the default pack is attached
 
-    def test_top_no_alerts_drops_the_alert_block(self, capsys, monkeypatch):
-        monkeypatch.setenv("TERM", "dumb")
-        rc = main(["top", *STATS_ARGS, "--once", "--no-alerts"])
-        assert rc == 0
-        assert "alerts (" not in capsys.readouterr().out
-
     def test_top_bad_rules_path_fails_fast(self, capsys):
         rc = main(["top", *STATS_ARGS, "--once", "--rules", "/nope.json"])
         assert rc == 2
@@ -351,17 +340,18 @@ class TestAlertsCommand:
         rc = main(["alerts", "list"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "report-rate-drift" in out
+        assert "exceedance-drift" in out
         assert "worker-death" in out
         assert "[critical]" in out
 
-    def test_list_json_round_trips(self, capsys):
-        from repro.observability.alerts import parse_rules
+    def test_list_json_round_trips(self, capsys, tmp_path):
+        from repro.observability.alerts import default_rules, load_rules
 
         rc = main(["alerts", "list", "--format", "json"])
         assert rc == 0
-        tables = json.loads(capsys.readouterr().out)
-        assert len(parse_rules(tables)) == len(tables) >= 5
+        pack = tmp_path / "pack.json"
+        pack.write_text(capsys.readouterr().out)
+        assert load_rules(pack) == default_rules()
 
     def test_check_benign_run_exits_zero(self, capsys):
         rc = main(["alerts", "check", *STATS_ARGS])
@@ -405,10 +395,10 @@ class TestAlertsCommand:
         assert "error:" in capsys.readouterr().err
 
 
-def test_watch_prom_degrades_to_plain_lines_off_tty(capsys):
-    """Satellite: watch without a TTY appends plain snapshots — no ANSI
-    control sequences anywhere in the stream."""
-    rc = main(["watch", *STATS_ARGS, "--format", "prom"])
+def test_top_prom_degrades_to_plain_lines_off_tty(capsys):
+    """top --format prom without a TTY appends plain snapshots — no
+    ANSI control sequences anywhere in the stream."""
+    rc = main(["top", *STATS_ARGS, "--format", "prom"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "\x1b[" not in out

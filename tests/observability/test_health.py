@@ -1,4 +1,9 @@
-"""Health model: signal thresholds, drift detection, aggregation."""
+"""Health signals: gauges, definedness gates, drift detection, folding.
+
+The monitor only measures; the default rule pack judges.  Each signal
+test therefore checks the gauge the monitor emits *and* the verdict the
+shipped rules reach on it.
+"""
 
 import numpy as np
 import pytest
@@ -7,20 +12,25 @@ from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
 from repro.core.inspect import structural_probe
 from repro.core.quantile_filter import QuantileFilter
+from repro.observability.alerts import AlertEngine, default_rules
 from repro.observability.health import (
     HEALTH_METRIC_HELP,
+    SIGNAL_FAMILIES,
     ExceedanceDriftDetector,
-    HealthModel,
     HealthMonitor,
-    HealthReport,
-    HealthSignal,
-    HealthThresholds,
-    aggregate_reports,
+    signal_values,
     verdict_rank,
     worst_verdict,
 )
 from repro.observability.instrument import observe_filter
-from repro.observability.registry import SPEC_INDEX, StatsRegistry
+from repro.observability.registry import (
+    SPEC_INDEX,
+    StatsRegistry,
+    aggregate_snapshots,
+)
+from repro.observability.server import FilterServeSource
+from repro.observability.timeseries import MetricStore
+from tests.observability.test_server import fed_filter
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
 
@@ -30,6 +40,22 @@ def snapshot(**families):
     base = {"qf_items_total": 50_000.0}
     base.update(families)
     return base
+
+
+def gauges(snap, **kwargs):
+    """The signal gauges one fresh monitor emits for ``snap``."""
+    return HealthMonitor().samples(snap, **kwargs)
+
+
+def judge(samples):
+    """``(verdict, signals of the firing rules)`` after one tick of the
+    default rule pack over ``samples``."""
+    store = MetricStore(clock=lambda: 0.0)
+    engine = AlertEngine(store, default_rules())
+    store.collect(samples)
+    engine.evaluate()
+    firing = {rule.labels.get("signal") for rule in engine.firing()}
+    return engine.verdict(), firing
 
 
 class TestVerdicts:
@@ -50,108 +76,131 @@ class TestVerdicts:
 
 class TestSignals:
     def test_all_ok_on_benign_snapshot(self):
-        report = HealthModel().evaluate(snapshot(
+        samples = gauges(snapshot(
             qf_candidate_occupancy=0.5,
             qf_candidate_swaps_total=100.0,
             qf_vague_inserts_total=500.0,
             qf_vague_saturation=0.0,
             qf_reports_total=10.0,
         ))
-        assert report.verdict == "ok"
-        assert report.reasons == []
+        assert set(signal_values(samples)) == {
+            "candidate_occupancy", "candidate_churn", "vague_pressure",
+            "vague_saturation", "report_rate",
+        }
+        assert judge(samples) == ("ok", set())
 
     def test_occupancy_degraded_above_threshold(self):
-        report = HealthModel().evaluate(snapshot(qf_candidate_occupancy=0.99))
-        signal = report.signal("candidate_occupancy")
-        assert signal.verdict == "degraded"
-        assert "candidate_occupancy" in report.reasons[0]
+        samples = gauges(snapshot(qf_candidate_occupancy=0.99))
+        assert samples["qf_health_candidate_occupancy"] == 0.99
+        assert judge(samples) == ("degraded", {"candidate_occupancy"})
 
     def test_churn_degraded(self):
-        report = HealthModel().evaluate(snapshot(
-            qf_candidate_swaps_total=25_000.0,
-        ))
-        assert report.signal("candidate_churn").verdict == "degraded"
+        samples = gauges(snapshot(qf_candidate_swaps_total=25_000.0))
+        assert samples["qf_health_candidate_churn"] == 0.5
+        assert judge(samples) == ("degraded", {"candidate_churn"})
 
     def test_vague_pressure_degraded(self):
-        report = HealthModel().evaluate(snapshot(
-            qf_vague_inserts_total=10_000.0,
-        ))
-        assert report.signal("vague_pressure").verdict == "degraded"
+        samples = gauges(snapshot(qf_vague_inserts_total=10_000.0))
+        assert samples["qf_health_vague_pressure"] == 0.2
+        assert judge(samples) == ("degraded", {"vague_pressure"})
 
     def test_saturation_critical_above_critical_threshold(self):
-        report = HealthModel().evaluate(snapshot(qf_vague_saturation=0.3))
-        assert report.signal("vague_saturation").verdict == "critical"
-        assert report.verdict == "critical"
+        samples = gauges(snapshot(qf_vague_saturation=0.3))
+        assert judge(samples) == ("critical", {"vague_saturation"})
 
     def test_saturation_degraded_between_thresholds(self):
-        report = HealthModel().evaluate(snapshot(qf_vague_saturation=0.1))
-        assert report.signal("vague_saturation").verdict == "degraded"
+        samples = gauges(snapshot(qf_vague_saturation=0.1))
+        assert judge(samples) == ("degraded", {"vague_saturation"})
 
     def test_collision_signal_comes_from_probe(self):
-        report = HealthModel().evaluate(
+        samples = gauges(
             snapshot(), probe={"fingerprint_collision_probability": 0.05},
         )
-        assert report.signal("fingerprint_collision").verdict == "degraded"
-        report = HealthModel().evaluate(snapshot(), probe={})
-        assert report.signal("fingerprint_collision") is None
+        assert samples["qf_health_fingerprint_collision"] == 0.05
+        assert judge(samples) == ("degraded", {"fingerprint_collision"})
+        assert "qf_health_fingerprint_collision" not in gauges(
+            snapshot(), probe={}
+        )
 
     def test_noise_signal_relative_to_report_threshold(self):
         probe = {"vague_noise_std": 30.0, "report_threshold": 50.0}
-        report = HealthModel().evaluate(snapshot(), probe=probe)
-        assert report.signal("vague_noise").verdict == "degraded"
+        samples = gauges(snapshot(), probe=probe)
+        assert samples["qf_health_vague_noise"] == pytest.approx(0.6)
+        assert judge(samples) == ("degraded", {"vague_noise"})
         probe["vague_noise_std"] = 60.0
-        report = HealthModel().evaluate(snapshot(), probe=probe)
-        assert report.signal("vague_noise").verdict == "critical"
+        assert judge(gauges(snapshot(), probe=probe)) == (
+            "critical", {"vague_noise"}
+        )
 
     def test_report_rate_windows_between_evaluations(self):
-        model = HealthModel()
-        first = model.evaluate(snapshot(qf_reports_total=10.0))
-        assert first.signal("report_rate").verdict == "ok"
+        monitor = HealthMonitor()
+        first = monitor.samples(snapshot(qf_reports_total=10.0))
+        assert judge(first) == ("ok", set())
         # 1 000 new reports over 1 000 new items: a 100 % window rate.
-        second = model.evaluate({
+        second = monitor.samples({
             "qf_items_total": 51_000.0, "qf_reports_total": 1_010.0,
         })
-        assert second.signal("report_rate").verdict == "degraded"
+        assert second["qf_health_report_rate"] == 1.0
+        assert judge(second) == ("degraded", {"report_rate"})
 
     def test_report_rate_survives_counter_reset(self):
-        model = HealthModel()
-        model.evaluate(snapshot(qf_reports_total=100.0))
-        fresh = model.evaluate({
+        monitor = HealthMonitor()
+        monitor.samples(snapshot(qf_reports_total=100.0))
+        fresh = monitor.samples({
             "qf_items_total": 2_000.0, "qf_reports_total": 1.0,
         })
-        assert fresh.signal("report_rate").verdict == "ok"
+        assert fresh["qf_health_report_rate"] == 1.0 / 2_000.0
+        assert judge(fresh) == ("ok", set())
 
     def test_warmup_forces_ok(self):
-        report = HealthModel().evaluate({
+        samples = gauges({
             "qf_items_total": 10.0,
             "qf_candidate_occupancy": 1.0,
             "qf_vague_saturation": 0.9,
         })
-        assert report.verdict == "ok"
-        assert all(s.verdict == "ok" for s in report.signals)
-        assert any("warming up" in s.reason for s in report.signals)
+        # A young structure emits no signal at all, so nothing can fire.
+        assert signal_values(samples) == {}
+        assert judge(samples) == ("ok", set())
+
+    def test_unmet_gates_emit_values_no_rule_trips(self):
+        """Past warm-up, an undefined signal still emits — missing data
+        would hold a firing rule — but at a value no rule trips on."""
+        from repro.detection.shadow import ShadowAccuracyEstimator
+
+        drift = ExceedanceDriftDetector(10.0, window_items=100,
+                                        warmup_windows=1)
+        drift.observe_batch([50.0] * 100)  # reference set, no shift yet
+        shadow = ShadowAccuracyEstimator(CRIT, sample_rate=1)
+        monitor = HealthMonitor(drift=drift, shadow=shadow)
+        # Two false positives: precision 0, but under 5 decisions.
+        samples = monitor.samples(snapshot(), reported_keys={1, 2})
+        assert samples["qf_shadow_precision"] == 0.0
+        assert samples["qf_health_shadow_accuracy"] == 1.0
+        assert samples["qf_health_exceedance_drift"] == 0.0
+        assert judge(samples) == ("ok", set())
 
     def test_workers_alive_critical_when_short(self):
-        report = HealthModel().evaluate(
+        samples = gauges(
             snapshot(pipeline_workers_alive=1.0), expected_workers=4,
         )
-        assert report.signal("workers_alive").verdict == "critical"
+        assert samples["qf_health_workers_missing"] == 3.0
+        assert judge(samples) == ("critical", {"workers_alive"})
 
     def test_workers_alive_not_masked_by_warmup(self):
-        report = HealthModel().evaluate(
+        samples = gauges(
             {"qf_items_total": 5.0, "pipeline_workers_alive": 0.0},
             expected_workers=2,
         )
-        assert report.verdict == "critical"
+        assert judge(samples) == ("critical", {"workers_alive"})
 
     def test_labelled_samples_fold_into_families(self):
-        report = HealthModel().evaluate({
+        samples = gauges({
             'qf_items_total{shard="0"}': 25_000.0,
             'qf_items_total{shard="1"}': 25_000.0,
             'qf_candidate_occupancy{shard="0"}': 0.999,
             'qf_candidate_occupancy{shard="1"}': 0.999,
         })
-        assert report.signal("candidate_occupancy").verdict == "degraded"
+        assert judge(samples) == ("degraded", {"candidate_occupancy"})
 
 
 class TestDriftDetector:
@@ -203,52 +252,43 @@ class TestDriftDetector:
         det = ExceedanceDriftDetector(10.0, window_items=100, warmup_windows=1)
         det.observe_batch([5.0] * 95 + [50.0] * 5)
         det.observe_batch([50.0] * 100)
-        report = HealthModel().evaluate(snapshot(), drift=det)
-        assert report.signal("exceedance_drift").verdict == "degraded"
-        assert any("drifted" in r for r in report.reasons)
+        samples = HealthMonitor(drift=det).samples(snapshot())
+        assert samples["qf_health_exceedance_drift"] == det.last_z
+        assert samples["qf_drift_z"] == det.last_z
+        assert judge(samples) == ("degraded", {"exceedance_drift"})
 
 
 class TestAggregation:
-    def mk(self, source, **verdicts):
-        return HealthReport(
-            verdict=worst_verdict(verdicts.values()),
-            signals=tuple(
-                HealthSignal(name, verdict, 0.0, f"{name} reason")
-                for name, verdict in verdicts.items()
-            ),
-            source=source,
-        )
-
     def test_worst_wins_per_signal(self):
-        merged = aggregate_reports([
-            self.mk("shard-0", occupancy="ok", churn="degraded"),
-            self.mk("shard-1", occupancy="critical", churn="ok"),
+        """Folding views keeps the worst: the highest signal value, the
+        lowest shadow accuracy."""
+        merged = aggregate_snapshots([
+            {"qf_health_candidate_occupancy": 0.5,
+             "qf_health_candidate_churn": 0.3,
+             "qf_health_shadow_accuracy": 0.95},
+            {"qf_health_candidate_occupancy": 0.99,
+             "qf_health_candidate_churn": 0.1,
+             "qf_health_shadow_accuracy": 0.7},
         ])
-        assert merged.verdict == "critical"
-        assert merged.signal("occupancy").verdict == "critical"
-        assert merged.signal("churn").verdict == "degraded"
-
-    def test_shard_source_prefixes_reason(self):
-        merged = aggregate_reports([
-            self.mk("shard-0", occupancy="ok"),
-            self.mk("shard-1", occupancy="degraded"),
-        ])
-        assert "[shard-1]" in merged.signal("occupancy").reason
+        assert merged == {
+            "qf_health_candidate_occupancy": 0.99,
+            "qf_health_candidate_churn": 0.3,
+            "qf_health_shadow_accuracy": 0.7,
+        }
+        assert judge(merged) == ("degraded", {
+            "candidate_occupancy", "candidate_churn", "shadow_accuracy",
+        })
 
     def test_empty_is_ok(self):
-        merged = aggregate_reports([])
-        assert merged.verdict == "ok"
-        assert merged.signals == ()
+        assert aggregate_snapshots([]) == {}
+        assert judge({}) == ("ok", set())
 
 
 class TestMonitor:
-    def make_filter(self):
-        return QuantileFilter(
+    def test_for_filter_end_to_end(self):
+        filt = QuantileFilter(
             CRIT, num_buckets=32, bucket_size=4, vague_width=256, seed=3
         )
-
-    def test_for_filter_end_to_end(self):
-        filt = self.make_filter()
         registry = observe_filter(filt, StatsRegistry())
         monitor = HealthMonitor.for_filter(filt, shadow_sample_rate=1)
         rng = np.random.default_rng(0)
@@ -257,15 +297,14 @@ class TestMonitor:
             value = float(rng.lognormal(4.0, 0.6))
             filt.insert(key, value)
             monitor.observe(key, value)
-        report = monitor.report(
+        samples = monitor.samples(
             registry.snapshot(),
             probe=structural_probe(filt),
             reported_keys=filt.reported_keys,
         )
-        assert monitor.last_report is report
-        names = {s.name for s in report.signals}
         assert {"candidate_occupancy", "exceedance_drift",
-                "shadow_accuracy"} <= names
+                "shadow_accuracy"} <= set(signal_values(samples))
+        assert "qf_shadow_precision" in samples
 
     def test_shadow_disabled_mode(self):
         monitor = HealthMonitor.for_criteria(CRIT, shadow_sample_rate=None)
@@ -275,19 +314,28 @@ class TestMonitor:
         )  # must not raise
 
     def test_health_samples_empty_before_first_report(self):
-        monitor = HealthMonitor.for_criteria(CRIT)
-        assert monitor.health_samples() == {}
+        """Nothing is judged before the first tick."""
+        source = FilterServeSource(fed_filter())
+        assert signal_values(source.metrics_snapshot()) == {}
+        assert source.metrics_snapshot()["qf_health_status"] == 0.0
+        assert source.report().signals == ()
 
     def test_health_samples_render_verdict_ranks(self):
-        monitor = HealthMonitor.for_criteria(CRIT, shadow_sample_rate=None)
-        monitor.report({"qf_items_total": 5_000.0,
-                        "qf_vague_saturation": 0.5})
-        samples = monitor.health_samples()
+        source = FilterServeSource(fed_filter())
+        source.registry.gauge("qf_vague_saturation", agg="mean",
+                              labels={"forced": "1"}).set(0.9)
+        source.tick()
+        samples = source.metrics_snapshot()
         assert samples["qf_health_status"] == 2.0
-        assert samples['qf_health_signal{signal="vague_saturation"}'] == 2.0
+        # The family mean over the real (0.0) and forced samples.
+        assert samples["qf_health_vague_saturation"] == pytest.approx(0.45)
         assert "qf_drift_exceedance_fraction" in samples
 
     def test_health_families_registered_in_spec_index(self):
         for family in HEALTH_METRIC_HELP:
             assert family in SPEC_INDEX
             assert SPEC_INDEX[family].kind == "gauge"
+        for family in SIGNAL_FAMILIES.values():
+            assert family in HEALTH_METRIC_HELP
+            expected = "min" if family.endswith("shadow_accuracy") else "max"
+            assert SPEC_INDEX[family].agg == expected

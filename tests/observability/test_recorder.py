@@ -1,6 +1,7 @@
 """Flight recorder: ring invariant, triggers, bundles, replay."""
 
 import gzip
+import itertools
 import json
 
 import numpy as np
@@ -11,17 +12,17 @@ from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 from repro.detection.threshold import ThresholdControlLoop, ThresholdController
-from repro.observability.health import HealthModel
+from repro.observability.alerts import AlertEngine, AlertRule
 from repro.observability.recorder import (
     BUNDLE_SCHEMA_VERSION,
     FlightRecorder,
-    TriggerPolicy,
     list_incidents,
     load_bundle,
     observe_recorder,
     replay_bundle,
 )
 from repro.observability.registry import StatsRegistry
+from repro.observability.timeseries import MetricStore
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
 GEOMETRY = dict(num_buckets=64, bucket_size=4, vague_width=512, seed=3)
@@ -42,15 +43,21 @@ def scalar_filter(**overrides):
     return QuantileFilter(CRIT, **geometry)
 
 
-def health_report(filt, verdict_hint=None):
-    """A real HealthReport over the filter's own counters."""
-    report = HealthModel().evaluate({
-        "qf_items_total": float(filt.items_processed),
-        "qf_reports_total": float(filt.report_count),
-    })
-    if verdict_hint is not None:
-        object.__setattr__(report, "verdict", verdict_hint)
-    return report
+def rule_ticks(severity="warning"):
+    """A one-rule engine over gauge ``m`` and a tick function returning
+    each evaluation's transitions."""
+    store = MetricStore(clock=lambda: 0.0)
+    engine = AlertEngine(store, [AlertRule(
+        name="r", expr="m > 5", severity=severity, resolve=2.0,
+    )])
+    times = itertools.count(1.0)
+
+    def tick(value):
+        now = next(times)
+        store.collect({"m": value}, now=now)
+        return engine.evaluate(now=now)
+
+    return tick
 
 
 class TestRingInvariant:
@@ -62,7 +69,7 @@ class TestRingInvariant:
             rec.feed(keys[begin:begin + 500], values[begin:begin + 500])
         result = replay_bundle(rec.bundle("test"))
         assert result.ok, result.mismatches
-        assert result.fingerprint_ok and result.verdict_ok
+        assert result.fingerprint_ok and result.signals_ok
 
     def test_ring_rotates_and_stays_replayable(self):
         filt = scalar_filter()
@@ -197,48 +204,46 @@ class TestForensics:
 
 
 class TestTriggerPolicy:
+    """The trigger: a rule entering firing, whatever its severity."""
+
     def test_flip_dumps_once_and_dedupes(self, tmp_path):
         filt = scalar_filter()
         rec = FlightRecorder(filt, incident_dir=tmp_path)
         keys, values = make_stream(1_000)
         rec.feed(keys, values)
-        assert rec.observe_health(health_report(filt, "ok")) is None
-        path = rec.observe_health(health_report(filt, "degraded"))
-        assert path is not None and path.exists()
+        tick = rule_ticks(severity="warning")
+        assert rec.observe_alerts(tick(1.0)) == []
+        (path,) = rec.observe_alerts(tick(9.0))
+        assert path.exists()
         manifest = json.loads(
             path.with_name(path.name[:-len(".json.gz")]
                            + ".manifest.json").read_text()
         )
-        assert manifest["reason"] == "verdict_flip:ok->degraded"
-        # Staying degraded must not re-dump.
-        assert rec.observe_health(health_report(filt, "degraded")) is None
+        assert manifest["reason"] == "alert:r"
+        # Staying firing must not re-dump; resolving must not dump.
+        assert rec.observe_alerts(tick(9.0)) == []
+        assert rec.observe_alerts(tick(1.0)) == []
         assert rec.dumps_total == 1
+        # Firing again after resolving is a new incident.
+        assert len(rec.observe_alerts(tick(9.0))) == 1
 
     def test_critical_first_report_dumps_without_flip(self, tmp_path):
         filt = scalar_filter()
         rec = FlightRecorder(filt, incident_dir=tmp_path)
         rec.feed(*make_stream(500))
-        # No previous verdict -> no flip, but on_critical still fires.
-        path = rec.observe_health(health_report(filt, "critical"))
-        assert path is not None
-        assert load_bundle(path)["manifest"]["reason"] == "critical"
-
-    def test_policy_off_never_dumps(self, tmp_path):
-        filt = scalar_filter()
-        rec = FlightRecorder(
-            filt, incident_dir=tmp_path,
-            policy=TriggerPolicy(on_critical=False, on_flip=False),
-        )
-        rec.feed(*make_stream(500))
-        assert rec.observe_health(health_report(filt, "ok")) is None
-        assert rec.observe_health(health_report(filt, "critical")) is None
-        assert not list(tmp_path.iterdir())
+        # The very first evaluation fires straight from inactive.
+        (path,) = rec.observe_alerts(rule_ticks(severity="critical")(9.0))
+        bundle = load_bundle(path)
+        assert bundle["manifest"]["reason"] == "alert:r"
+        alert = bundle["forensics"]["extra"]["alert"]
+        assert alert["old_state"] == "inactive"
+        assert alert["rule"]["severity"] == "critical"
 
     def test_memory_only_recorder_never_dumps(self):
         filt = scalar_filter()
         rec = FlightRecorder(filt)  # no incident_dir
         rec.feed(*make_stream(500))
-        assert rec.observe_health(health_report(filt, "critical")) is None
+        assert rec.observe_alerts(rule_ticks()(9.0)) == []
         with pytest.raises(ParameterError, match="incident_dir"):
             rec.dump("explicit")
 
@@ -309,15 +314,32 @@ class TestBundlesOnDisk:
         assert not result.ok
         assert not result.fingerprint_ok
 
+    def test_bundle_stores_signal_values_and_replay_compares_them(
+        self, tmp_path
+    ):
+        filt = scalar_filter()
+        rec = FlightRecorder(filt, incident_dir=tmp_path)
+        rec.feed(*make_stream(2_000))
+        bundle = load_bundle(rec.dump("explicit"))
+        signals = bundle["expected"]["signals"]
+        assert "qf_health_candidate_occupancy" in signals
+        assert replay_bundle(bundle).signals_ok
+        signals["qf_health_report_rate"] += 1.0
+        result = replay_bundle(bundle)
+        assert result.fingerprint_ok and not result.signals_ok
+        assert not result.ok
+
     def test_unreadable_and_wrong_schema_raise(self, tmp_path):
         garbage = tmp_path / "incident-bad.json.gz"
         garbage.write_bytes(b"not a bundle")
         with pytest.raises(TraceFormatError, match="cannot read"):
             load_bundle(garbage)
-        wrong = tmp_path / "incident-wrong.json"
-        wrong.write_text(json.dumps({"schema_version": 999}))
-        with pytest.raises(TraceFormatError, match="unsupported"):
-            load_bundle(wrong)
+        # Version 1 bundles stored a health verdict, not signal values.
+        for version in (1, 999):
+            wrong = tmp_path / f"incident-v{version}.json"
+            wrong.write_text(json.dumps({"schema_version": version}))
+            with pytest.raises(TraceFormatError, match="unsupported"):
+                load_bundle(wrong)
 
 
 class TestMetrics:

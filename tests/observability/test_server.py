@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
+from repro.observability.alerts import default_rules
 from repro.observability.health import HealthMonitor
 from repro.observability.server import (
     FilterServeSource,
@@ -20,6 +21,40 @@ from repro.observability.server import (
 from repro.streams.drift import DriftConfig, generate_drift_trace
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
+DRIFT_CRIT = Criteria(delta=0.9, threshold=300.0, epsilon=5.0)
+BENIGN_GEOMETRY = dict(num_buckets=64, bucket_size=4, vague_width=512)
+DRIFT_GEOMETRY = dict(num_buckets=256, bucket_size=4, vague_width=1024, seed=0)
+#: A deliberately tiny candidate part for the saturation stream.
+SATURATION_GEOMETRY = dict(num_buckets=2, bucket_size=2, vague_width=64,
+                           seed=0)
+
+
+def benign_stream(num_items=4_000, seed=0):
+    """Lognormal values mostly below T over 80 keys."""
+    rng = np.random.default_rng(seed)
+    keys, values = [], []
+    for _ in range(num_items):
+        keys.append(int(rng.integers(0, 80)))
+        values.append(float(rng.lognormal(4.0, 0.6)))
+    return np.array(keys), np.array(values)
+
+
+def drift_stream(num_items=24_000):
+    """Two phases; the second injects a much larger anomalous key set,
+    shifting the exceedance fraction across T (use with DRIFT_CRIT)."""
+    trace = generate_drift_trace(DriftConfig(
+        num_items=num_items, num_keys=400, num_phases=2,
+        anomalous_per_phase=120, anomaly_boost=25.0, seed=1,
+    ))
+    return trace.keys, trace.values
+
+
+def saturation_stream():
+    """500 distinct hot keys: on SATURATION_GEOMETRY occupancy pins at
+    100 % and churn explodes."""
+    rng = np.random.default_rng(0)
+    values = [float(rng.lognormal(5.2, 0.5)) for _ in range(6_000)]
+    return np.arange(6_000) % 500, np.array(values)
 
 
 def get(url):
@@ -32,15 +67,9 @@ def get_json(url):
     return status, json.loads(body)
 
 
-def fed_filter(num_items=4_000, seed=0, **geometry):
-    geometry.setdefault("num_buckets", 64)
-    geometry.setdefault("bucket_size", 4)
-    geometry.setdefault("vague_width", 512)
-    filt = QuantileFilter(CRIT, seed=seed, **geometry)
-    rng = np.random.default_rng(seed)
-    for _ in range(num_items):
-        filt.insert(int(rng.integers(0, 80)),
-                    float(rng.lognormal(4.0, 0.6)))
+def fed_filter(num_items=4_000, seed=0):
+    filt = QuantileFilter(CRIT, seed=seed, **BENIGN_GEOMETRY)
+    filt.insert_many(*benign_stream(num_items, seed))
     return filt
 
 
@@ -193,24 +222,18 @@ class TestLifecycle:
 class TestVerdictFlips:
     def test_drift_stream_flips_healthz_to_degraded(self):
         """Acceptance: a drift-injected stream names exceedance_drift."""
-        filt = QuantileFilter(
-            Criteria(delta=0.9, threshold=300.0, epsilon=5.0),
-            num_buckets=256, bucket_size=4, vague_width=1024, seed=0,
-        )
+        filt = QuantileFilter(DRIFT_CRIT, **DRIFT_GEOMETRY)
         monitor = HealthMonitor.for_filter(
             filt, drift_window_items=1_024, shadow_sample_rate=None,
         )
         source = FilterServeSource(filt, monitor=monitor)
-        trace = generate_drift_trace(DriftConfig(
-            num_items=24_000, num_keys=400, num_phases=2,
-            anomalous_per_phase=120, anomaly_boost=25.0, seed=1,
-        ))
+        keys, values = drift_stream()
+        half = keys.shape[0] // 2
         with HealthServer(source) as server:
             # Phase 1: baseline traffic establishes the drift reference.
-            half = trace.keys.shape[0] // 2
-            for i in range(half):
-                filt.insert(int(trace.keys[i]), float(trace.values[i]))
-            monitor.observe_batch(trace.keys[:half], trace.values[:half])
+            filt.insert_many(keys[:half], values[:half])
+            monitor.observe_batch(keys[:half], values[:half])
+            source.tick()
             _, baseline = get_json(server.url + "/healthz")
             drift_before = next(
                 s for s in baseline["signals"]
@@ -220,9 +243,9 @@ class TestVerdictFlips:
 
             # Phase 2: a much larger anomalous key set shifts the
             # exceedance fraction across T.
-            for i in range(half, trace.keys.shape[0]):
-                filt.insert(int(trace.keys[i]), float(trace.values[i]))
-            monitor.observe_batch(trace.keys[half:], trace.values[half:])
+            filt.insert_many(keys[half:], values[half:])
+            monitor.observe_batch(keys[half:], values[half:])
+            source.tick()
             status, flipped = get_json(server.url + "/healthz")
         assert status == 200  # degraded still serves 200
         assert flipped["verdict"] == "degraded"
@@ -231,19 +254,14 @@ class TestVerdictFlips:
 
     def test_saturation_stress_flips_healthz_with_named_signal(self):
         """Acceptance: candidate-saturation stress names its signal."""
-        # A deliberately tiny candidate part, flooded with distinct
-        # hot keys: occupancy pins at 100 % and churn explodes.
-        filt = QuantileFilter(
-            CRIT, num_buckets=2, bucket_size=2, vague_width=64, seed=0,
-        )
+        filt = QuantileFilter(CRIT, **SATURATION_GEOMETRY)
         source = FilterServeSource(
             filt,
             monitor=HealthMonitor.for_filter(filt, shadow_sample_rate=None),
         )
-        rng = np.random.default_rng(0)
         with HealthServer(source) as server:
-            for i in range(6_000):
-                filt.insert(i % 500, float(rng.lognormal(5.2, 0.5)))
+            filt.insert_many(*saturation_stream())
+            source.tick()
             _, payload = get_json(server.url + "/healthz")
         assert payload["verdict"] in ("degraded", "critical")
         flagged = {r.split(":")[0] for r in payload["reasons"]}
@@ -260,6 +278,7 @@ class TestVerdictFlips:
         registry = source.registry
         registry.gauge("qf_vague_saturation", agg="mean",
                        labels={"forced": "1"}).set(0.9)
+        source.tick()
         with HealthServer(source) as server:
             with pytest.raises(urllib.error.HTTPError) as err:
                 get(server.url + "/healthz")
@@ -287,6 +306,7 @@ class TestPipelineSource:
                 monitor.observe_batch(keys[:half], values[:half])
                 pipeline.feed(keys[:half], values[:half])
                 pipeline.collect_stats_view()
+                source.tick()
 
                 status, payload = get_json(server.url + "/healthz")
                 assert status == 200
@@ -310,6 +330,7 @@ class TestPipelineSource:
                 pipeline.feed(keys[half:], values[half:])
                 pipeline.collect_stats_view()
                 pipeline.finish()
+                source.tick()
 
                 # After finish the cached snapshot still serves.
                 status, payload = get_json(server.url + "/healthz")
@@ -357,6 +378,7 @@ class TestIncidents:
         recorder.feed([1, 2, 3], [5.0, 6.0, 7.0])
         recorder.dump("explicit")
         source = FilterServeSource(filt, recorder=recorder)
+        source.tick()
         with HealthServer(source).start() as server:
             status, payload = get_json(server.url + "/incidents")
             _, metrics, _ = get(server.url + "/metrics")
@@ -372,10 +394,10 @@ class TestIncidents:
     def test_concurrent_scrapes_while_dump_in_flight(self, tmp_path):
         """Satellite: scrapes must never block on a recorder dump.
 
-        The monitor forwards health reports to the recorder OUTSIDE its
-        own lock, and the recorder's feed/dump lock is never taken by
-        the read-only routes — so /healthz, /metrics and /incidents
-        stay responsive while bundles are being written.
+        Ticks send firing rules to the recorder OUTSIDE the source
+        lock, and the recorder's feed/dump lock is never taken by the
+        read-only routes — so /healthz, /metrics and /incidents stay
+        responsive while bundles are being written.
         """
         from repro.observability.recorder import FlightRecorder
 
@@ -452,12 +474,16 @@ class TestAlertsRoute:
         assert alert["rule"]["expr"] == "value(qf_items_total) > 100"
 
     def test_alerts_stub_without_engine(self):
-        with serve_filter(fed_filter()) as server:
+        """An empty rule pack serves an empty engine state (and the
+        default pack is attached when no rules are given)."""
+        with serve_filter(fed_filter(), rules=[]) as server:
             status, payload = get_json(server.url + "/alerts")
         assert status == 200
-        assert payload == {
-            "evaluated_at": None, "rules": 0, "firing": [], "alerts": [],
-        }
+        assert (payload["rules"], payload["firing"], payload["alerts"]) == (
+            0, [], []
+        )
+        default = FilterServeSource(fed_filter(num_items=500))
+        assert default.alerts_payload()["rules"] == len(default_rules())
 
     def test_routes_listing_includes_alerts(self):
         with serve_filter(fed_filter()) as server:
@@ -530,3 +556,54 @@ class TestProcessGauges:
         source = FilterServeSource(fed_filter())
         assert "qf_process_rss_bytes" not in source.registry.snapshot()
         assert "qf_process_rss_bytes" in source.process_registry.snapshot()
+
+
+class TestScrapesDoNotMoveTheVerdict:
+    """Regression: only tick() advances the verdict.
+
+    A scrape must not re-run the health evaluation: that would move the
+    report-rate window, so one /healthz between two ticks would change
+    the next tick's report_rate.  Every route reads the last tick.
+    """
+
+    @staticmethod
+    def scrape(url):
+        try:
+            get(url)
+        except urllib.error.HTTPError as err:  # a 503 is still a read
+            err.read()
+
+    def run(self, scrape):
+        from repro.observability.timeseries import MetricStore
+
+        filt = QuantileFilter(DRIFT_CRIT, **DRIFT_GEOMETRY)
+        clock = {"t": 0.0}
+        source = FilterServeSource(
+            filt, store=MetricStore(clock=lambda: clock["t"])
+        )
+        keys, values = drift_stream(12_000)
+        ticks = []
+        with HealthServer(source) as server:
+            for start in range(0, keys.shape[0], 2_048):
+                for lo in (start, start + 1_024):
+                    k, v = keys[lo:lo + 1_024], values[lo:lo + 1_024]
+                    filt.insert_many(k, v)
+                    source.monitor.observe_batch(k, v)
+                    if scrape and lo == start:
+                        for _ in range(3):
+                            self.scrape(server.url + "/healthz")
+                            self.scrape(server.url + "/metrics")
+                            self.scrape(server.url + "/health/shards")
+                source.tick(now=clock["t"])
+                clock["t"] += 1.0
+                ticks.append(source.report().as_dict())
+        return ticks
+
+    def test_scrapes_between_ticks_leave_the_next_tick_unchanged(self):
+        scraped = self.run(scrape=True)
+        assert scraped == self.run(scrape=False)
+        # The stream does report, so an unstable window would show.
+        assert any(
+            signal["name"] == "report_rate" and signal["value"] > 0
+            for tick in scraped for signal in tick["signals"]
+        )

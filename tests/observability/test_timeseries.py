@@ -160,6 +160,9 @@ class TestMetricStoreCollection:
         store.collect({"old": 3.0, "new": 1.0}, now=2.0)
         assert "mid" not in store.names()
         assert store.series_evicted == 1
+        # The exact lookup misses, and the family index forgets the
+        # evicted series too.
+        assert store.series_for("mid") == []
         # The evicted series' weight stays in the global accounting:
         # 3 appends to "old", 1 to the evicted "mid", 1 to "new".
         assert store.points_ingested == 5

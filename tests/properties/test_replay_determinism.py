@@ -90,7 +90,7 @@ def test_replay_reproduces_capture_bit_identically(scenario):
     assert result.ok, result.mismatches
     assert result.engine == engine
     assert result.fingerprint_ok
-    assert result.verdict_ok
+    assert result.signals_ok
     assert result.reports_replayed == result.reports_expected
 
 
