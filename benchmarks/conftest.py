@@ -11,8 +11,10 @@ paper-scale sweeps).
 from __future__ import annotations
 
 import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.experiments.harness import FigureResult, format_rows
@@ -21,6 +23,17 @@ from repro.experiments.harness import FigureResult, format_rows
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "20000"))
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+
+def host_block() -> dict:
+    """The host a ``BENCH_*.json`` was measured on."""
+    affinity = sorted(os.sched_getaffinity(0))
+    return {
+        "affinity": affinity,
+        "cpus": len(affinity),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def persist(result: FigureResult, extra_sections: dict = None) -> str:

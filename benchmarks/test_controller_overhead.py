@@ -45,6 +45,15 @@ controlled filter reports identically to the baseline — asserted by a
 controller was live (observing and deciding) the whole time.  A
 retarget itself is one ``Criteria`` replacement, amortised over
 ``min_dwell_items`` and exercised by the calibration suite, not here.
+
+Beside the gated rows the bench records, ungated:
+
+* ``p2_path`` — whether P² ran its compiled update loop
+  (``"compiled"``) or the pure-Python fallback (``"python"``);
+* ``sample_every_1`` — the same observation-only timing with every
+  value observed (what perfbench and the matrix's controlled cells
+  run), per engine, with the per-value cost;
+* ``host`` — the CPU affinity set and the Python and numpy versions.
 """
 
 import gc
@@ -54,13 +63,19 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE
+from benchmarks.conftest import host_block
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
-from repro.detection.threshold import ThresholdControlLoop, ThresholdController
+from repro.detection.threshold import (
+    ThresholdControlLoop,
+    ThresholdController,
+    p2_kernel_loaded,
+)
 
 ROUNDS = 9
+#: Rounds of the ungated every-value rows (slow on the Python fallback).
+FULL_ROUNDS = 3
 OVERHEAD_BUDGET_PCT = 3.0
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_controller.json"
 
@@ -105,8 +120,9 @@ def _make_filter(engine):
     return BatchQuantileFilter(CRIT, **GEOMETRY)
 
 
-def _make_loop(filt, engine):
-    stride = SCALAR_STRIDE if engine == "scalar" else BATCH_STRIDE
+def _make_loop(filt, engine, stride=None):
+    if stride is None:
+        stride = SCALAR_STRIDE if engine == "scalar" else BATCH_STRIDE
     return ThresholdControlLoop(
         ThresholdController(
             CRIT.threshold, TARGET_QUANTILE,
@@ -186,6 +202,7 @@ def test_controller_overhead_within_budget(bench_scale):
 
     baseline_best = {}
     observe_best = {}
+    every_value_best = {}
     controlled_seconds = {}
     baseline_reports = {}
     for engine in ("scalar", "batch"):
@@ -208,6 +225,11 @@ def test_controller_overhead_within_budget(bench_scale):
             observe_times.append(_time_observe(observe_loop, chunks))
         baseline_best[engine] = min(baseline_times)
         observe_best[engine] = min(observe_times)
+        every_value_loop = _make_loop(_make_filter(engine), engine, stride=1)
+        every_value_best[engine] = min(
+            _time_observe(every_value_loop, chunks)
+            for _ in range(FULL_ROUNDS)
+        )
 
         # Behavioural equivalence: with T pinned by the deadband, the
         # controlled filter must report exactly what the baseline does,
@@ -225,6 +247,8 @@ def test_controller_overhead_within_budget(bench_scale):
 
     result = {
         "bench": "controller-overhead",
+        "host": host_block(),
+        "p2_path": "compiled" if p2_kernel_loaded() else "python",
         "items": items,
         "rounds": ROUNDS,
         "budget_pct": OVERHEAD_BUDGET_PCT,
@@ -246,6 +270,16 @@ def test_controller_overhead_within_budget(bench_scale):
         # estimator above.
         "controlled_seconds": {k: round(v, 6) for k, v in
                                controlled_seconds.items()},
+        # Ungated: every value observed, best of FULL_ROUNDS passes.
+        "sample_every_1": {
+            engine: {
+                "observe_seconds": round(seconds, 6),
+                "ns_per_value": round(seconds / items[engine] * 1e9, 1),
+                "overhead_pct": round(
+                    seconds / baseline_best[engine] * 100.0, 3),
+            }
+            for engine, seconds in every_value_best.items()
+        },
     }
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

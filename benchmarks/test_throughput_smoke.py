@@ -26,14 +26,10 @@ noise-robust estimator, as in the observability bench.
 
 import gc
 import json
-import os
-import platform
 import time
 from pathlib import Path
 
-import numpy as np
-
-from benchmarks.conftest import BENCH_SCALE
+from benchmarks.conftest import BENCH_SCALE, host_block
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 from repro.experiments.config import PAPER, build_trace, default_criteria_for
@@ -159,7 +155,6 @@ def test_throughput_smoke():
         ),
     }
 
-    affinity = sorted(os.sched_getaffinity(0))
     result = {
         "bench": "throughput-smoke",
         "workload": "fig8-internet",
@@ -168,12 +163,7 @@ def test_throughput_smoke():
         "memory_bytes": MEMORY_BYTES,
         "num_shards": NUM_SHARDS,
         "rounds": ROUNDS,
-        "host": {
-            "affinity": affinity,
-            "cpus": len(affinity),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
+        "host": host_block(),
         "items_per_s": {k: round(v, 1) for k, v in items_per_s.items()},
         "ratios": {k: round(v, 4) for k, v in ratios.items()},
     }

@@ -12,10 +12,12 @@ value stream online and retarget live filters so the exceedance rate
 Three layers, smallest first:
 
 * **Estimators** — two interchangeable single-quantile trackers behind
-  one ``update(value)`` / ``quantile()`` interface:
-  :class:`P2QuantileEstimator` (the Jain & Chlamtac P² algorithm —
-  five markers, O(1) space and update, no allocation after startup)
-  and :class:`KLLQuantileEstimator` (the existing
+  one ``update(value)`` / ``update_many(values)`` / ``quantile()``
+  interface: :class:`P2QuantileEstimator` (the Jain & Chlamtac P²
+  algorithm — five markers, O(1) space and update, no allocation after
+  startup; batches run through a compiled C loop, ``p2_kernel.c``,
+  that is bit for bit equal to ``update``) and
+  :class:`KLLQuantileEstimator` (the existing
   :class:`~repro.quantiles.kll.KLLSketch`, with a provable rank-error
   bound and mergeability at ~``3k`` stored values).
 * **Controller** — :class:`ThresholdController` folds an estimator
@@ -49,9 +51,16 @@ is the production path.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
+from repro.common import native
 from repro.common.errors import ParameterError
 from repro.quantiles.kll import KLLSketch
 
@@ -60,6 +69,22 @@ ESTIMATOR_BACKENDS = ("p2", "kll")
 
 #: Bounded length of a control loop's kept retarget history.
 _MAX_TRAJECTORY = 4_096
+
+_P2_SOURCE = Path(__file__).with_name("p2_kernel.c")
+#: The kernel's marker block: heights, positions, bases, increments.
+_P2Markers = ctypes.c_double * 20
+
+
+def _as_values(values) -> np.ndarray:
+    """``values`` as a contiguous 1-D float64 array."""
+    if not hasattr(values, "__len__"):
+        values = list(values)
+    array = np.asarray(values, dtype=np.float64)
+    if array.ndim != 1:
+        raise ParameterError(
+            f"values must be one-dimensional, got shape {array.shape}"
+        )
+    return np.ascontiguousarray(array)
 
 
 class P2QuantileEstimator:
@@ -158,6 +183,32 @@ class P2QuantileEstimator:
                     heights[marker] = self._linear(marker, step)
                 positions[marker] = at + step
 
+    def update_many(self, values) -> None:
+        """Fold a batch of observations into the marker state.
+
+        Bit for bit the same as calling :meth:`update` once per value.
+        The first five values, and their sort, go through
+        :meth:`update`; the rest run through one compiled C loop when
+        the kernel loads, and through :meth:`update` otherwise.
+        """
+        self._update_many(_as_values(values), _p2_kernel())
+
+    def _update_many(self, values: np.ndarray, kernel) -> None:
+        # The kernel takes over once the five markers are initialised.
+        in_python = (len(values) if kernel is None
+                     else min(len(values), 5 - len(self._heights)))
+        update = self.update
+        for value in values[:in_python].tolist():
+            update(value)
+        rest = values[in_python:]
+        if len(rest):
+            markers = _P2Markers(*self._heights, *self._positions,
+                                 *self._bases, *self._increments)
+            kernel(markers, self._count, rest.ctypes.data, len(rest))
+            self._heights[:] = markers[0:5]
+            self._positions[:] = markers[5:10]
+            self._count += len(rest)
+
     def _parabolic(self, marker: int, step: float) -> float:
         heights, positions = self._heights, self._positions
         at = positions[marker]
@@ -198,6 +249,83 @@ class P2QuantileEstimator:
                 f"estimate={self.quantile():.4g})")
 
 
+#: Fixed inputs the compiled P² loop must reproduce exactly before it is
+#: trusted.  The first draws from a pool of four values, so observations
+#: tie the marker heights.  The second has a signed zero and subnormals,
+#: a pseudo-random stretch that drives both the parabolic and the linear
+#: marker moves, a run of ties, ±1e300 and finally ±inf.
+_P2_CANARIES = (
+    np.array([(i * 2654435761 >> 13) % 4 for i in range(100)],
+             dtype=np.float64),
+    np.array(
+        [3.0, 1.0, 4.0, 1.0, 5.0, 5.0, 5.0, -0.0, 0.0, 5e-324, -5e-324,
+         2.2250738585072014e-308, 2.0, 2.0]
+        + [((i * 7919) % 257) * 0.37 - 40.0 for i in range(400)]
+        + [7.0] * 40
+        + [1e300, -1e300, 1e300, 9.0, -3.0, 0.5]
+        + [float("inf"), 1.0, float("-inf"), 3.0, float("inf"), 2.0],
+        dtype=np.float64,
+    ),
+)
+
+_UNRESOLVED = object()
+_p2_lock = threading.Lock()
+_p2_compiled = _UNRESOLVED
+
+
+def _p2_kernel():
+    """The compiled P² loop, built or loaded on the first call.
+
+    ``None`` means the pure-Python loop runs instead: no kernel could
+    be built here, or the kernel failed the canary.  Either way the
+    cause was warned about once, and the answer holds for the process.
+    """
+    global _p2_compiled
+    if _p2_compiled is _UNRESOLVED:
+        with _p2_lock:
+            if _p2_compiled is _UNRESOLVED:
+                _p2_compiled = _load_p2_kernel()
+    return _p2_compiled
+
+
+def _load_p2_kernel():
+    lib = native.load(_P2_SOURCE)
+    if lib is None:
+        return None
+    kernel = lib.p2_update_many
+    kernel.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64)
+    kernel.restype = None
+    for canary in _P2_CANARIES:
+        for q in (0.01, 0.5, 0.9, 0.99):
+            reference = P2QuantileEstimator(q)
+            compiled = P2QuantileEstimator(q)
+            reference._update_many(canary, None)
+            compiled._update_many(canary, kernel)
+            if _marker_bits(reference) != _marker_bits(compiled):
+                warnings.warn(
+                    f"compiled P² loop diverged from the Python update "
+                    f"on a canary sequence at q={q}; running the "
+                    "pure-Python path", RuntimeWarning, stacklevel=2,
+                )
+                return None
+    return kernel
+
+
+def _marker_bits(estimator: P2QuantileEstimator):
+    return ([value.hex() for value in estimator._heights],
+            [value.hex() for value in estimator._positions],
+            estimator.count)
+
+
+def p2_kernel_loaded() -> bool:
+    """Whether :meth:`P2QuantileEstimator.update_many` runs compiled.
+
+    Resolves the kernel (building it on first use) if nothing has yet.
+    """
+    return _p2_kernel() is not None
+
+
 class KLLQuantileEstimator:
     """KLL-sketch-backed single-quantile estimator.
 
@@ -231,6 +359,12 @@ class KLLQuantileEstimator:
     def update(self, value: float) -> None:
         """Fold one observation into the sketch."""
         self._sketch.insert(float(value))
+
+    def update_many(self, values) -> None:
+        """Fold a batch of observations, one :meth:`update` per value."""
+        insert = self._sketch.insert
+        for value in _as_values(values).tolist():
+            insert(value)
 
     def quantile(self) -> float:
         """Current estimate of the ``q``-quantile (NaN before any data)."""
@@ -356,8 +490,8 @@ class ThresholdController:
         ``warmup_items`` when set, or the estimator would never
         re-warm).
     estimator:
-        Pre-built estimator with ``update``/``quantile``/``count``/
-        ``clear`` (overrides ``backend``).
+        Pre-built estimator with ``update``/``update_many``/
+        ``quantile``/``count``/``clear`` (overrides ``backend``).
     kll_k, seed:
         Forwarded to :func:`make_estimator` for the KLL backend.
     """
@@ -418,10 +552,15 @@ class ThresholdController:
         return 1.0 - self.target_quantile
 
     def observe(self, value: float) -> ThresholdDecision:
-        """Consume one value and evaluate the guards."""
-        self._maybe_restart()
-        self.estimator.update(value)
-        self.items_seen += 1
+        """Consume one value and evaluate the guards.
+
+        A NaN is dropped before the estimator sees it and does not
+        count toward ``items_seen``; ±inf are ordered and count.
+        """
+        if value == value:
+            self._maybe_restart()
+            self.estimator.update(value)
+            self.items_seen += 1
         return self._decide()
 
     def observe_many(self, values: Iterable[float]) -> ThresholdDecision:
@@ -430,16 +569,22 @@ class ThresholdController:
         One decision per batch is the intended cadence for chunked
         engines: the guards see the post-batch estimator state, and
         batch boundaries are exactly where chunked filters can apply a
-        retarget anyway.
+        retarget anyway.  The estimator ends in the state a per-value
+        :meth:`observe` loop leaves: NaNs are dropped, and the batch is
+        split wherever it crosses ``horizon_items``.
         """
-        self._maybe_restart()
-        update = self.estimator.update
-        n = 0
-        if hasattr(values, "tolist"):
-            values = values.tolist()
-        for value in values:
-            update(value)
-            n += 1
+        values = _as_values(values)
+        nan = np.isnan(values)
+        if nan.any():
+            values = values[~nan]
+        at, n = 0, len(values)
+        while at < n:
+            self._maybe_restart()
+            end = n
+            if self.horizon_items is not None:
+                end = min(n, at + self.horizon_items - self.estimator.count)
+            self.estimator.update_many(values[at:end])
+            at = end
         self.items_seen += n
         return self._decide()
 

@@ -7,6 +7,8 @@ loop's binding to every retargetable engine.
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
@@ -241,6 +243,107 @@ class TestControllerGuards:
     def test_target_rate(self):
         controller = ThresholdController(10.0, 0.95)
         assert controller.target_rate == pytest.approx(0.05)
+
+
+def estimator_bits(estimator):
+    """Everything observable about an estimator's state, NaN-safe."""
+    state = (estimator.count, estimator.quantile().hex())
+    if isinstance(estimator, P2QuantileEstimator):
+        state += (tuple(v.hex() for v in estimator._heights),
+                  tuple(v.hex() for v in estimator._positions))
+    return state
+
+
+def decision_bits(decision):
+    return (decision.retargeted, decision.reason, decision.items_seen,
+            decision.threshold.hex(), decision.previous.hex(),
+            decision.estimate.hex())
+
+
+def controller(backend, horizon=None):
+    return ThresholdController(
+        500.0, 0.9, backend=backend, warmup_items=16, min_dwell_items=16,
+        horizon_items=horizon,
+    )
+
+
+@pytest.mark.parametrize("backend", ESTIMATOR_BACKENDS)
+class TestObserveManyMatchesObserve:
+    """``observe_many`` leaves the estimator where an ``observe`` loop does."""
+
+    @given(sizes=st.lists(st.integers(0, 400), min_size=1, max_size=8),
+           horizon=st.integers(16, 300), seed=st.integers(0, 2 ** 16))
+    def test_any_chunking_against_any_horizon(self, backend, sizes,
+                                              horizon, seed):
+        values = np.random.default_rng(seed).uniform(0.0, 1_000.0,
+                                                     size=sum(sizes))
+        one, many = controller(backend, horizon), controller(backend, horizon)
+        for value in values.tolist():
+            one.observe(value)
+        at = 0
+        for size in sizes:
+            many.observe_many(values[at:at + size])
+            at += size
+        assert many.restarts == one.restarts
+        assert many.items_seen == one.items_seen
+        assert estimator_bits(many.estimator) == estimator_bits(one.estimator)
+
+    def test_one_batch_across_several_horizons(self, backend):
+        values = np.random.default_rng(2).uniform(0.0, 1_000.0, size=20_480)
+        many = controller(backend, horizon=4_096)
+        many.observe_many(values)
+        assert many.restarts == 4
+        assert many.estimator.count == 4_096
+
+
+@pytest.mark.parametrize("backend", ESTIMATOR_BACKENDS)
+class TestNaNIsDropped:
+    """NaN never reaches an estimator and is not counted as seen."""
+
+    def stream(self):
+        rng = np.random.default_rng(4)
+        values = rng.uniform(0.0, 1_000.0, size=20_000)
+        values[0] = np.nan
+        values[rng.choice(values.size, size=2_000, replace=False)] = np.nan
+        return values
+
+    def test_batches_decide_as_if_nan_were_removed(self, backend):
+        values = self.stream()
+        noisy, clean = controller(backend, 4_096), controller(backend, 4_096)
+        for part in np.array_split(values, 37):
+            decided = noisy.observe_many(part)
+            expected = clean.observe_many(part[~np.isnan(part)])
+            assert decision_bits(decided) == decision_bits(expected)
+        assert noisy.threshold == clean.threshold
+        assert noisy.items_seen == np.count_nonzero(~np.isnan(values))
+        assert noisy.retargets > 0
+
+    def test_singles_decide_as_if_nan_were_removed(self, backend):
+        values = self.stream()[:5_000]
+        noisy, clean = controller(backend, 1_024), controller(backend, 1_024)
+        for value in values.tolist():
+            decided = noisy.observe(value)
+            if value == value:
+                expected = clean.observe(value)
+                assert decision_bits(decided) == decision_bits(expected)
+            else:
+                assert not decided.retargeted
+                assert decided.items_seen == clean.items_seen
+                assert decided.threshold == clean.threshold
+        assert noisy.threshold == clean.threshold
+        assert noisy.retargets > 0
+
+    def test_all_nan_batch_leaves_state_alone(self, backend):
+        ctl = controller(backend)
+        decision = ctl.observe_many([np.nan] * 8)
+        assert decision.reason == "empty" and ctl.items_seen == 0
+        assert ctl.estimator.count == 0
+
+    def test_infinities_count(self, backend):
+        ctl = controller(backend)
+        ctl.observe_many([np.inf, -np.inf, 1.0, np.nan])
+        ctl.observe(np.inf)
+        assert ctl.items_seen == 4 and ctl.estimator.count == 4
 
 
 class TestControlLoop:
