@@ -49,3 +49,16 @@ def require_probability(name: str, value) -> float:
     if not 0.0 <= value <= 1.0:
         raise ParameterError(f"{name} must be in [0, 1], got {value}")
     return value
+
+
+def require_item_arrays(keys, values) -> None:
+    """Raise unless ``keys`` and ``values`` are equal-length 1-D arrays.
+
+    Reads shapes only: the arrays are neither copied nor converted, so
+    every caller keeps the dtypes it passed.
+    """
+    if keys.ndim != 1 or keys.shape != values.shape:
+        raise ParameterError(
+            "keys and values must be equal-length 1-D arrays, got "
+            f"{keys.shape} and {values.shape}"
+        )

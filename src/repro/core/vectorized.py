@@ -50,6 +50,7 @@ from repro.common.hashing import (
     mix64,
 )
 from repro.common.memory import bits_to_bytes, sizeof_counter, split_budget
+from repro.common.validation import require_item_arrays
 from repro.core.candidate import QWEIGHT_COUNTER_BYTES
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
@@ -178,11 +179,8 @@ class BatchQuantileFilter:
     # ------------------------------------------------------------------
     def process(self, keys: np.ndarray, values: np.ndarray) -> Set[int]:
         """Run the whole stream; returns the deduplicated reported keys."""
+        require_item_arrays(keys, values)
         n = keys.shape[0]
-        if values.shape[0] != n:
-            raise ParameterError(
-                f"keys and values length mismatch: {n} vs {values.shape[0]}"
-            )
         # Ramp the chunk size up geometrically from a small first chunk:
         # at cold start every key misses the candidate part, sending the
         # whole first chunk to the scalar tier, so short early chunks

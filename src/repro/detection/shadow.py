@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.common.errors import ParameterError
 from repro.common.hashing import _mix64_array, canonical_key, canonical_keys, mix64
+from repro.common.validation import require_item_arrays
 from repro.core.criteria import Criteria
 from repro.detection.ground_truth import GroundTruthDetector
 from repro.metrics.accuracy import score_sets
@@ -190,11 +191,7 @@ class ShadowAccuracyEstimator:
         oracle over the (small) sampled subset only."""
         keys = np.asarray(keys)
         values = np.asarray(values, dtype=np.float64)
-        if keys.shape[0] != values.shape[0]:
-            raise ParameterError(
-                f"keys and values length mismatch: {keys.shape[0]} vs "
-                f"{values.shape[0]}"
-            )
+        require_item_arrays(keys, values)
         self.items_seen += int(keys.shape[0])
         mask = self.sample_mask(keys)
         indices = np.flatnonzero(mask)

@@ -34,11 +34,7 @@ Three layers, smallest first:
   estimator cost stays off the hot path.
 
 Tuning guidance, the P² vs KLL trade-off discussion and the operations
-runbook live in ``docs/adaptive-thresholds.md``.  The earlier
-:mod:`repro.detection.calibration` module (a scalar-filter-only
-wrapper that optionally *resets* on large moves instead of
-retargeting in place) remains as the minimal convenience; this module
-is the production path.
+runbook live in ``docs/adaptive-thresholds.md``.
 
 >>> controller = ThresholdController(
 ...     initial_threshold=100.0, target_quantile=0.5,

@@ -76,9 +76,9 @@ The subsystem has two tiers, all zero-dependency:
 
 The ``repro`` CLI (:mod:`~repro.observability.cli`) exposes all of it:
 ``repro stats`` for metrics, ``repro trace`` for a fully instrumented
-run, ``repro serve`` / ``repro health`` for the health layer, ``repro
-top`` for the live dashboard (or periodic snapshots) and ``repro alerts
-check|list`` for one-shot rule evaluation.
+run, ``repro serve`` for the live health endpoint, ``repro top`` for
+the live dashboard (or periodic snapshots) and ``repro alerts
+check|list`` for the one-shot rule verdict.
 
 >>> from repro.observability import StatsRegistry, render_prometheus
 >>> reg = StatsRegistry()

@@ -1,5 +1,5 @@
 """The ``repro`` operations CLI: ``stats``, ``trace``, ``serve``,
-``health``, ``top``, ``alerts``, ``record`` and ``matrix``.
+``top``, ``alerts``, ``record`` and ``matrix``.
 
 ``repro matrix run|report|gate`` (the config-driven experiment matrix
 with persisted runs, trend reports and regression gates) is documented
@@ -21,11 +21,6 @@ a registered dataset and export its telemetry:
   exposes ``/metrics``, ``/healthz`` and ``/health/shards`` live (see
   :mod:`repro.observability.server`); ``--linger`` keeps serving the
   final snapshot after the stream ends.
-* ``repro health`` — run the stream and print the final rule verdict
-  (a :class:`~repro.observability.health.HealthReport` with every
-  signal value); the exit code is 2 on a critical verdict, so scripts
-  can gate on it.  With ``--trace`` the pipeline also runs the tracer,
-  and the text verdict includes the per-role ring-buffer drop counters.
 * ``repro top`` — live operator dashboard: throughput/report-rate
   sparklines, the threshold T, the rule verdict and active alert
   states, redrawn in place on an ANSI terminal (see
@@ -36,22 +31,27 @@ a registered dataset and export its telemetry:
   tail), and ``--format prom`` prints Prometheus snapshots, redrawn in
   place on a TTY.
 * ``repro alerts check|list`` — one-shot alert evaluation over a
-  dataset run (``check`` exits 2 when any critical rule is firing at
-  the end, 1 for warnings) and a rule-pack linter/printer (``list``;
-  ``--format json`` prints a loadable ``{"rule": [...]}`` pack).
-  Rules default to the shipped pack
+  dataset run and a rule-pack linter/printer.  ``check`` prints the
+  final rule verdict (a :class:`~repro.observability.health.
+  HealthReport` with every signal value), the rule transitions and
+  the firing rules; ``--format json`` prints the same as one object
+  and ``--format prom`` the ``qf_health_*`` gauges.  In every format
+  the exit code is the verdict rank — 0 ok, 1 degraded, 2 critical —
+  and 3 for a bad ``--every`` or an unreadable rule pack.  ``list``
+  prints every rule; its ``--format json`` is a loadable
+  ``{"rule": [...]}`` pack.  Rules default to the shipped pack
   (:func:`repro.observability.alerts.default_rules`); ``--rules``
   loads a TOML/JSON pack.
-
-``serve``, ``health``, ``top`` and ``alerts check`` share one feed
-loop: feed a stride, refresh the pipeline's stats view, and ``tick()``
-the :class:`~repro.observability.server.PipelineServeSource` — the one
-call that advances the verdict.
 * ``repro record dump|replay|list`` — flight-recorder forensics (see
   :mod:`repro.observability.recorder`): ``dump`` runs a recorded
   stream and writes an incident bundle, ``replay`` re-runs a bundle
   and exits 1 unless it reproduces bit-identically, ``list`` prints
   the bundle manifests under an incident directory.
+
+``serve``, ``top`` and ``alerts check`` share one feed loop: feed a
+stride, refresh the pipeline's stats view, and ``tick()`` the
+:class:`~repro.observability.server.PipelineServeSource` — the one
+call that advances the verdict.
 
 Examples::
 
@@ -59,7 +59,6 @@ Examples::
     repro top --every 8 --format json > stats.jsonl
     repro trace --scale 20000 --out /tmp/run1
     repro serve --port 9133 --linger 60
-    repro health --dataset cloud --format json
     repro top --dataset drift --throttle 0.2
     repro alerts check --dataset drift --format json
     repro record dump --dataset drift --dir /tmp/incidents
@@ -76,12 +75,12 @@ The parser is plain argparse:
 '/tmp/t'
 >>> build_parser().parse_args(["serve", "--port", "9133"]).port
 9133
->>> build_parser().parse_args(["health"]).trace
-False
 >>> build_parser().parse_args(["top", "--once"]).once
 True
 >>> build_alerts_parser().parse_args(["check", "--tick", "10"]).tick
 10.0
+>>> build_alerts_parser().parse_args(["check", "--format", "prom"]).format
+'prom'
 >>> build_alerts_parser().parse_args(["list"]).format
 'text'
 >>> build_record_parser().parse_args(["dump", "--engine", "batch"]).engine
@@ -174,11 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a pipeline while serving /metrics, /healthz and "
         "/health/shards over HTTP",
     )
-    health = sub.add_parser(
-        "health",
-        help="run a pipeline and print the final rule verdict "
-        "(exit code 2 on a critical verdict)",
-    )
     top = sub.add_parser(
         "top",
         help="run a pipeline under a live operator dashboard "
@@ -187,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for sub_parser, default_format in (
         (stats, "prom"), (trace, "text"),
-        (serve, "prom"), (health, "text"), (top, "text"),
+        (serve, "prom"), (top, "text"),
     ):
         _add_pipeline_args(sub_parser)
         sub_parser.add_argument(
@@ -219,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to keep serving the final snapshot after the "
         "stream ends (default 0)",
     )
-    health.add_argument(
-        "--trace", action="store_true",
-        help="also run the tracer so the verdict summary includes "
-        "per-role ring-buffer drop counters",
-    )
     _add_feed_args(top, "dashboard frames or snapshots")
     _add_rules_arg(top)
     top.add_argument(
@@ -247,8 +236,9 @@ def build_alerts_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="alerts_command", required=True)
     check = sub.add_parser(
         "check",
-        help="run a pipeline, evaluate the rules each stride, and exit "
-        "2 if any critical rule is firing at the end (1 for warnings)",
+        help="run a pipeline, evaluate the rules each stride, and print "
+        "the final verdict with every health signal; the exit code is "
+        "the verdict rank (0 ok, 1 degraded, 2 critical)",
     )
     _add_pipeline_args(check)
     _add_feed_args(check, "alert evaluations", throttle=False)
@@ -260,7 +250,7 @@ def build_alerts_parser() -> argparse.ArgumentParser:
         "offline run (default 5)",
     )
     check.add_argument(
-        "--format", choices=("text", "json"), default="text",
+        "--format", choices=("text", "json", "prom"), default="text",
     )
     listing = sub.add_parser(
         "list", help="parse a rule pack and print every rule",
@@ -505,72 +495,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_health_text(report, stats: Optional[Dict[str, float]] = None) -> str:
-    lines = [f"verdict: {report.verdict}"]
-    for signal in report.signals:
-        lines.append(
-            f"  [{signal.verdict:>8}] {signal.name} = {signal.value:.4g} — "
-            f"{signal.reason}"
-        )
-    # Tracer ring-buffer drops are exported on /metrics; the one-shot
-    # verdict summary must show them too — silent drops would make a
-    # quiet trace look healthy.
-    if stats is not None:
-        lines.append(_render_tracer_drops(stats))
-    return "\n".join(lines)
-
-
-def _render_tracer_drops(stats: Dict[str, float]) -> str:
-    import re
-
-    from repro.observability.registry import base_name
-
-    drops: Dict[str, int] = {}
-    for sample, value in stats.items():
-        if base_name(sample) != "tracer_dropped_events_total":
-            continue
-        match = re.search(r'role="([^"]+)"', sample)
-        role = match.group(1) if match else "unlabelled"
-        drops[role] = drops.get(role, 0) + int(value)
-    if not drops:
-        return "tracer drops: none recorded (tracing off)"
-    total = sum(drops.values())
-    per_role = ", ".join(
-        f"{role}={count}" for role, count in sorted(drops.items())
-    )
-    return f"tracer drops: {total} total ({per_role})"
-
-
-def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.observability.health import HEALTH_METRIC_HELP
-    from repro.observability.registry import base_name
-    from repro.observability.server import PipelineServeSource
-
-    pipeline, trace = _build_pipeline(
-        args, collect_trace=getattr(args, "trace", False)
-    )
-    source = PipelineServeSource(pipeline)
-    with pipeline:
-        result = _feed_loop(args, pipeline, trace, source)
-    report = source.report()
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-    elif args.format == "prom":
-        print(render_prometheus({
-            sample: value
-            for sample, value in source.metrics_snapshot().items()
-            if base_name(sample) in HEALTH_METRIC_HELP
-        }))
-    else:
-        print(_render_health_text(report, stats=result.stats or {}))
-    print(
-        f"# run: {result.items} items, {result.num_shards} shards, "
-        f"{len(result.reported_keys)} reported keys",
-        file=sys.stderr,
-    )
-    return 2 if report.verdict == "critical" else 0
-
-
 def _load_rules_arg(path: Optional[str]):
     """The shipped pack, or the pack at ``path`` (.toml/.json)."""
     from repro.observability.alerts import default_rules, load_rules
@@ -651,7 +575,8 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
         print(f"--every must be >= 1, got {args.every}", file=sys.stderr)
         return 3
     from repro.common.errors import ParameterError
-    from repro.observability.health import verdict_rank
+    from repro.observability.health import HEALTH_METRIC_HELP, verdict_rank
+    from repro.observability.registry import base_name
     from repro.observability.server import PipelineServeSource
     from repro.observability.timeseries import MetricStore
 
@@ -674,18 +599,32 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
         clock["now"] += args.tick
 
     with pipeline:
-        _feed_loop(args, pipeline, trace, source, on_tick)
+        result = _feed_loop(args, pipeline, trace, source, on_tick)
+    report = source.report()
     payload = source.alerts_payload()
-    firing = [
-        status for status in payload["alerts"]
-        if status["state"] == "firing"
-    ]
     if args.format == "json":
         payload["transitions"] = [str(t) for t in transitions]
+        payload.update(report.as_dict())
         print(json.dumps(payload, indent=2))
+    elif args.format == "prom":
+        print(render_prometheus({
+            sample: value
+            for sample, value in source.metrics_snapshot().items()
+            if base_name(sample) in HEALTH_METRIC_HELP
+        }))
     else:
+        print(f"verdict: {report.verdict}")
+        for signal in report.signals:
+            print(
+                f"  [{signal.verdict:>8}] {signal.name} = "
+                f"{signal.value:.4g} — {signal.reason}"
+            )
         for transition in transitions:
             print(transition)
+        firing = [
+            status for status in payload["alerts"]
+            if status["state"] == "firing"
+        ]
         if not firing:
             print(f"ok: no firing alerts ({payload['rules']} rules "
                   f"evaluated over {clock['now']:g} synthetic seconds)")
@@ -695,8 +634,14 @@ def _cmd_alerts_check(args: argparse.Namespace) -> int:
                 f"FIRING [{rule['severity']}] {rule['name']}: "
                 f"{rule['expr']} (value {status['last_value']})"
             )
-    # The verdict rank is the exit code: 0 ok, 1 warning, 2 critical.
-    return verdict_rank(source.alerts.verdict())
+    print(
+        f"# run: {result.items} items, {result.num_shards} shards, "
+        f"{len(result.reported_keys)} reported keys",
+        file=sys.stderr,
+    )
+    # The verdict rank is the exit code in every format: 0 ok,
+    # 1 degraded, 2 critical.
+    return verdict_rank(report.verdict)
 
 
 def _cmd_alerts_list(args: argparse.Namespace) -> int:
@@ -855,8 +800,6 @@ def main(argv: Optional[list] = None) -> int:
         return _cmd_trace(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "health":
-        return _cmd_health(args)
     return _cmd_top(args)
 
 

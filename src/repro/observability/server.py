@@ -270,7 +270,7 @@ class PipelineServeSource(_ServeSource):
         # detectors watch the whole stream, not one shard.
         self._shard_monitor = HealthMonitor()
         # Workers dump into per-shard subdirectories of this root when
-        # the pipeline was built with record=True.
+        # the pipeline was built with one.
         self.incident_dir = getattr(pipeline, "incident_dir", None)
         self._init_source(rules, store)
 

@@ -28,7 +28,6 @@ from repro.parallel.sharded import (
     ShardRouter,
     ShardedQuantileFilter,
     batch_filter_to_scalar,
-    sharded_reported_union,
 )
 from repro.parallel.concurrent import (
     ConcurrentQuantileFilter,
@@ -56,7 +55,6 @@ __all__ = [
     "ShardRouter",
     "ShardedQuantileFilter",
     "batch_filter_to_scalar",
-    "sharded_reported_union",
     "DEFAULT_CHUNK_ITEMS",
     "ParallelPipeline",
     "PipelineError",

@@ -424,10 +424,6 @@ class ConcurrentQuantileFilter:
                 out |= set(sink.reported_keys)
         return out
 
-    def reports(self) -> Set[int]:
-        """Alias of :attr:`reported_keys` (read-path naming parity)."""
-        return self.reported_keys
-
     # ------------------------------------------------------------------
     # consistent snapshots / folding
     # ------------------------------------------------------------------
@@ -472,8 +468,6 @@ class ConcurrentQuantileFilter:
             twin.retargets = core.retargets
             twin.stats_tallies = self.stats_tallies
             return twin
-
-    snapshot = as_batch
 
     def retarget(self, threshold: float) -> Criteria:
         """Move the value threshold ``T`` under a full-structure lock.

@@ -82,6 +82,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.common.errors import ReproError, ParameterError
+from repro.common.validation import require_item_arrays
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
@@ -495,8 +496,8 @@ class ParallelPipeline:
     on_reports:
         Callback receiving each :class:`ReportBatch` as it is released
         (after ordering in ordered mode).
-    record / incident_dir / record_chunks:
-        ``record=True`` gives every shard worker a
+    incident_dir / record_chunks:
+        With ``incident_dir`` set, every shard worker runs a
         :class:`~repro.observability.recorder.FlightRecorder` retaining
         its last ``record_chunks`` chunks; each worker dumps an
         incident bundle into ``incident_dir/shard-<id>/`` when it
@@ -533,7 +534,6 @@ class ParallelPipeline:
         trace_sample_every: int = 64,
         on_reports: Optional[Callable[[ReportBatch], None]] = None,
         on_merge: Optional[Callable[[QuantileFilter, int], None]] = None,
-        record: bool = False,
         incident_dir=None,
         record_chunks: int = 32,
     ):
@@ -548,8 +548,7 @@ class ParallelPipeline:
             unsupported = [
                 ("mode='ordered'", mode == "ordered"),
                 ("collect_trace", collect_trace or tracer is not None),
-                ("collect_provenance", collect_provenance),
-                ("record", record),
+                ("incident_dir", incident_dir is not None),
             ]
             bad = [name for name, flagged in unsupported if flagged]
             if bad:
@@ -557,8 +556,8 @@ class ParallelPipeline:
                     f"engine='threads' does not support {', '.join(bad)}: "
                     "updater threads share one filter in this process, so "
                     "report delivery is inherently unordered (commits "
-                    "race), and the per-worker trace/provenance/recorder "
-                    "hooks are process-engine features — use "
+                    "race), and the per-worker trace and recorder hooks "
+                    "are process-engine features — use "
                     "engine='batch' or engine='scalar' for those"
                 )
         if mode not in ("unordered", "ordered"):
@@ -588,12 +587,6 @@ class ParallelPipeline:
                 "collect_provenance needs engine='scalar': the batch "
                 "engine tracks reported keys, not Report objects"
             )
-        if record and incident_dir is None:
-            raise ParameterError(
-                "record=True needs incident_dir: worker recorders dump "
-                "crash bundles to disk (a memory-only ring dies with "
-                "the worker process)"
-            )
         if record_chunks < 1:
             raise ParameterError(
                 f"record_chunks must be >= 1, got {record_chunks}"
@@ -617,7 +610,6 @@ class ParallelPipeline:
         )
         self._on_reports = on_reports
         self._on_merge = on_merge
-        self.record = record
         self.incident_dir = Path(incident_dir) if incident_dir else None
 
         # Resolve the geometry once in the master (a throwaway template
@@ -681,7 +673,7 @@ class ParallelPipeline:
             record=(
                 dict(incident_dir=str(self.incident_dir),
                      max_chunks=record_chunks)
-                if record else None
+                if self.incident_dir is not None else None
             ),
         )
         self.router = ShardRouter(num_shards, resolved_buckets, seed=seed)
@@ -868,15 +860,11 @@ class ParallelPipeline:
                 "pipeline already finished; build a new ParallelPipeline "
                 "to process another stream"
             )
-        if not self._started:
-            self.start()
         keys = np.asarray(keys, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
-        if keys.shape[0] != values.shape[0]:
-            raise ParameterError(
-                f"keys and values length mismatch: {keys.shape[0]} vs "
-                f"{values.shape[0]}"
-            )
+        require_item_arrays(keys, values)
+        if not self._started:
+            self.start()
         feed_start = time.perf_counter() if self.tracer is not None else 0.0
         first_chunk = self._chunk_id
         for start in range(0, keys.shape[0], self.chunk_items):
@@ -1365,13 +1353,13 @@ class ParallelPipeline:
         shard order.
 
         A no-op returning ``[]`` when the pipeline was built without
-        ``record=True`` or runs the thread engine (which has no
-        per-shard recorders) — callers such as the alert engine's
-        trigger hook need not special-case either configuration.
+        ``incident_dir`` (which the thread engine rejects) — callers
+        such as the alert engine's trigger hook need not special-case
+        it.
         """
         if not self._started:
             raise PipelineError("pipeline is not running")
-        if self._threads or not self.record:
+        if self.incident_dir is None:
             return []
         paths = self._request("dump", str(reason))
         return [path for path in paths if path is not None]

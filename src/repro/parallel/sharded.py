@@ -31,12 +31,13 @@ filter via :meth:`QuantileFilter.merge` — the aggregation path the
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.common.errors import ParameterError
 from repro.common.hashing import _mix64_array, canonical_key, canonical_keys, mix64
+from repro.common.validation import require_item_arrays
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION, QuantileFilter, Report
 from repro.core.vectorized import BatchQuantileFilter
@@ -233,11 +234,7 @@ class ShardedQuantileFilter:
         """
         keys = np.asarray(keys)
         values = np.asarray(values)
-        if keys.shape[0] != values.shape[0]:
-            raise ParameterError(
-                f"keys and values length mismatch: {keys.shape[0]} vs "
-                f"{values.shape[0]}"
-            )
+        require_item_arrays(keys, values)
         for shard, (sub_keys, sub_values) in zip(
             self.shards, self.router.split(keys, values)
         ):
@@ -421,11 +418,3 @@ def batch_filter_to_scalar(batch: BatchQuantileFilter) -> QuantileFilter:
     scalar.vague_reports = batch.vague_reports
     scalar.retargets = batch.retargets
     return scalar
-
-
-def sharded_reported_union(shards: Sequence) -> Set:
-    """Union of ``reported_keys`` over any shard collection."""
-    out: Set = set()
-    for shard in shards:
-        out |= shard.reported_keys
-    return out

@@ -14,6 +14,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from repro.common.errors import ParameterError
+from repro.common.validation import require_item_arrays
 
 
 @dataclass
@@ -28,11 +29,7 @@ class Trace:
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.keys.shape != self.values.shape or self.keys.ndim != 1:
-            raise ParameterError(
-                f"keys and values must be equal-length 1-D arrays, got "
-                f"{self.keys.shape} and {self.values.shape}"
-            )
+        require_item_arrays(self.keys, self.values)
 
     def __len__(self) -> int:
         return int(self.keys.shape[0])

@@ -1,5 +1,6 @@
 """Tests for repro.common.validation."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ParameterError, ReproError
@@ -9,6 +10,42 @@ from repro.common.validation import (
     require_positive_int,
     require_probability,
 )
+from repro.core.criteria import Criteria
+from repro.core.vectorized import BatchQuantileFilter
+from repro.detection.shadow import ShadowAccuracyEstimator
+from repro.parallel.concurrent import ConcurrentQuantileFilter
+from repro.parallel.pipeline import ParallelPipeline
+from repro.parallel.sharded import ShardedQuantileFilter
+from repro.streams.model import Trace
+
+CRIT = Criteria(delta=0.95, threshold=100.0, epsilon=5.0)
+GEOMETRY = dict(num_buckets=64, vague_width=64)
+
+#: Every public entry point that takes a whole ``(keys, values)`` array
+#: pair, called on one such pair.
+ARRAY_ENTRY_POINTS = {
+    "Trace": lambda k, v: Trace(k, v),
+    "BatchQuantileFilter.process":
+        lambda k, v: BatchQuantileFilter(CRIT, **GEOMETRY).process(k, v),
+    "ShardedQuantileFilter.process": lambda k, v: ShardedQuantileFilter(
+        CRIT, 2, engine="batch", **GEOMETRY).process(k, v),
+    "ConcurrentQuantileFilter.process":
+        lambda k, v: ConcurrentQuantileFilter(CRIT, **GEOMETRY).process(k, v),
+    "ParallelPipeline.run[batch]": lambda k, v: ParallelPipeline(
+        CRIT, 2, engine="batch", **GEOMETRY).run(k, v),
+    "ParallelPipeline.run[threads]": lambda k, v: ParallelPipeline(
+        CRIT, 2, engine="threads", **GEOMETRY).run(k, v),
+    "ShadowAccuracyEstimator.observe_batch":
+        lambda k, v: ShadowAccuracyEstimator(CRIT).observe_batch(k, v),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_reject_2d_items(entry_point):
+    keys = np.arange(20, dtype=np.int64).reshape(4, 5)
+    values = np.full((4, 5), 500.0)
+    with pytest.raises(ParameterError, match="1-D"):
+        ARRAY_ENTRY_POINTS[entry_point](keys, values)
 
 
 class TestRequirePositiveInt:

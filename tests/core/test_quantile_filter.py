@@ -261,3 +261,34 @@ class TestAccuracyUnderPressure:
             recalls.append(len(qf.reported_keys & truth) / len(truth))
         assert recalls[-1] >= recalls[0]
         assert recalls[-1] == pytest.approx(1.0)
+
+
+class TestTopCandidates:
+    def test_ranking_and_limit(self):
+        crit = Criteria(delta=0.95, threshold=100.0, epsilon=1e9)
+        from repro.core.quantile_filter import QuantileFilter
+
+        qf = QuantileFilter(crit, memory_bytes=64 * 1024, seed=1)
+        for count, key in ((5, "a"), (2, "b"), (9, "c")):
+            for _ in range(count):
+                qf.insert(key, 500.0)  # +19 each
+        top = qf.top_candidates(k=2)
+        assert len(top) == 2
+        qweights = [entry[2] for entry in top]
+        assert qweights == sorted(qweights, reverse=True)
+        assert qweights[0] == pytest.approx(9 * 19.0)
+
+    def test_invalid_k(self):
+        crit = Criteria(delta=0.95, threshold=100.0)
+        from repro.core.quantile_filter import QuantileFilter
+
+        qf = QuantileFilter(crit, memory_bytes=8_192)
+        with pytest.raises(ParameterError):
+            qf.top_candidates(k=0)
+
+    def test_empty_filter(self):
+        crit = Criteria(delta=0.95, threshold=100.0)
+        from repro.core.quantile_filter import QuantileFilter
+
+        qf = QuantileFilter(crit, memory_bytes=8_192)
+        assert qf.top_candidates(k=3) == []

@@ -188,7 +188,7 @@ class TestScrapeConcurrency:
         pipeline = ParallelPipeline(
             Criteria(delta=0.95, threshold=200.0, epsilon=30.0),
             2, engine="batch", chunk_items=2_048, collect_stats=True,
-            record=True, incident_dir=tmp_path, num_buckets=256,
+            incident_dir=tmp_path, num_buckets=256,
             vague_width=256, seed=0,
         )
         clock = {"t": 0.0}

@@ -178,7 +178,7 @@ class TestPipelineWorkerCrash:
         rng = np.random.default_rng(0)
         pipe = ParallelPipeline(
             CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            record=True, incident_dir=tmp_path, record_chunks=8,
+            incident_dir=tmp_path, record_chunks=8,
             num_buckets=128, vague_width=512,
         )
         pipe.start()
@@ -218,17 +218,11 @@ class TestPipelineWorkerCrash:
         manifests = list_incidents(tmp_path)
         assert any(m["reason"] == "worker_crash" for m in manifests)
 
-    def test_record_requires_incident_dir(self):
-        from repro.common.errors import ParameterError
-
-        with pytest.raises(ParameterError, match="incident_dir"):
-            ParallelPipeline(CRITERIA, 2, record=True)
-
     def test_clean_run_leaves_no_bundles(self, tmp_path):
         rng = np.random.default_rng(1)
         pipe = ParallelPipeline(
             CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            record=True, incident_dir=tmp_path, record_chunks=4,
+            incident_dir=tmp_path, record_chunks=4,
             num_buckets=128, vague_width=512,
         )
         keys = rng.integers(0, 100, size=8_192).astype(np.int64)

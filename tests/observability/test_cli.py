@@ -23,6 +23,18 @@ STATS_ARGS = [
 ]
 
 
+def warn_items_pack(tmp_path) -> str:
+    """A one-rule pack whose warning fires on any real run."""
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"rule": [{
+        "name": "warn-items",
+        "expr": "value(qf_items_total) > 100",
+        "severity": "warning",
+        "resolve": 50.0,
+    }]}))
+    return str(rules)
+
+
 def documented_families():
     """Metric families from the doc's metric tables (backticked first
     column).  Only the two metric-catalogue sections count — the doc
@@ -72,11 +84,6 @@ class TestParser:
         assert args.port == 0
         assert args.linger == 0.0
         assert args.every == 4
-
-    def test_health_defaults_to_text(self):
-        args = build_parser().parse_args(["health"])
-        assert args.command == "health"
-        assert args.format == "text"
 
 
 class TestStatsCommand:
@@ -145,24 +152,6 @@ def test_stats_text_format(capsys):
     out = capsys.readouterr().out
     assert "#" not in out.split("\n")[0]
     assert re.search(r"qf_items_total\s+12000", out)
-
-
-def test_health_command_prints_report(capsys):
-    rc = main(["health", *STATS_ARGS])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.startswith("verdict:")
-    assert "exceedance_drift" in out
-
-
-def test_health_command_json_format(capsys):
-    rc = main(["health", *STATS_ARGS, "--format", "json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["verdict"] in ("ok", "degraded", "critical")
-    assert {s["name"] for s in payload["signals"]} >= {
-        "report_rate", "exceedance_drift", "shadow_accuracy",
-    }
 
 
 def test_serve_command_scrapeable_while_running():
@@ -234,31 +223,6 @@ def test_serve_command_scrapeable_while_running():
     assert result["rc"] == 0
     time.sleep(0.2)
     assert threading.active_count() <= baseline_threads
-
-
-def test_health_text_reports_tracer_drops(capsys):
-    """Satellite: the one-shot health report surfaces ring-buffer drops.
-
-    With --trace the tracer runs and its per-role drop counters are
-    summed into a visible line; without it the line says tracing was
-    off rather than implying a clean run."""
-    rc = main(["health", *STATS_ARGS, "--trace"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    match = re.search(r"tracer drops: (\d+) total \(([^)]*)\)", out)
-    assert match, f"health --trace must print a drops line, got:\n{out}"
-    roles = dict(
-        part.split("=") for part in match.group(2).split(", ")
-    )
-    assert {"master", "shard-0", "shard-1"} <= set(roles)
-    assert sum(int(v) for v in roles.values()) == int(match.group(1))
-
-
-def test_health_text_without_trace_says_tracing_off(capsys):
-    rc = main(["health", *STATS_ARGS])
-    assert rc == 0
-    assert "tracer drops: none recorded (tracing off)" \
-        in capsys.readouterr().out
 
 
 class TestRecordCommand:
@@ -378,16 +342,71 @@ class TestAlertsCommand:
         )
 
     def test_check_firing_warning_exits_one(self, tmp_path, capsys):
-        rules = tmp_path / "rules.json"
-        rules.write_text(json.dumps({"rule": [{
-            "name": "warn-items",
-            "expr": "value(qf_items_total) > 100",
-            "severity": "warning",
-            "resolve": 50.0,
-        }]}))
-        rc = main(["alerts", "check", *STATS_ARGS, "--rules", str(rules)])
+        rules = warn_items_pack(tmp_path)
+        rc = main(["alerts", "check", *STATS_ARGS, "--rules", rules])
         assert rc == 1
         assert "FIRING [warning] warn-items" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "prom"])
+    def test_check_exit_code_in_every_format(self, fmt, tmp_path):
+        rules = warn_items_pack(tmp_path)
+        rc = main([
+            "alerts", "check", *STATS_ARGS, "--rules", rules,
+            "--format", fmt,
+        ])
+        assert rc == 1
+
+    def test_check_text_prints_signals_and_transitions(self, tmp_path, capsys):
+        from repro.observability.health import SIGNAL_FAMILIES
+
+        rules = warn_items_pack(tmp_path)
+        main(["alerts", "check", *STATS_ARGS, "--rules", rules])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "verdict: degraded"
+        signals = {}
+        for line in lines[1:]:
+            match = re.match(r"  \[ *[a-z]+\] ([a-z_]+) = (\S+) — ", line)
+            if match:
+                signals[match.group(1)] = float(match.group(2))
+        # Every signal a pipeline computes (the probe-based ones need a
+        # standalone filter), each with its value.
+        assert set(signals) == set(SIGNAL_FAMILIES) - {
+            "fingerprint_collision", "vague_noise",
+        }
+        heads = [line.split(" (value")[0] for line in lines]
+        transition = heads.index("[warning] warn-items: inactive -> firing")
+        firing = heads.index(
+            "FIRING [warning] warn-items: value(qf_items_total) > 100"
+        )
+        assert len(signals) < transition < firing
+
+    def test_check_json_carries_alerts_and_verdict(self, capsys):
+        from repro.observability.health import verdict_rank
+
+        rc = main(["alerts", "check", *STATS_ARGS, "--format", "json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert {
+            "evaluated_at", "rules", "firing", "alerts", "transitions",
+            "verdict", "reasons", "signals",
+        } <= set(payload)
+        assert rc == verdict_rank(payload["verdict"])
+        assert {s["name"] for s in payload["signals"]} >= {
+            "report_rate", "exceedance_drift", "shadow_accuracy",
+        }
+
+    def test_check_prom_prints_health_gauges(self, capsys):
+        from repro.observability.health import HEALTH_METRIC_HELP
+
+        rc = main(["alerts", "check", *STATS_ARGS, "--format", "prom"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^qf_health_status 0$", out, re.MULTILINE)
+        samples = [line for line in out.splitlines()
+                   if line and not line.startswith("#")]
+        assert all(
+            base_name(line.rsplit(" ", 1)[0]) in HEALTH_METRIC_HELP
+            for line in samples
+        )
 
     def test_check_bad_rules_exit_three(self, capsys):
         rc = main(["alerts", "check", "--rules", "/nope.toml"])

@@ -53,7 +53,6 @@ class TestReadPath:
 
     def test_reports_alias_and_dedup(self):
         cqf, _, _ = _fed()
-        assert cqf.reports() == cqf.reported_keys
         assert len(cqf.reported_keys) > 0
         per_stripe = [set(s.reported_keys) for s in cqf._sinks]
         assert sum(len(s) for s in per_stripe) == len(cqf.reported_keys)
@@ -81,10 +80,6 @@ class TestSnapshots:
         cqf, _, _ = _fed(n=5_000)
         scalar = batch_filter_to_scalar(cqf.as_batch())
         assert scalar.reported_keys == cqf.reported_keys
-
-    def test_snapshot_alias(self):
-        cqf, _, _ = _fed(n=2_000)
-        assert cqf.snapshot().reported_keys == cqf.reported_keys
 
 
 class TestRetarget:
@@ -210,7 +205,7 @@ class TestPipelineThreadsMode:
             dict(mode="ordered"),
             dict(collect_trace=True),
             dict(collect_provenance=True),
-            dict(record=True, incident_dir="/tmp"),
+            dict(incident_dir="/tmp"),
         ):
             with pytest.raises(ParameterError):
                 ParallelPipeline(
