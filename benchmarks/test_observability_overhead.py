@@ -60,7 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import BENCH_SCALE
+from benchmarks.conftest import BENCH_SCALE, host_block
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.observability.tracing import Tracer, attach_filter_tracing
@@ -277,6 +277,7 @@ def test_disabled_tracing_overhead_within_budget(bench_scale):
 
     result = {
         "bench": "observability-overhead",
+        "host": host_block(),
         "items": items,
         "rounds": ROUNDS,
         "budget_pct": OVERHEAD_BUDGET_PCT,

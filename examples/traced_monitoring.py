@@ -5,7 +5,7 @@
 example turns on the debugging/audit tier.  A
 :class:`~repro.parallel.pipeline.ParallelPipeline` built with
 ``collect_trace=True`` records every pipeline stage (feed, per-shard
-batch insert, queue wait, merge, collect) as spans on one monotonic
+batch insert, queue wait, collect) as spans on one monotonic
 timeline — master and worker processes included — and writes them as
 Chrome trace-event JSON that https://ui.perfetto.dev renders as a
 per-process flame chart.  ``collect_provenance=True`` (scalar engine)
@@ -50,7 +50,6 @@ def main():
         collect_trace=True, trace_sample_every=16,
         collect_provenance=True,
         collect_stats=True,
-        collect_merged=True,      # forces a final pipeline_merge span
     )
     result = pipeline.run(trace.keys, trace.values)
 

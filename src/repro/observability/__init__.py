@@ -61,9 +61,8 @@ The subsystem has two tiers, all zero-dependency:
 
 * :mod:`~repro.observability.timeseries` — :class:`MetricStore`
   collects any snapshot source into bounded per-series ring buffers
-  (fine ring + downsampled coarse tier + eviction accounting) and
-  derives ``rate()`` / ``delta()`` / ``mean()`` / ``max()`` /
-  percentiles over the retained window.
+  (with eviction accounting) and derives ``rate()`` / ``delta()`` /
+  ``mean()`` / ``max()`` / percentiles over the retained window.
 * :mod:`~repro.observability.alerts` — declarative
   :class:`AlertRule` grammar (``fn(metric[window]) > T`` with ``for:``
   durations and resolve hysteresis) evaluated by an

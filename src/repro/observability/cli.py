@@ -376,14 +376,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     configure_json_logging(stream=sys.stderr, level=logging.INFO)
     # The scalar engine carries Report objects (and thus provenance)
-    # end to end; collect_merged forces a final pipeline_merge span so
-    # the trace shows every documented stage.
+    # end to end.
     pipeline, trace = _build_pipeline(
         args,
         engine="scalar",
         collect_trace=True,
         collect_provenance=True,
-        collect_merged=True,
         trace_sample_every=args.sample_every,
     )
     result = pipeline.run(trace.keys, trace.values)

@@ -7,16 +7,13 @@ module adds the missing time axis under a strict memory contract.  A
 monitor's signal gauges, the recorder gauges — anything producing
 ``{sample_name: float}``) into one :class:`Series` per sample.
 
-Retention follows the same compaction discipline as the quantile
-sketches themselves: a **fine ring** keeps the newest ``capacity``
-points exactly; points rotating out are folded ``downsample``-at-a-time
-into a **coarse ring** of (timestamp, mean, max, count) summaries; and
-when the coarse ring overflows, the oldest summaries are dropped and
-tallied in an eviction counter.  Total memory is therefore bounded per
-series and — via ``max_series`` stalest-series eviction — per store,
-with the counters accounting exactly for every point ever ingested:
+Retention is a **fine ring** per series that keeps the newest
+``capacity`` points exactly; a point rotating out is tallied in an
+eviction counter.  Total memory is therefore bounded per series and —
+via ``max_series`` stalest-series eviction — per store, with the
+counters accounting exactly for every point ever ingested:
 
-``ingested == fine + pending + coarse_weight + evicted``
+``ingested == fine + evicted``
 
 Derivations (``rate``/``delta``/``mean``/``max``/``min``) are computed
 from the raw fine-ring points, so they are exact over the retained
@@ -24,7 +21,7 @@ window; percentiles go through a
 :class:`~repro.observability.histogram.LogHistogram` fitted to the
 window's value range.
 
->>> store = MetricStore(capacity=4, downsample=2, clock=lambda: 0.0)
+>>> store = MetricStore(capacity=4, clock=lambda: 0.0)
 >>> for tick in range(8):
 ...     _ = store.collect({"demo_total": float(tick * 10)}, now=float(tick))
 >>> store.derive("rate", "demo_total", window=3.0, now=7.0)
@@ -32,11 +29,8 @@ window's value range.
 >>> store.derive("delta", "demo_total", window=3.0, now=7.0)
 30.0
 >>> series = store.series_for("demo_total")[0]
->>> series.fine_count, series.ingested
-(4, 8)
->>> (series.fine_count + series.pending_count + series.coarse_weight
-...     + series.evicted) == series.ingested
-True
+>>> series.fine_count, series.evicted, series.ingested
+(4, 4, 8)
 """
 
 from __future__ import annotations
@@ -59,13 +53,12 @@ from repro.observability.registry import (
 #: ``docs/observability.md`` like every other family).
 STORE_METRIC_HELP = {
     "qf_store_series": "Series currently retained by the metric store.",
-    "qf_store_points_retained":
-        "Stored points across all series (fine + pending + coarse).",
+    "qf_store_points_retained": "Stored points across all series.",
     "qf_store_points_ingested_total":
         "Samples ever ingested by the metric store.",
     "qf_store_points_evicted_total":
-        "Samples dropped from retention (coarse-ring overflow plus "
-        "whole-series eviction), weighted by original sample count.",
+        "Samples dropped from retention (rotated out of a series ring "
+        "or lost with an evicted series).",
     "qf_store_series_evicted_total":
         "Whole series evicted to honour max_series.",
     "qf_store_collections_total": "Snapshot collections accepted.",
@@ -87,9 +80,8 @@ for _name, _help in STORE_METRIC_HELP.items():
 del _name, _help, _kind
 
 #: Bytes per retained point (timestamp + value as float64) — the basis
-#: of the ``qf_store_bytes`` estimate.  Coarse points carry four floats.
+#: of the ``qf_store_bytes`` estimate.
 _POINT_BYTES = 16
-_COARSE_POINT_BYTES = 32
 
 #: Derivation functions understood by :meth:`MetricStore.derive` (and
 #: therefore by the alert-rule grammar).  ``value`` and ``age`` read the
@@ -106,50 +98,21 @@ class Series:
     """One metric sample's history under a fixed memory budget.
 
     The newest ``capacity`` points live in the fine ring as parallel
-    numpy arrays.  Rotated-out points wait in a small pending buffer
-    until ``downsample`` of them can be folded into one coarse
-    ``(t, mean, max, count)`` summary; at most ``coarse_capacity``
-    summaries are kept, older ones are dropped and their weight added
-    to :attr:`evicted`.  With ``downsample=0`` the coarse tier is
-    disabled and rotated-out points are evicted directly.
+    numpy arrays; each point rotating out is added to :attr:`evicted`.
     """
 
-    __slots__ = ("name", "capacity", "downsample", "coarse_capacity",
-                 "_t", "_v", "_start", "_size",
-                 "_pending_t", "_pending_v", "_coarse",
+    __slots__ = ("name", "capacity", "_t", "_v", "_start", "_size",
                  "ingested", "evicted")
 
-    def __init__(
-        self,
-        name: str,
-        capacity: int = 240,
-        downsample: int = 8,
-        coarse_capacity: Optional[int] = None,
-    ):
+    def __init__(self, name: str, capacity: int = 240):
         if capacity < 2:
             raise ParameterError(f"capacity must be >= 2, got {capacity}")
-        if downsample < 0:
-            raise ParameterError(
-                f"downsample must be >= 0, got {downsample}"
-            )
         self.name = name
         self.capacity = int(capacity)
-        self.downsample = int(downsample)
-        if coarse_capacity is None:
-            coarse_capacity = self.capacity if downsample else 0
-        if coarse_capacity < 0:
-            raise ParameterError(
-                f"coarse_capacity must be >= 0, got {coarse_capacity}"
-            )
-        self.coarse_capacity = int(coarse_capacity)
         self._t = np.zeros(self.capacity, dtype=np.float64)
         self._v = np.zeros(self.capacity, dtype=np.float64)
         self._start = 0
         self._size = 0
-        self._pending_t: List[float] = []
-        self._pending_v: List[float] = []
-        # Coarse summaries, oldest first: (t_end, mean, max, count).
-        self._coarse: List[Tuple[float, float, float, int]] = []
         self.ingested = 0
         self.evicted = 0
 
@@ -164,10 +127,7 @@ class Series:
             self._v[idx] = v
             self._size += 1
         else:
-            self._spill(
-                self._t[self._start:self._start + 1],
-                self._v[self._start:self._start + 1],
-            )
+            self.evicted += 1
             self._t[self._start] = t
             self._v[self._start] = v
             self._start = (self._start + 1) % self.capacity
@@ -194,7 +154,7 @@ class Series:
         all_v = np.concatenate([old_v, vs])
         overflow = all_t.size - self.capacity
         if overflow > 0:
-            self._spill(all_t[:overflow], all_v[:overflow])
+            self.evicted += int(overflow)
             all_t = all_t[overflow:]
             all_v = all_v[overflow:]
         self._t[:all_t.size] = all_t
@@ -202,34 +162,6 @@ class Series:
         self._start = 0
         self._size = int(all_t.size)
         self.ingested += int(ts.size)
-
-    def _spill(self, ts: np.ndarray, vs: np.ndarray) -> None:
-        """Route points rotating out of the fine ring."""
-        if self.downsample == 0:
-            self.evicted += int(ts.size)
-            return
-        self._pending_t.extend(ts.tolist())
-        self._pending_v.extend(vs.tolist())
-        groups = len(self._pending_t) // self.downsample
-        if groups:
-            width = self.downsample
-            used = groups * width
-            gt = np.asarray(self._pending_t[:used]).reshape(groups, width)
-            gv = np.asarray(self._pending_v[:used]).reshape(groups, width)
-            self._coarse.extend(
-                zip(
-                    gt[:, -1].tolist(),
-                    gv.mean(axis=1).tolist(),
-                    gv.max(axis=1).tolist(),
-                    [width] * groups,
-                )
-            )
-            del self._pending_t[:used]
-            del self._pending_v[:used]
-        excess = len(self._coarse) - self.coarse_capacity
-        if excess > 0:
-            self.evicted += sum(c for _, _, _, c in self._coarse[:excess])
-            del self._coarse[:excess]
 
     # ------------------------------------------------------------------
     # reading
@@ -248,11 +180,6 @@ class Series:
         keep = ts >= t0
         return ts[keep], vs[keep]
 
-    def coarse(self) -> List[Tuple[float, float, float, int]]:
-        """The coarse summaries ``(t_end, mean, max, count)``, oldest
-        first."""
-        return list(self._coarse)
-
     @property
     def last(self) -> Optional[Tuple[float, float]]:
         """The most recent ``(timestamp, value)``, or ``None``."""
@@ -266,39 +193,18 @@ class Series:
         return self._size
 
     @property
-    def pending_count(self) -> int:
-        return len(self._pending_t)
-
-    @property
-    def coarse_count(self) -> int:
-        return len(self._coarse)
-
-    @property
-    def coarse_weight(self) -> int:
-        """Original samples summarised by the coarse ring."""
-        return sum(c for _, _, _, c in self._coarse)
-
-    @property
     def retained_points(self) -> int:
-        """Stored points (the memory bound): fine + pending + coarse."""
-        return self.fine_count + self.pending_count + self.coarse_count
-
-    @property
-    def retained_weight(self) -> int:
-        """Original samples still represented in retention."""
-        return self.fine_count + self.pending_count + self.coarse_weight
+        """Stored points (the memory bound)."""
+        return self.fine_count
 
     @property
     def nbytes(self) -> int:
-        return (
-            (self.fine_count + self.pending_count) * _POINT_BYTES
-            + self.coarse_count * _COARSE_POINT_BYTES
-        )
+        return self.fine_count * _POINT_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Series({self.name!r}, fine={self.fine_count}, "
-            f"coarse={self.coarse_count}, evicted={self.evicted})"
+            f"evicted={self.evicted})"
         )
 
 
@@ -312,8 +218,8 @@ class MetricStore:
         sooner are counted as skipped and ignored, so callers can
         invoke :meth:`collect` on every loop iteration and let the
         store self-throttle.  ``0`` accepts everything.
-    capacity / downsample / coarse_capacity:
-        Per-series retention geometry (see :class:`Series`).
+    capacity:
+        Points retained per series (see :class:`Series`).
     max_series:
         Hard cap on concurrently retained series; collecting a new
         sample name beyond it evicts the stalest series (oldest last
@@ -332,8 +238,6 @@ class MetricStore:
         self,
         step_seconds: float = 0.0,
         capacity: int = 240,
-        downsample: int = 8,
-        coarse_capacity: Optional[int] = None,
         max_series: int = 1024,
         clock: Callable[[], float] = time.time,
     ):
@@ -345,12 +249,10 @@ class MetricStore:
             raise ParameterError(
                 f"max_series must be >= 1, got {max_series}"
             )
-        # Validate geometry eagerly by building a probe series.
-        Series("probe", capacity, downsample, coarse_capacity)
+        # Validate the capacity eagerly by building a probe series.
+        Series("probe", capacity)
         self.step_seconds = float(step_seconds)
         self.capacity = int(capacity)
-        self.downsample = int(downsample)
-        self.coarse_capacity = coarse_capacity
         self.max_series = int(max_series)
         self.clock = clock
         self._series: Dict[str, Series] = {}
@@ -410,9 +312,7 @@ class MetricStore:
         if series is None:
             if len(self._series) >= self.max_series:
                 self._evict_stalest_locked()
-            series = Series(
-                sample, self.capacity, self.downsample, self.coarse_capacity
-            )
+            series = Series(sample, self.capacity)
             self._series[sample] = series
             self._families.setdefault(base_name(sample), {})[sample] = series
         return series
@@ -574,11 +474,6 @@ class MetricStore:
     def retained_points(self) -> int:
         with self._lock:
             return sum(s.retained_points for s in self._series.values())
-
-    @property
-    def retained_weight(self) -> int:
-        with self._lock:
-            return sum(s.retained_weight for s in self._series.values())
 
     @property
     def nbytes(self) -> int:

@@ -47,7 +47,6 @@ from repro.common.errors import ParameterError
 #: and asserted by the CI trace smoke test.
 PIPELINE_SPANS = (
     "pipeline_feed",
-    "pipeline_merge",
     "pipeline_collect",
     "shard_insert",
     "shard_queue_wait",

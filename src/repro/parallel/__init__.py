@@ -7,8 +7,7 @@ Two layers:
   filter-shaped façade, with a merge-based global view.
 * :class:`~repro.parallel.pipeline.ParallelPipeline` — a
   ``multiprocessing`` pipeline placing one shard per worker process,
-  with bounded queues, ordered/unordered report delivery, periodic
-  merged views and crash surfacing.
+  with bounded queues and crash surfacing.
 * :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter` — one
   shared set of filter planes updated by N threads through thread-local
   ingest buffers and striped bucket-range locks (the Quancurrent

@@ -15,25 +15,17 @@ sends only a ``("chunk", chunk_id, slot_id, length)`` descriptor; the
 worker reads the slot zero-copy, and the slot credit returns on the
 worker's report ack.
 
-Requests: merged-view snapshots, stats views, incident dumps and the
-thread engine's retarget barrier all go to every worker as ``(kind,
-sync_id, *args)`` behind the chunks already queued, and every worker
-answers ``("reply", sync_id, shard_id, payload)``.
+Requests: stats views, incident dumps and the thread engine's
+retarget barrier all go to every worker as ``(kind, sync_id, *args)``
+behind the chunks already queued, and every worker answers
+``("reply", sync_id, shard_id, payload)``.
 
 Consistency model (also documented in ``docs/operations.md``):
 
 * Within a shard, reports follow stream order — each worker consumes
   its chunks strictly in sequence.
-* ``mode="unordered"`` surfaces report batches as workers produce them
-  (shard interleaving is nondeterministic, contents are not).
-* ``mode="ordered"`` buffers batches until every shard has finished a
-  chunk, then releases chunks in stream order (and shard order within
-  a chunk) — deterministic delivery at the cost of buffering.
-* Periodic global views: every ``merge_every`` chunks the master
-  requests shard snapshots and folds them into one filter with
-  :meth:`~repro.core.quantile_filter.QuantileFilter.merge`.  The
-  snapshot request rides the same per-worker queue as the chunks, so
-  each view is a consistent per-shard cut between chunks.
+* Report batches surface as the master drains them (shard
+  interleaving is nondeterministic, contents are not).
 
 Telemetry: built with ``collect_stats=True``, every worker attaches a
 :class:`~repro.observability.registry.StatsRegistry` to its shard
@@ -46,8 +38,8 @@ own ``pipeline_*`` counters (chunks/items fed, batches released, queue
 depths, worker liveness).  See ``docs/observability.md``.
 
 Tracing & provenance: ``collect_trace=True`` attaches a
-:class:`~repro.observability.tracing.Tracer` to the master (feed /
-merge / collect spans) and one to every worker (queue-wait and insert
+:class:`~repro.observability.tracing.Tracer` to the master (feed and
+collect spans) and one to every worker (queue-wait and insert
 spans, plus sampled filter-core instants on the scalar engine); worker
 events ride the ``done`` messages and fold into one Chrome-trace
 timeline in ``PipelineResult.trace_events``.  ``collect_provenance=
@@ -68,7 +60,6 @@ all cases the pipeline terminates remaining workers — it never hangs
 
 from __future__ import annotations
 
-import copy
 import logging
 import multiprocessing
 import queue as queue_module
@@ -91,7 +82,7 @@ from repro.observability.provenance import provenance_record
 from repro.observability.registry import StatsRegistry, aggregate_snapshots
 from repro.observability.tracing import Tracer, attach_filter_tracing
 from repro.parallel.concurrent import ConcurrentQuantileFilter
-from repro.parallel.sharded import ENGINES, ShardRouter, batch_filter_to_scalar
+from repro.parallel.sharded import ENGINES, ShardRouter
 from repro.parallel.transport import ShmSlotRing
 
 #: Lifecycle logger (silent unless the host configures a handler, e.g.
@@ -100,6 +91,14 @@ LOGGER = logging.getLogger("repro.pipeline")
 
 #: Default items per pipeline chunk.
 DEFAULT_CHUNK_ITEMS = 16_384
+
+#: Bound (in chunks) of each worker's input queue; the shared result
+#: queue is bounded proportionally.  Backpressure, not unbounded
+#: buffering.
+QUEUE_CAPACITY = 4
+
+#: Chunks each shard's flight recorder retains (``incident_dir`` only).
+RECORD_CHUNKS = 32
 
 #: Engines the pipeline can run: the process-per-shard engines plus the
 #: in-process thread engine (one shared
@@ -141,12 +140,10 @@ class PipelineResult:
     items: int
     seconds: float
     num_shards: int
-    mode: str
     chunks: int
     per_shard_items: List[int]
     per_shard_reports: List[int]
     batches: List[ReportBatch] = field(default_factory=list)
-    merged: Optional[QuantileFilter] = None
     #: Aggregated telemetry snapshot (worker registries summed per the
     #: metric aggregation rules, plus the master's pipeline_* samples).
     #: None unless the pipeline ran with ``collect_stats=True``.
@@ -332,19 +329,7 @@ def _worker_main(
             else:
                 # A master request: (kind, sync_id, *args), see
                 # ParallelPipeline._request.
-                if kind == "snapshot":
-                    if engine == "batch":
-                        payload = batch_filter_to_scalar(filt)
-                    else:
-                        # Ship a sanitized copy: hooks, callbacks and
-                        # the stats registry hold closures that cannot
-                        # pickle.
-                        payload = copy.copy(filt)
-                        payload.trace_hook = None
-                        payload._on_report = None
-                        if hasattr(payload, "_stats_registry"):
-                            payload._stats_registry = None
-                elif kind == "stats":
+                if kind == "stats":
                     payload = registry.snapshot() if registry is not None else {}
                 elif kind == "dump":
                     # Alert-triggered forensics: dump this shard's
@@ -391,8 +376,8 @@ def _thread_worker_main(
     one thread, so batches never duplicate a key.  The diff (a copy of
     every stripe's report set) only runs when the filter's report
     count moved since this thread last looked, and empty batches post
-    no message at all: threads mode is unordered-only, so the master
-    needs no per-chunk acks.
+    no message at all: with no shm slot to hand back, the master needs
+    no per-chunk ack.
     """
     try:
         ingest = filt.ingest()
@@ -461,9 +446,9 @@ class ParallelPipeline:
     master-side key hashing either: whole chunks go to one updater
     round-robin, because the shared filter's stripe locks make
     any-thread/any-key safe (see the equal-core head-to-head in
-    ``benchmarks/test_throughput_smoke.py``).  Ordered
-    delivery, tracing, provenance and flight recording stay
-    process-engine features and raise ``ParameterError`` up front.
+    ``benchmarks/test_throughput_smoke.py``).  Tracing, provenance
+    and flight recording stay process-engine features and raise
+    ``ParameterError`` up front.
 
     Use as a one-shot ``run(keys, values)`` or stream explicitly::
 
@@ -476,30 +461,19 @@ class ParallelPipeline:
 
     Parameters
     ----------
-    mode:
-        ``"unordered"`` (default) or ``"ordered"`` report delivery.
     transport:
         Only ``"shm"`` (the default) is accepted: process workers
         receive chunk slices through a shared-memory slot ring (see
         ``docs/performance.md``).
     chunk_items:
         Items per chunk fed to the workers (also the shm slot size).
-    queue_capacity:
-        Bound (in chunks) of each worker's input queue; the shared
-        result queue is bounded proportionally.  Backpressure, not
-        unbounded buffering.
-    merge_every:
-        Every this-many chunks, collect a merged global view and pass
-        it to ``on_merge`` (also kept as :attr:`last_merged`).
-    collect_merged:
-        Collect one final merged view into ``result.merged``.
     on_reports:
-        Callback receiving each :class:`ReportBatch` as it is released
-        (after ordering in ordered mode).
-    incident_dir / record_chunks:
+        Callback receiving each :class:`ReportBatch` as the master
+        drains it.
+    incident_dir:
         With ``incident_dir`` set, every shard worker runs a
         :class:`~repro.observability.recorder.FlightRecorder` retaining
-        its last ``record_chunks`` chunks; each worker dumps an
+        its last :data:`RECORD_CHUNKS` chunks; each worker dumps an
         incident bundle into ``incident_dir/shard-<id>/`` when it
         crashes (the bundle path is appended to the error surfaced by
         :class:`WorkerFailedError`), making the crash replayable with
@@ -520,22 +494,15 @@ class ParallelPipeline:
         fp_bits: int = 16,
         strategy: str = "comparative",
         seed: int = 0,
-        mode: str = "unordered",
         transport: str = "shm",
         chunk_items: int = DEFAULT_CHUNK_ITEMS,
-        queue_capacity: int = 4,
         stall_timeout: float = 30.0,
-        merge_every: Optional[int] = None,
-        collect_merged: bool = False,
         collect_stats: bool = False,
         collect_trace: bool = False,
         collect_provenance: bool = False,
-        tracer: Optional[Tracer] = None,
         trace_sample_every: int = 64,
         on_reports: Optional[Callable[[ReportBatch], None]] = None,
-        on_merge: Optional[Callable[[QuantileFilter, int], None]] = None,
         incident_dir=None,
-        record_chunks: int = 32,
     ):
         if num_shards < 1:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
@@ -546,24 +513,17 @@ class ParallelPipeline:
         self._threads = engine == "threads"
         if self._threads:
             unsupported = [
-                ("mode='ordered'", mode == "ordered"),
-                ("collect_trace", collect_trace or tracer is not None),
+                ("collect_trace", collect_trace),
                 ("incident_dir", incident_dir is not None),
             ]
             bad = [name for name, flagged in unsupported if flagged]
             if bad:
                 raise ParameterError(
                     f"engine='threads' does not support {', '.join(bad)}: "
-                    "updater threads share one filter in this process, so "
-                    "report delivery is inherently unordered (commits "
-                    "race), and the per-worker trace and recorder hooks "
-                    "are process-engine features — use "
-                    "engine='batch' or engine='scalar' for those"
+                    "the per-worker trace and recorder hooks are "
+                    "process-engine features — use engine='batch' or "
+                    "engine='scalar' for those"
                 )
-        if mode not in ("unordered", "ordered"):
-            raise ParameterError(
-                f"mode must be 'unordered' or 'ordered', got {mode!r}"
-            )
         if transport != "shm":
             raise ParameterError(
                 f"transport must be 'shm', got {transport!r}: the pickle "
@@ -572,12 +532,6 @@ class ParallelPipeline:
             )
         if chunk_items < 1:
             raise ParameterError(f"chunk_items must be >= 1, got {chunk_items}")
-        if queue_capacity < 1:
-            raise ParameterError(
-                f"queue_capacity must be >= 1, got {queue_capacity}"
-            )
-        if merge_every is not None and merge_every < 1:
-            raise ParameterError(f"merge_every must be >= 1, got {merge_every}")
         if trace_sample_every < 1:
             raise ParameterError(
                 f"trace_sample_every must be >= 1, got {trace_sample_every}"
@@ -587,29 +541,17 @@ class ParallelPipeline:
                 "collect_provenance needs engine='scalar': the batch "
                 "engine tracks reported keys, not Report objects"
             )
-        if record_chunks < 1:
-            raise ParameterError(
-                f"record_chunks must be >= 1, got {record_chunks}"
-            )
         self.criteria = criteria
         self.num_shards = num_shards
         self.engine = engine
-        self.mode = mode
         self.chunk_items = chunk_items
-        self.queue_capacity = queue_capacity
         self.stall_timeout = stall_timeout
-        self.merge_every = merge_every
-        self.collect_merged = collect_merged
         self.collect_stats = collect_stats
-        self.collect_trace = collect_trace or tracer is not None
+        self.collect_trace = collect_trace
         self.collect_provenance = collect_provenance
         #: Master tracer; worker spans fold into it at finish().
-        self.tracer: Optional[Tracer] = (
-            tracer if tracer is not None
-            else (Tracer() if self.collect_trace else None)
-        )
+        self.tracer: Optional[Tracer] = Tracer() if collect_trace else None
         self._on_reports = on_reports
-        self._on_merge = on_merge
         self.incident_dir = Path(incident_dir) if incident_dir else None
 
         # Resolve the geometry once in the master (a throwaway template
@@ -667,12 +609,12 @@ class ParallelPipeline:
             strategy=strategy,
             seed=seed,
             stats=collect_stats,
-            trace=self.collect_trace,
+            trace=collect_trace,
             trace_sample_every=trace_sample_every,
             provenance=collect_provenance,
             record=(
                 dict(incident_dir=str(self.incident_dir),
-                     max_chunks=record_chunks)
+                     max_chunks=RECORD_CHUNKS)
                 if self.incident_dir is not None else None
             ),
         )
@@ -695,13 +637,9 @@ class ParallelPipeline:
         self._chunk_id = 0
         self._sync_id = 0
         self.items_fed = 0
-        self.last_merged: Optional[QuantileFilter] = None
         # Collection state.
         self._reported: Set = set()
         self._batches: List[ReportBatch] = []
-        self._pending: Dict[int, List[ReportBatch]] = {}
-        self._acks: Dict[int, int] = {}
-        self._next_release = 0
         # shard -> (items, reports, stats, trace_events, report_records)
         self._done: Dict[int, Tuple] = {}
         # sync_id -> {shard_id: payload} for every request kind.
@@ -721,10 +659,6 @@ class ParallelPipeline:
         self._batches_counter = self.stats.counter(
             "pipeline_report_batches_total",
             help="Report batches released to the caller.",
-        )
-        self._merges_counter = self.stats.counter(
-            "pipeline_merge_views_total",
-            help="Merged global views collected from shard snapshots.",
         )
         self._stat_views_counter = self.stats.counter(
             "pipeline_stats_views_total",
@@ -787,11 +721,11 @@ class ParallelPipeline:
         else:
             make_queue, make_worker = self._ctx.Queue, self._ctx.Process
             target = _worker_main
-            # queue_capacity chunks may sit in the input queue plus one
+            # QUEUE_CAPACITY chunks may sit in the input queue plus one
             # in flight in the worker and one being written by the
             # master — hence capacity + 2 slots can never wrap onto a
             # slot a worker still reads.
-            num_slots = self.queue_capacity + 2
+            num_slots = QUEUE_CAPACITY + 2
             self._rings = [
                 ShmSlotRing.create(num_slots, self.chunk_items)
                 for _ in range(self.num_shards)
@@ -804,10 +738,10 @@ class ParallelPipeline:
                 for ring in self._rings
             ]
         self._out_queue = make_queue(
-            maxsize=max(8, 2 * self.num_shards * self.queue_capacity)
+            maxsize=max(8, 2 * self.num_shards * QUEUE_CAPACITY)
         )
         for shard_id, extra_args in enumerate(worker_args):
-            in_queue = make_queue(maxsize=self.queue_capacity)
+            in_queue = make_queue(maxsize=QUEUE_CAPACITY)
             worker = make_worker(
                 target=target,
                 args=(shard_id, in_queue, self._out_queue) + extra_args,
@@ -830,7 +764,6 @@ class ParallelPipeline:
                 "event": "start",
                 "shards": self.num_shards,
                 "engine": self.engine,
-                "mode": self.mode,
                 "chunk_items": self.chunk_items,
                 "trace": self.collect_trace,
                 "provenance": self.collect_provenance,
@@ -886,8 +819,8 @@ class ParallelPipeline:
             else:
                 slices = self.router.split(chunk_keys, chunk_values)
                 # Every shard gets a (possibly empty) slice of every
-                # chunk: uniform acks keep ordered-mode accounting
-                # trivial.
+                # chunk, so worker_chunks_total counts every chunk on
+                # every shard.
                 for shard_id, (sub_keys, sub_values) in enumerate(slices):
                     length = int(sub_keys.shape[0])
                     slot_id = -1
@@ -900,8 +833,6 @@ class ParallelPipeline:
             self.items_fed += int(chunk_keys.shape[0])
             self._chunks_counter.inc()
             self._items_counter.inc(int(chunk_keys.shape[0]))
-            if self.merge_every and (chunk_id + 1) % self.merge_every == 0:
-                self._collect_merged_view()
         if self.tracer is not None:
             self.tracer.add_span(
                 "pipeline_feed", feed_start, time.perf_counter(),
@@ -917,15 +848,14 @@ class ParallelPipeline:
         The adaptive-threshold control path for pipelines
         (:class:`~repro.detection.threshold.ThresholdControlLoop`).
         The message rides each worker's input queue *behind* any chunks
-        already enqueued — the same delivery rule as snapshot and stats
-        requests — so every shard applies the change at a consistent
-        between-chunks cut and no chunk ever sees a mid-chunk swap.
-        Shard state (candidate entries, vague counters, report history)
-        is preserved.
+        already enqueued — the same delivery rule as stats requests —
+        so every shard applies the change at a consistent between-chunks
+        cut and no chunk ever sees a mid-chunk swap.  Shard state
+        (candidate entries, vague counters, report history) is
+        preserved.
 
-        The master's own criteria move too, keeping later merged views
-        merge-compatible with the shard snapshots, and the change shows
-        up in telemetry as ``pipeline_retargets_total`` and the
+        The master's own criteria move too, and the change shows up in
+        telemetry as ``pipeline_retargets_total`` and the
         ``qf_threshold`` gauge.  Returns the new criteria.
         """
         if self._finished:
@@ -935,7 +865,6 @@ class ParallelPipeline:
         if not self._started:
             self.start()
         self.criteria = self.criteria.with_updates(threshold=float(threshold))
-        self._config["criteria"] = self.criteria
         if self._threads:
             # Rendezvous: every thread flushes its ingest buffer, replies
             # and parks; the master applies the retarget once on the
@@ -969,9 +898,6 @@ class ParallelPipeline:
             raise PipelineError("pipeline was never started")
         start_wall = time.perf_counter()
         try:
-            merged = None
-            if self.collect_merged:
-                merged = self._collect_merged_view()
             for shard_id in range(self.num_shards):
                 self._put(shard_id, ("stop",))
             collect_start = (
@@ -981,7 +907,6 @@ class ParallelPipeline:
                 lambda: len(self._done) == self.num_shards, "worker shutdown"
             )
             self._drain(block=False)  # late stragglers (per-worker FIFO)
-            self._release_ready(flush=True)
             for worker in self.workers:
                 worker.join(timeout=self.stall_timeout)
             if self.tracer is not None:
@@ -1015,12 +940,10 @@ class ParallelPipeline:
                 items=self.items_fed,
                 seconds=time.perf_counter() - start_wall,
                 num_shards=self.num_shards,
-                mode=self.mode,
                 chunks=self._chunk_id,
                 per_shard_items=per_items,
                 per_shard_reports=per_reports,
                 batches=list(self._batches),
-                merged=merged if merged is not None else self.last_merged,
                 stats=aggregate,
                 per_shard_stats=per_stats,
                 trace_events=trace_events,
@@ -1222,11 +1145,9 @@ class ParallelPipeline:
                     max(0.0, time.perf_counter() - posted_at)
                 )
                 self._reported.update(keys)
-                self._pending.setdefault(chunk_id, []).append(
+                self._emit(
                     ReportBatch(chunk_id=chunk_id, shard_id=shard_id, keys=keys)
                 )
-                self._acks[chunk_id] = self._acks.get(chunk_id, 0) + 1
-                self._release_ready()
             elif kind == "reply":
                 _, sync_id, shard_id, payload = message
                 self._replies.setdefault(sync_id, {})[shard_id] = payload
@@ -1248,84 +1169,21 @@ class ParallelPipeline:
                     )
                 )
 
-    def _release_ready(self, flush: bool = False) -> None:
-        """Hand completed batches to the callback / result list.
-
-        Unordered mode releases immediately; ordered mode releases a
-        chunk only when all shards have acked it, in chunk order.
-        """
-        if self.mode == "unordered":
-            for chunk_id in sorted(self._pending):
-                for batch in self._pending.pop(chunk_id):
-                    self._emit(batch)
-            return
-        while self._next_release in self._acks and (
-            self._acks[self._next_release] == self.num_shards
-        ):
-            batches = self._pending.pop(self._next_release, [])
-            for batch in sorted(batches, key=lambda b: b.shard_id):
-                self._emit(batch)
-            del self._acks[self._next_release]
-            self._next_release += 1
-        if flush:
-            for chunk_id in sorted(self._pending):
-                for batch in sorted(
-                    self._pending.pop(chunk_id), key=lambda b: b.shard_id
-                ):
-                    self._emit(batch)
-
     def _emit(self, batch: ReportBatch) -> None:
         self._batches.append(batch)
         self._batches_counter.inc()
         if self._on_reports is not None:
             self._on_reports(batch)
 
-    def _collect_merged_view(self) -> QuantileFilter:
-        """Request shard snapshots and merge them into one global filter."""
-        merge_start = time.perf_counter() if self.tracer is not None else 0.0
-        if self._threads:
-            # The shared filter already IS the global view; snapshot it
-            # consistently (all stripe locks + vague lock) and convert
-            # to the mergeable scalar form the process path returns.
-            merged = batch_filter_to_scalar(self.filter.as_batch())
-        else:
-            merged = QuantileFilter(
-                self.criteria,
-                num_buckets=self._config["num_buckets"],
-                vague_width=self._config["vague_width"],
-                bucket_size=self._config["bucket_size"],
-                depth=self._config["depth"],
-                fp_bits=self._config["fp_bits"],
-                counter_kind="float",
-                strategy=self._config["strategy"],
-                seed=self._config["seed"],
-            )
-            for snapshot in self._request("snapshot"):
-                merged.merge(snapshot)
-        self.last_merged = merged
-        self._merges_counter.inc()
-        if self.tracer is not None:
-            self.tracer.add_span(
-                "pipeline_merge", merge_start, time.perf_counter(),
-                args={"items_fed": self.items_fed},
-            )
-        LOGGER.info(
-            "merged global view collected",
-            extra={"event": "merge_view", "items_fed": self.items_fed},
-        )
-        if self._on_merge is not None:
-            self._on_merge(merged, self.items_fed)
-        return merged
-
     def collect_stats_view(self) -> Dict[str, float]:
         """Pull a live telemetry view from every worker registry.
 
-        Like :meth:`_collect_merged_view`, the request rides each
-        worker's input queue, so every per-shard snapshot is a
-        consistent between-chunks cut.  Returns the aggregate snapshot
-        (worker samples combined per their aggregation rules, overlaid
-        with the master's ``pipeline_*`` samples); also kept as
-        :attr:`last_stats`.  Requires ``collect_stats=True``.
+        The request rides each worker's input queue, so every per-shard
+        snapshot is a consistent between-chunks cut.  Returns the
+        aggregate snapshot (worker samples combined per their
+        aggregation rules, overlaid with the master's ``pipeline_*``
+        samples); also kept as :attr:`last_stats`.  Requires
+        ``collect_stats=True``.
         """
         if not self.collect_stats:
             raise PipelineError(
@@ -1346,8 +1204,8 @@ class ParallelPipeline:
     def request_incident_dump(self, reason: str) -> List[str]:
         """Ask every recording shard worker for an incident bundle.
 
-        The request rides each worker's chunk FIFO (like the stats and
-        snapshot syncs), so every shard dumps a consistent
+        The request rides each worker's chunk FIFO (like the stats
+        requests), so every shard dumps a consistent
         between-chunks cut of its recorder window into
         ``incident_dir/shard-<id>/``.  Returns the bundle paths, in
         shard order.

@@ -24,8 +24,7 @@ shard, which gives the sharded composition a crisp consistency model:
 
 Shard state is mergeable: all shards share hash families (same seed),
 so :meth:`ShardedQuantileFilter.merged` folds them into one global
-filter via :meth:`QuantileFilter.merge` — the aggregation path the
-:mod:`repro.parallel.pipeline` uses for periodic global views.
+filter via :meth:`QuantileFilter.merge`.
 """
 
 from __future__ import annotations
@@ -120,11 +119,9 @@ class ShardedQuantileFilter:
     num_shards:
         Shard count (>= 1).
     engine:
-        ``"scalar"`` (general keys, full API) or ``"batch"`` (integer
-        keys, :meth:`process` only, numpy-accelerated).
-    on_report:
-        Optional callback receiving every :class:`Report` with a
-        *global* item index (scalar engine only).
+        ``"scalar"`` (general keys, :meth:`insert` and :meth:`process`)
+        or ``"batch"`` (integer keys, :meth:`process` only,
+        numpy-accelerated).
     """
 
     def __init__(
@@ -144,9 +141,6 @@ class ShardedQuantileFilter:
         vague_backend: str = "cs",
         strategy: str = "comparative",
         seed: int = 0,
-        chunk_size: int = 65536,
-        track_reports: bool = True,
-        on_report=None,
     ):
         if num_shards < 1:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
@@ -162,7 +156,6 @@ class ShardedQuantileFilter:
         self.engine = engine
         self.num_shards = num_shards
         self.seed = seed
-        self._on_report = on_report
         self.shards: List = []
         for _ in range(num_shards):
             if engine == "scalar":
@@ -179,7 +172,6 @@ class ShardedQuantileFilter:
                     vague_backend=vague_backend,
                     strategy=strategy,
                     seed=seed,
-                    track_reports=track_reports,
                 )
             else:
                 shard = BatchQuantileFilter(
@@ -193,7 +185,6 @@ class ShardedQuantileFilter:
                     fp_bits=fp_bits,
                     strategy=strategy,
                     seed=seed,
-                    chunk_size=chunk_size,
                 )
             self.shards.append(shard)
         resolved_buckets = (
@@ -222,10 +213,7 @@ class ShardedQuantileFilter:
         report = shard.insert(key, value, criteria=criteria)
         if report is None:
             return None
-        report = replace(report, item_index=global_index)
-        if self._on_report is not None:
-            self._on_report(report)
-        return report
+        return replace(report, item_index=global_index)
 
     def process(self, keys: np.ndarray, values: np.ndarray) -> Set:
         """Partition a whole stream and run every shard over its slice.
@@ -248,34 +236,6 @@ class ShardedQuantileFilter:
         self.items_processed += int(keys.shape[0])
         return self.reported_keys
 
-    # ------------------------------------------------------------------
-    # routed per-key operations (scalar engine)
-    # ------------------------------------------------------------------
-    def query(self, key: Hashable) -> float:
-        """Current Qweight estimate of ``key`` on its owning shard."""
-        self._require_scalar("query")
-        return self.shards[self.router.shard_of(key)].query(key)
-
-    def delete(self, key: Hashable) -> None:
-        """Clear ``key``'s Qweight on its owning shard."""
-        self._require_scalar("delete")
-        self.shards[self.router.shard_of(key)].delete(key)
-
-    def set_key_criteria(self, key: Hashable, criteria: Criteria) -> None:
-        """Register standing per-key criteria on the owning shard."""
-        self._require_scalar("set_key_criteria")
-        self.shards[self.router.shard_of(key)].set_key_criteria(key, criteria)
-
-    def modify_criteria(self, key: Hashable, criteria: Criteria) -> None:
-        """Change ``key``'s criteria mid-stream on the owning shard."""
-        self._require_scalar("modify_criteria")
-        self.shards[self.router.shard_of(key)].modify_criteria(key, criteria)
-
-    def clear_key_criteria(self, key: Hashable) -> None:
-        """Drop ``key``'s override on the owning shard."""
-        self._require_scalar("clear_key_criteria")
-        self.shards[self.router.shard_of(key)].clear_key_criteria(key)
-
     def retarget(self, threshold: float) -> Criteria:
         """Broadcast a value-threshold change to every shard.
 
@@ -293,17 +253,6 @@ class ShardedQuantileFilter:
     def retargets(self) -> int:
         """Retargets applied (every broadcast touches every shard once)."""
         return self.shards[0].retargets if self.shards else 0
-
-    def reset(self) -> None:
-        """Clear every shard's structure (periodic reset)."""
-        if self.engine == "scalar":
-            for shard in self.shards:
-                shard.reset()
-        else:
-            for shard in self.shards:
-                shard._cand_fps[...] = 0
-                shard._cand_qws[...] = 0.0
-                shard._rows = [[0.0] * shard.width for _ in range(shard.depth)]
 
     # ------------------------------------------------------------------
     # aggregation

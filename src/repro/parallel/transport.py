@@ -15,8 +15,8 @@ slot_id, length)`` descriptor, and the worker maps the slot as numpy
 views without copying anything.  Slot reuse is credit-based: a slot
 stays owned by the in-flight chunk until the worker's report
 acknowledgement for that chunk returns the ``slot_id`` to the master's
-free list, so a ring of ``queue_capacity + 2`` slots can never be
-overwritten while a worker still reads it.
+free list, so the pipeline's ring of ``QUEUE_CAPACITY + 2`` slots
+can never be overwritten while a worker still reads it.
 
 Lifecycle: the master creates and ultimately unlinks every block;
 workers attach by name and only close their mapping (see

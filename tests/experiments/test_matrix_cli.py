@@ -25,11 +25,11 @@ def tiny_config_path(tmp_path):
             "memory_bytes": [16384],
             "scales": [1500],
         },
-        # Loose throughput tolerance on purpose: these cells time in
-        # single-digit milliseconds, and back-to-back runs on a busy
-        # single-core CI box routinely diverge by 25%+ from scheduler
-        # noise alone.  The injected regression below is 10x (ratio
-        # 0.1), so 0.3 still separates signal from noise cleanly.
+        # These cells time in single-digit milliseconds, so back-to-back
+        # runs diverge by 25%+ from scheduler noise alone; the tests
+        # copy the base run's timing into the candidate before gating
+        # (_copy_timing).  The injected regression below is 10x (ratio
+        # 0.1), well under 0.3.
         "gate": {"min_throughput_ratio": 0.3, "max_f1_drop": 0.05},
     }
     path = tmp_path / "matrix.json"
@@ -39,6 +39,22 @@ def tiny_config_path(tmp_path):
 
 def _run(args):
     return matrix_main([str(arg) for arg in args])
+
+
+def _copy_timing(base_dir, candidate_dir):
+    """Give every candidate cell its base cell's persisted ``timing``.
+
+    Both runs write ``<cell_id>.json``, so afterwards the gate's
+    throughput ratio is exactly 1.0: only an injected slowdown moves
+    it, never the host's timing noise.
+    """
+    for base_path in base_dir.glob("*.json"):
+        if base_path.name == "manifest.json":
+            continue
+        candidate_path = candidate_dir / base_path.name
+        record = json.loads(candidate_path.read_text())
+        record["timing"] = json.loads(base_path.read_text())["timing"]
+        candidate_path.write_text(json.dumps(record))
 
 
 class TestRunReportGate:
@@ -57,6 +73,7 @@ class TestRunReportGate:
             if path.name != "manifest.json"
         ]
         assert len(cell_files) == 2
+        _copy_timing(runs / "base", runs / "cand")
 
         # The trend report compares the two persisted runs.
         report_md = tmp_path / "trend.md"
@@ -69,7 +86,7 @@ class TestRunReportGate:
         assert "**PASS**" in text
         assert report_html.read_text().startswith("<!doctype html>")
 
-        # Identical work on the same machine passes the gate.
+        # Identical work passes the gate.
         assert _run(["gate", "--runs", runs]) == 0
 
         # Inject a 10x slowdown into the candidate's persisted records…
@@ -95,6 +112,7 @@ class TestRunReportGate:
             assert _run(["run", "--config", tiny_config_path,
                          "--runs", runs, "--run-id", run_id,
                          "--quiet"]) == 0
+        _copy_timing(runs / "one", runs / "two")
         assert _run(["gate", "--runs", runs, "--baseline", "one",
                      "--candidate", "two"]) == 0
         with pytest.raises(SystemExit):
@@ -106,6 +124,7 @@ class TestRunReportGate:
             assert _run(["run", "--config", tiny_config_path,
                          "--runs", runs, "--run-id", run_id,
                          "--quiet"]) == 0
+        _copy_timing(runs / "one", runs / "two")
         record_paths = [
             path for path in (runs / "two").glob("*.json")
             if path.name != "manifest.json"

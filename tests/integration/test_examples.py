@@ -6,11 +6,14 @@ import regression still fails the suite.
 """
 
 import importlib.util
+import logging
 import py_compile
 import sys
 from pathlib import Path
 
 import pytest
+
+from repro.observability.tracing import PIPELINE_SPANS
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 
@@ -45,6 +48,23 @@ class TestFastExamples:
         assert "items conserved end to end: True" in output
         assert "# TYPE qf_items_total counter" in output
         assert "qf_items_total 80000" in output
+
+    def test_traced_monitoring(self, capsys, monkeypatch, tmp_path):
+        # The example writes traced_monitoring.trace.json into the
+        # working directory and adds a JSON log handler to the "repro"
+        # logger; neither may outlive the test.
+        monkeypatch.chdir(tmp_path)
+        logger = logging.getLogger("repro")
+        monkeypatch.setattr(logger, "handlers", [])
+        level = logger.level
+        try:
+            load_example("traced_monitoring").main()
+        finally:
+            logger.setLevel(level)
+        output = capsys.readouterr().out
+        assert "every one with provenance" in output
+        for span in PIPELINE_SPANS:
+            assert span in output
 
     def test_health_monitoring(self, capsys):
         load_example("health_monitoring").main()

@@ -178,7 +178,7 @@ class TestPipelineWorkerCrash:
         rng = np.random.default_rng(0)
         pipe = ParallelPipeline(
             CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            incident_dir=tmp_path, record_chunks=8,
+            incident_dir=tmp_path,
             num_buckets=128, vague_width=512,
         )
         pipe.start()
@@ -222,7 +222,7 @@ class TestPipelineWorkerCrash:
         rng = np.random.default_rng(1)
         pipe = ParallelPipeline(
             CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            incident_dir=tmp_path, record_chunks=4,
+            incident_dir=tmp_path,
             num_buckets=128, vague_width=512,
         )
         keys = rng.integers(0, 100, size=8_192).astype(np.int64)

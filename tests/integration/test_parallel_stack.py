@@ -1,13 +1,12 @@
 """Soak the full parallel stack on a 200k-item CAIDA-like trace.
 
 These tests exercise the process-backed :class:`ParallelPipeline`
-end-to-end: agreement with the deterministic in-process sharded filter,
-ordered-mode determinism, periodic merged views, and — the part unit
-tests cannot cover — the failure model.  A worker killed mid-stream, or
-while the master waits for a request reply, must surface as a
-:class:`WorkerCrashError` within the stall budget and leave no live
-child processes and no shared-memory blocks behind; a hang here is a
-bug.
+end-to-end: agreement with the deterministic in-process sharded filter
+and — the part unit tests cannot cover — the failure model.  A worker
+killed mid-stream, or while the master waits for a request reply, must
+surface as a :class:`WorkerCrashError` within the stall budget and leave
+no live child processes and no shared-memory blocks behind; a hang here
+is a bug.
 """
 
 import os
@@ -57,52 +56,6 @@ def test_pipeline_matches_inprocess_sharding(trace):
     assert result.reported_keys == sharded.reported_keys
     assert sum(result.per_shard_reports) == sharded.report_count
     _assert_no_live_workers(pipe)
-
-
-def test_ordered_mode_is_deterministic(trace):
-    def run_once():
-        sequence = []
-        pipe = ParallelPipeline(
-            CRITERIA, 3, engine="batch", mode="ordered",
-            chunk_items=16_384,
-            on_reports=lambda batch: sequence.append(
-                (batch.chunk_id, batch.shard_id, tuple(batch.keys))
-            ),
-            **GEOMETRY,
-        )
-        result = pipe.run(trace.keys, trace.values)
-        _assert_no_live_workers(pipe)
-        return sequence, result.reported_keys
-
-    first_sequence, first_reports = run_once()
-    second_sequence, second_reports = run_once()
-    assert first_sequence == second_sequence
-    assert first_reports == second_reports
-    # Ordered mode releases whole chunks in stream order.
-    chunk_ids = [chunk_id for chunk_id, _, _ in first_sequence]
-    assert chunk_ids == sorted(chunk_ids)
-
-
-def test_periodic_merged_views(trace):
-    views = []
-    pipe = ParallelPipeline(
-        CRITERIA, 2, engine="batch", merge_every=4, collect_merged=True,
-        chunk_items=16_384,
-        on_merge=lambda merged, chunk_id: views.append(
-            (chunk_id, merged.items_processed)
-        ),
-        **GEOMETRY,
-    )
-    result = pipe.run(trace.keys, trace.values)
-    _assert_no_live_workers(pipe)
-
-    assert views, "merge_every produced no intermediate views"
-    counts = [items for _, items in views]
-    assert counts == sorted(counts)
-    assert all(0 < items <= len(trace) for items in counts)
-    assert result.merged is not None
-    assert result.merged.items_processed == len(trace)
-    assert result.merged.reported_keys == result.reported_keys
 
 
 def test_worker_crash_surfaces_error_not_hang(trace):

@@ -60,15 +60,14 @@ def test_shm_matches_inprocess_sharding(trace, engine):
 
 
 def test_shm_slot_ring_wraps_under_tiny_capacity(trace):
-    # queue_capacity=1 -> 3 slots per worker; 200k items in 4k chunks
+    # QUEUE_CAPACITY + 2 = 6 slots per worker; 200k items in 4k chunks
     # forces every slot to be returned and reused many times over.
     expected = ShardedQuantileFilter(
         CRITERIA, 2, engine="batch", **GEOMETRY
     ).process(trace.keys, trace.values)
 
     pipe = ParallelPipeline(
-        CRITERIA, 2, engine="batch", chunk_items=4_096, queue_capacity=1,
-        **GEOMETRY,
+        CRITERIA, 2, engine="batch", chunk_items=4_096, **GEOMETRY,
     )
     result = pipe.run(trace.keys, trace.values)
     _assert_no_live_workers(pipe)

@@ -19,16 +19,12 @@ from repro.observability.timeseries import (
 
 
 def accounting_holds(series: Series) -> bool:
-    return (
-        series.fine_count + series.pending_count + series.coarse_weight
-        + series.evicted
-        == series.ingested
-    )
+    return series.fine_count + series.evicted == series.ingested
 
 
 class TestSeries:
     def test_fine_ring_keeps_newest_capacity_points(self):
-        series = Series("s", capacity=8, downsample=2)
+        series = Series("s", capacity=8)
         for tick in range(50):
             series.append(float(tick), float(tick * 10))
         assert series.fine_count == 8
@@ -37,52 +33,20 @@ class TestSeries:
         assert vs.tolist() == [float(t * 10) for t in range(42, 50)]
         assert series.last == (49.0, 490.0)
 
-    def test_rotated_points_fold_into_coarse_summaries(self):
-        series = Series("s", capacity=4, downsample=2, coarse_capacity=100)
-        for tick in range(12):
-            series.append(float(tick), float(tick))
-        # 8 rotated out -> 4 coarse groups of 2, none evicted.
-        assert series.coarse_count == 4
-        assert series.coarse_weight == 8
-        assert series.evicted == 0
-        t_end, mean, vmax, count = series.coarse()[0]
-        assert (t_end, mean, vmax, count) == (1.0, 0.5, 1.0, 2)
-        assert accounting_holds(series)
-
-    def test_coarse_overflow_evicts_oldest_with_weight(self):
-        series = Series("s", capacity=4, downsample=2, coarse_capacity=3)
-        for tick in range(30):
-            series.append(float(tick), float(tick))
-        assert series.coarse_count == 3
-        assert series.evicted > 0
-        assert accounting_holds(series)
-        # Newest summaries survive.
-        assert series.coarse()[-1][0] == 25.0
-
-    def test_downsample_zero_disables_coarse_tier(self):
-        series = Series("s", capacity=4, downsample=0)
-        for tick in range(10):
-            series.append(float(tick), float(tick))
-        assert series.coarse_count == 0
-        assert series.pending_count == 0
-        assert series.evicted == 6
-        assert accounting_holds(series)
-
     def test_append_many_matches_scalar_appends(self):
-        scalar = Series("a", capacity=16, downsample=4)
-        bulk = Series("b", capacity=16, downsample=4)
+        scalar = Series("a", capacity=16)
+        bulk = Series("b", capacity=16)
         ts = np.arange(200, dtype=np.float64)
         vs = np.sqrt(ts + 1.0)
         for t, v in zip(ts, vs):
             scalar.append(float(t), float(v))
-        # Mixed batch sizes exercise the pending-buffer carry.
+        # Mixed batch sizes: some fit the ring, some overflow it.
         for begin in (0, 3, 50, 67, 130):
             end = {0: 3, 3: 50, 50: 67, 67: 130, 130: 200}[begin]
             bulk.append_many(ts[begin:end], vs[begin:end])
         assert bulk.ingested == scalar.ingested == 200
         assert np.array_equal(bulk.points()[0], scalar.points()[0])
         assert np.array_equal(bulk.points()[1], scalar.points()[1])
-        assert bulk.coarse() == scalar.coarse()
         assert bulk.evicted == scalar.evicted
         assert accounting_holds(bulk)
 
@@ -94,27 +58,18 @@ class TestSeries:
     def test_geometry_validation(self):
         with pytest.raises(ParameterError):
             Series("s", capacity=1)
-        with pytest.raises(ParameterError):
-            Series("s", downsample=-1)
-        with pytest.raises(ParameterError):
-            Series("s", coarse_capacity=-1)
 
     @settings(max_examples=40, deadline=None)
     @given(
         capacity=st.integers(min_value=2, max_value=20),
-        downsample=st.integers(min_value=0, max_value=6),
-        coarse_capacity=st.integers(min_value=0, max_value=10),
         batches=st.lists(
             st.integers(min_value=1, max_value=50), min_size=1, max_size=12
         ),
     )
     def test_accounting_invariant_under_random_geometry(
-        self, capacity, downsample, coarse_capacity, batches
+        self, capacity, batches
     ):
-        series = Series(
-            "s", capacity=capacity, downsample=downsample,
-            coarse_capacity=coarse_capacity,
-        )
+        series = Series("s", capacity=capacity)
         tick = 0
         for batch in batches:
             ts = np.arange(tick, tick + batch, dtype=np.float64)
@@ -122,9 +77,6 @@ class TestSeries:
             tick += batch
             assert accounting_holds(series)
             assert series.fine_count <= capacity
-            assert series.coarse_count <= max(coarse_capacity, 0)
-            if downsample:
-                assert series.pending_count < downsample
 
 
 class TestMetricStoreCollection:
@@ -168,7 +120,7 @@ class TestMetricStoreCollection:
         assert store.points_ingested == 5
         assert (
             store.points_ingested
-            == store.retained_weight + store.points_evicted
+            == store.retained_points + store.points_evicted
         )
 
     def test_store_samples_are_registered_metrics(self):
@@ -301,10 +253,7 @@ class TestSoak:
         """Acceptance: 10M ingested points hold retention <= the
         configured bound, with eviction counters accounting for every
         point not retained."""
-        store = MetricStore(
-            capacity=240, downsample=8, coarse_capacity=240,
-            clock=lambda: 0.0,
-        )
+        store = MetricStore(capacity=240, clock=lambda: 0.0)
         total = 10_000_000
         batch = 100_000
         series_names = [f"soak_{i}" for i in range(4)]
@@ -315,12 +264,12 @@ class TestSoak:
                 store.ingest_many(name, ts, ts * 0.5)
             tick += batch
         assert store.points_ingested == total
-        # Per-series bound: fine ring + pending group + coarse ring.
-        per_series_bound = 240 + 8 + 240
+        # Per-series bound: the fine ring.
+        per_series_bound = 240
         assert store.retained_points <= per_series_bound * len(series_names)
         assert (
             store.points_ingested
-            == store.retained_weight + store.points_evicted
+            == store.retained_points + store.points_evicted
         )
         # The memory estimate stays a few tens of KiB, not O(total).
         assert store.nbytes < 64 * 1024

@@ -177,7 +177,7 @@ class TestAttachFilterTracing:
 def test_span_name_constants_documented():
     """The constants CI asserts against stay stable."""
     assert PIPELINE_SPANS == (
-        "pipeline_feed", "pipeline_merge", "pipeline_collect",
+        "pipeline_feed", "pipeline_collect",
         "shard_insert", "shard_queue_wait",
     )
     assert FILTER_EVENTS == ("candidate_elect", "candidate_swap", "report")

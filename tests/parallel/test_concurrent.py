@@ -202,7 +202,6 @@ class TestPipelineThreadsMode:
 
     def test_unsupported_feature_rejections(self):
         for kwargs in (
-            dict(mode="ordered"),
             dict(collect_trace=True),
             dict(collect_provenance=True),
             dict(incident_dir="/tmp"),

@@ -16,7 +16,7 @@ import pytest
 from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
 from repro.observability.histogram import percentiles_from_snapshot
-from repro.observability.tracing import PIPELINE_SPANS, Tracer
+from repro.observability.tracing import PIPELINE_SPANS
 from repro.parallel.pipeline import ParallelPipeline
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
@@ -35,7 +35,7 @@ def traced_result():
     pipeline = ParallelPipeline(
         CRIT, 2, engine="scalar", memory_bytes=16_384, chunk_items=1_000,
         collect_trace=True, collect_provenance=True, collect_stats=True,
-        collect_merged=True, trace_sample_every=1, seed=3,
+        trace_sample_every=1, seed=3,
     )
     result = pipeline.run(keys, values)
     return pipeline, result
@@ -67,18 +67,6 @@ class TestTraceCollection:
         }
         # fork start method: workers are distinct processes.
         assert pids and master_pids and not (pids & master_pids)
-
-    def test_external_tracer_receives_events(self):
-        keys, values = make_stream(n=2_000)
-        tracer = Tracer()
-        pipeline = ParallelPipeline(
-            CRIT, 2, engine="scalar", memory_bytes=16_384,
-            chunk_items=1_000, tracer=tracer, seed=3,
-        )
-        pipeline.run(keys, values)
-        assert {e["name"] for e in tracer.chrome_events()} >= {
-            "pipeline_feed", "pipeline_collect"
-        }
 
     def test_tracing_off_collects_nothing(self):
         keys, values = make_stream(n=2_000)
