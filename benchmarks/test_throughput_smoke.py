@@ -12,7 +12,10 @@ configurations this package ships —
   ``pipeline_shm``) on the same stream and per-structure byte budget —
 
 and records them in ``BENCH_throughput.json`` at the repo root, with a
-``host`` block (CPU affinity set, Python and numpy versions).
+``host`` block (CPU affinity set, Python and numpy versions) and
+``qf_path``: whether the batch and threads engines ran the compiled
+Algorithm 2 loop (``"compiled"``) or the numpy two-tier fallback
+(``"python"``).
 
 Gating: absolute items/s numbers track the host, so CI would flake on
 them; the *ratios* (vectorised speedup over the scalar filter, threads
@@ -31,7 +34,7 @@ from pathlib import Path
 
 from benchmarks.conftest import BENCH_SCALE, host_block
 from repro.core.quantile_filter import QuantileFilter
-from repro.core.vectorized import BatchQuantileFilter
+from repro.core.vectorized import BatchQuantileFilter, qf_kernel_loaded
 from repro.experiments.config import PAPER, build_trace, default_criteria_for
 from repro.parallel.pipeline import ParallelPipeline
 
@@ -164,6 +167,7 @@ def test_throughput_smoke():
         "num_shards": NUM_SHARDS,
         "rounds": ROUNDS,
         "host": host_block(),
+        "qf_path": "compiled" if qf_kernel_loaded() else "python",
         "items_per_s": {k: round(v, 1) for k, v in items_per_s.items()},
         "ratios": {k: round(v, 4) for k, v in ratios.items()},
     }

@@ -6,6 +6,8 @@ constructor bodies readable.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.errors import ParameterError
 
 
@@ -52,13 +54,17 @@ def require_probability(name: str, value) -> float:
 
 
 def require_item_arrays(keys, values) -> None:
-    """Raise unless ``keys`` and ``values`` are equal-length 1-D arrays.
+    """Raise unless ``keys`` and ``values`` are equal-length 1-D arrays
+    and no value is NaN.
 
-    Reads shapes only: the arrays are neither copied nor converted, so
-    every caller keeps the dtypes it passed.
+    A NaN is neither above nor at-or-below ``T``, so it has no Qweight;
+    ±inf are ordinary values.  The arrays are neither copied nor
+    converted, so every caller keeps the dtypes it passed.
     """
     if keys.ndim != 1 or keys.shape != values.shape:
         raise ParameterError(
             "keys and values must be equal-length 1-D arrays, got "
             f"{keys.shape} and {values.shape}"
         )
+    if values.dtype.kind in "fc" and np.isnan(values).any():
+        raise ParameterError("values must not be NaN")

@@ -25,11 +25,14 @@ layer is therefore the primitive here:
 
 Restoration rebuilds the filter with the *same seed and dimensions*, so
 all hash families address identical cells, then overwrites the arrays.
-Two RNG streams are not checkpointed: the probabilistic-rounding RNG and
-the probabilistic-replacement RNG.  Neither affects any stored estimate;
-only future random tie-breaks diverge from a never-checkpointed run
-(the default ``comparative`` strategy uses neither, so its replays are
-bit-identical).
+The scalar filter's two RNG streams are part of its state and are
+checkpointed too: the integer counters' probabilistic rounding (every
+fractional vague increment of the default ``counter_kind="int32"``
+draws from it, so it decides future counter values) and the
+``probabilistic`` strategy's swap draws.  A restored filter therefore
+continues bit-identically to one that was never checkpointed.
+Captures taken before the RNG states were stored still load; their
+RNGs restart from the seed.
 """
 
 from __future__ import annotations
@@ -77,6 +80,17 @@ def _decode_key(tag: str, key):
     return key if tag == "str" else int(key)
 
 
+def _rng_state(rng) -> list:
+    """A ``random.Random`` state as plain JSON types."""
+    version, internal, gauss_next = rng.getstate()
+    return [version, list(internal), gauss_next]
+
+
+def _set_rng_state(rng, state: list) -> None:
+    version, internal, gauss_next = state
+    rng.setstate((version, tuple(internal), gauss_next))
+
+
 # ----------------------------------------------------------------------
 # in-memory state: scalar engine
 # ----------------------------------------------------------------------
@@ -114,7 +128,11 @@ def filter_state(qf: QuantileFilter, include_history: bool = True) -> dict:
         "items_at_last_reset": getattr(qf, "items_at_last_reset", 0),
         "track_reports": qf._track_reports,
         "has_history": bool(include_history),
+        "rounding_rng": _rng_state(qf.vague.sketch.counters._rng),
     }
+    strategy_rng = getattr(qf.strategy, "_rng", None)
+    if strategy_rng is not None:
+        meta["strategy_rng"] = _rng_state(strategy_rng)
     if include_history:
         try:
             meta["reported_keys"] = sorted(
@@ -183,6 +201,10 @@ def restore_filter(state: dict) -> QuantileFilter:
     qf.merges = meta.get("merges", 0)
     qf.retargets = meta.get("retargets", 0)
     qf.items_at_last_reset = meta.get("items_at_last_reset", 0)
+    if "rounding_rng" in meta:
+        _set_rng_state(qf.vague.sketch.counters._rng, meta["rounding_rng"])
+    if "strategy_rng" in meta:
+        _set_rng_state(qf.strategy._rng, meta["strategy_rng"])
     if meta.get("has_history"):
         qf.reported_keys = {
             _decode_key(tag, key)
@@ -203,7 +225,7 @@ def batch_filter_state(bf) -> dict:
     """Capture a :class:`~repro.core.vectorized.BatchQuantileFilter`.
 
     Same shape as :func:`filter_state`; the batch engine's vague
-    counters are Python-float rows, stored as one float64 plane.
+    counters are already one float64 ``(depth, width)`` plane.
     """
     meta = {
         "version": _FORMAT_VERSION,
@@ -233,7 +255,7 @@ def batch_filter_state(bf) -> dict:
         "arrays": {
             "candidate_fps": bf._cand_fps.copy(),
             "candidate_qws": bf._cand_qws.copy(),
-            "vague_rows": np.array(bf._rows, dtype=np.float64),
+            "vague_rows": bf._rows.copy(),
         },
     }
 
@@ -261,7 +283,7 @@ def restore_batch_filter(state: dict):
     )
     bf._cand_fps[...] = arrays["candidate_fps"]
     bf._cand_qws[...] = arrays["candidate_qws"]
-    bf._rows = [list(row) for row in arrays["vague_rows"].tolist()]
+    bf._rows[...] = arrays["vague_rows"]
     bf.items_processed = meta["items_processed"]
     bf.report_count = meta["report_count"]
     bf.candidate_hits = meta["candidate_hits"]

@@ -222,8 +222,12 @@ class QuantileFilter:
         is detected as outstanding by this item, else ``None``.
 
         ``criteria`` overrides the per-key/default criteria for this
-        item only (the Sec. III-C per-key-criteria mode).
+        item only (the Sec. III-C per-key-criteria mode).  A NaN
+        ``value`` raises :class:`ParameterError` before any state
+        changes; ±inf are ordinary values.
         """
+        if value != value:
+            raise ParameterError(f"value of key {key!r} must not be NaN")
         crit = self._criteria_for(key, criteria)
         item_index = self.items_processed
         self.items_processed += 1
@@ -293,7 +297,9 @@ class QuantileFilter:
     def insert_many(self, keys, values) -> list:
         """Insert a batch of items; returns the emitted reports in order.
 
-        Semantically identical to calling :meth:`insert` per item.  The
+        Semantically identical to calling :meth:`insert` per item,
+        except that a NaN anywhere in ``values`` raises
+        :class:`ParameterError` before any item is inserted.  The
         loop lives inside the filter so bulk feeders (pipeline shard
         workers, benchmark drivers) hand over whole arrays: numpy
         inputs are unboxed to plain Python scalars once via ``tolist``
@@ -302,8 +308,9 @@ class QuantileFilter:
         """
         if hasattr(keys, "tolist"):
             keys = keys.tolist()
-        if hasattr(values, "tolist"):
-            values = values.tolist()
+        values = values.tolist() if hasattr(values, "tolist") else list(values)
+        if any(value != value for value in values):
+            raise ParameterError("values must not be NaN")
         insert = self.insert
         return [
             report

@@ -3,7 +3,13 @@
 The scalar :class:`~repro.core.quantile_filter.QuantileFilter` spends
 most of its Python time computing hashes and walking Algorithm 2's
 branches one item at a time.  This engine processes the stream in
-chunks and splits every chunk into two tiers:
+chunks.  Fingerprints, candidate buckets and item weights are computed
+for the whole chunk at once in numpy; then, with the default
+``comparative`` strategy, one compiled C loop (``qf_kernel.c``, loaded
+through :mod:`repro.common.native`) runs Algorithm 2's per-item branch
+over every item in stream order.  That loop is bit for bit the scalar
+tier below.  When no kernel loads here, and for the ``probabilistic``
+and ``forceful`` strategies, every chunk splits into two tiers instead:
 
 * **Vectorised tier** — fingerprints, candidate buckets and item
   weights are computed for the whole chunk at once; items that resolve
@@ -36,10 +42,15 @@ this engine.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+import warnings
+from pathlib import Path
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
+from repro.common import native
 from repro.common.errors import ParameterError
 from repro.common.hashing import (
     FingerprintHasher,
@@ -50,7 +61,7 @@ from repro.common.hashing import (
     mix64,
 )
 from repro.common.memory import bits_to_bytes, sizeof_counter, split_budget
-from repro.common.validation import require_item_arrays
+from repro.common.validation import require_item_arrays, require_positive_int
 from repro.core.candidate import QWEIGHT_COUNTER_BYTES
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
@@ -72,6 +83,25 @@ DEFAULT_CHUNK_SIZE = 8_192
 #: cold-start chunks are mostly candidate misses (scalar tier), so the
 #: ramp keeps them short until the buckets are populated.
 _RAMP_FIRST_CHUNK = 512
+
+_QF_SOURCE = Path(__file__).with_name("qf_kernel.c")
+#: Leading tallies of the kernel's ``out`` array: hits, vague inserts,
+#: swaps, candidate reports, vague reports.
+_TALLIES = 5
+
+
+class _StagedRow(dict):
+    """One vague row's touched cells as Python floats, read on first use."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: np.ndarray):
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, col: int) -> float:
+        value = self[col] = float(self.row[col])
+        return value
 
 
 class BatchQuantileFilter:
@@ -106,7 +136,9 @@ class BatchQuantileFilter:
         self.criteria = criteria
         self.chunk_size = chunk_size
 
-        self.bucket_size = bucket_size
+        # The compiled loop indexes the planes by these: reject what
+        # the scalar filter's CandidatePart rejects.
+        self.bucket_size = require_positive_int("bucket_size", bucket_size)
         self.depth = depth
         self.fp_bits = fp_bits
         if memory_bytes is not None:
@@ -123,7 +155,7 @@ class BatchQuantileFilter:
                 raise ParameterError(
                     "pass either memory_bytes or both num_buckets and vague_width"
                 )
-            self.num_buckets = num_buckets
+            self.num_buckets = require_positive_int("num_buckets", num_buckets)
             self.width = vague_width
 
         # Hash families constructed with the SAME seed derivations as the
@@ -147,16 +179,12 @@ class BatchQuantileFilter:
         self._cand_qws = np.zeros(
             (self.num_buckets, bucket_size), dtype=np.float64
         )
-        # Per-slot scratch for the fast tier's crossing screen; zeroed
+        # Per-slot scratch for the fast tier's crossing screen, allocated
+        # by its first use (the compiled path never needs it) and zeroed
         # after every use so allocation happens once, not per chunk.
-        self._scratch_pos = np.zeros(
-            self.num_buckets * bucket_size, dtype=np.float64
-        )
-        # Vague part counters, one flat list per row (scalar-tier-only
-        # state: the vectorised tier never touches the vague part).
-        self._rows: List[List[float]] = [
-            [0.0] * self.width for _ in range(depth)
-        ]
+        self._scratch_pos: Optional[np.ndarray] = None
+        # Vague part counters: one C-contiguous (depth, width) plane.
+        self._rows = np.zeros((depth, self.width), dtype=np.float64)
 
         self.reported_keys: Set[int] = set()
         self.items_processed = 0
@@ -268,19 +296,85 @@ class BatchQuantileFilter:
         return hit, np.flatnonzero(fast_mask), np.flatnonzero(~fast_mask)
 
     def _process_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:
+        self._run_chunk(keys, values, self._kernel())
+
+    def _kernel(self):
+        """The compiled Algorithm 2 loop, or ``None`` for the two tiers.
+
+        The kernel implements the ``comparative`` election only; the
+        other strategies, and hosts where no kernel loads, take the
+        numpy two-tier path.
+        """
+        return _qf_kernel() if self.strategy.name == "comparative" else None
+
+    def _run_chunk(self, keys: np.ndarray, values: np.ndarray, kernel) -> None:
         n = int(keys.shape[0])
         fps, buckets, weights = self._chunk_parts(keys, values)
-        hit, fast_idx, slow_idx = self._classify_chunk(fps, buckets)
-
-        # The two tiers commute: fast items touch only candidate slots
-        # of buckets whose chunk prefix is hit-pure, and the scalar tier
-        # begins exactly where those prefixes end, so committing the
-        # whole vectorised tier first preserves stream-order semantics.
-        if fast_idx.size:
-            self._fast_candidate_pass(keys, buckets, weights, hit, fast_idx)
-        if slow_idx.size:
-            self._scalar_pass(keys, fps, buckets, weights, slow_idx)
+        if kernel is not None:
+            self._compiled_pass(kernel, keys, fps, buckets, weights)
+        else:
+            hit, fast_idx, slow_idx = self._classify_chunk(fps, buckets)
+            # The two tiers commute: fast items touch only candidate
+            # slots of buckets whose chunk prefix is hit-pure, and the
+            # scalar tier begins exactly where those prefixes end, so
+            # committing the whole vectorised tier first preserves
+            # stream-order semantics.
+            if fast_idx.size:
+                self._fast_candidate_pass(
+                    keys, buckets, weights, hit, fast_idx
+                )
+            if slow_idx.size:
+                self._scalar_pass(keys, fps, buckets, weights, slow_idx)
         self.items_processed += n
+
+    def _compiled_pass(
+        self,
+        kernel,
+        keys: np.ndarray,
+        fps: np.ndarray,
+        buckets: np.ndarray,
+        weights: np.ndarray,
+        start: int = 0,
+        stop_at_vague: bool = False,
+        sink=None,
+    ) -> int:
+        """Algorithm 2 over items ``start:`` in one C loop, in stream order.
+
+        ``fps``, ``buckets`` and ``weights`` are :meth:`_chunk_parts`'s
+        C-contiguous arrays.  ``ctypes`` releases the GIL for the call.
+        With ``stop_at_vague`` the loop stops before the first item that
+        needs the vague part; returns the index of the first item it did
+        not process (``len(fps)`` when it ran to the end).  ``sink``
+        plays the same role as in :meth:`_fast_candidate_pass`.
+        """
+        if sink is None:
+            sink = self
+        n = int(fps.shape[0])
+        out = np.zeros(_TALLIES + n - start, dtype=np.int64)
+        stop = kernel(
+            fps.ctypes.data, buckets.ctypes.data, weights.ctypes.data,
+            start, n, self._cand_fps.ctypes.data, self._cand_qws.ctypes.data,
+            self.bucket_size, self._rows.ctypes.data, self.depth, self.width,
+            self._hashes._seeds_np.ctypes.data,
+            self._signs._seeds_np.ctypes.data,
+            self._report_threshold_eff, stop_at_vague, out.ctypes.data,
+        )
+        hits, vague, swaps, candidate_reports, vague_reports = (
+            out[:_TALLIES].tolist()
+        )
+        reports = candidate_reports + vague_reports
+        if reports:
+            sink.reported_keys.update(
+                keys[out[_TALLIES:_TALLIES + reports]].tolist()
+            )
+            sink.report_count += reports
+            sink.candidate_reports += candidate_reports
+            sink.vague_reports += vague_reports
+        if sink.stats_tallies:
+            sink.candidate_hits += hits
+            sink.vague_inserts += vague
+            sink.swaps += swaps
+        return stop
 
     def _fast_candidate_pass(
         self,
@@ -321,7 +415,14 @@ class BatchQuantileFilter:
         fast_weights = weights[fast_idx]
 
         # Conservative crossing screen: per-slot positive-weight mass.
+        # Racing stripe commits may each allocate the scratch plane once;
+        # each uses its own reference and leaves it zeroed, so either
+        # allocation is safe to keep.
         scratch = self._scratch_pos
+        if scratch is None:
+            scratch = self._scratch_pos = np.zeros(
+                self.num_buckets * self.bucket_size, dtype=np.float64
+            )
         np.add.at(scratch, gslot, np.maximum(fast_weights, 0.0))
         bound = qws_flat[gslot] + scratch[gslot]
         scratch[gslot] = 0.0
@@ -375,9 +476,10 @@ class BatchQuantileFilter:
 
         This is the pre-vectorisation hot loop: it handles report
         crossings, vacancy fills, replacement decisions and every
-        vague-part touch.  Touched buckets are staged into Python lists
-        (fast scalar indexing) and written back afterwards; vague
-        addressing is computed vectorised for just the subset.
+        vague-part touch.  Touched buckets and vague cells are staged as
+        Python lists and floats (fast scalar indexing) and written back
+        afterwards; vague addressing is computed vectorised for just the
+        subset.
 
         ``sink`` plays the same role as in :meth:`_fast_candidate_pass`:
         tallies and reported keys go to it instead of ``self`` when the
@@ -401,6 +503,17 @@ class BatchQuantileFilter:
         signs = self._signs.signs_batch(vkeys)
         col_rows = [cols[r].tolist() for r in range(self.depth)]
         sign_rows = [signs[r].tolist() for r in range(self.depth)]
+        # Stage the vague rows as Python floats for fast scalar updates
+        # and write them back afterwards.  A long pass touches most
+        # cells and stages whole rows; a short one (the common case once
+        # the fast tier takes the hits) stages only the cells it
+        # touches, because one whole-row round trip costs about as much
+        # as staging a tenth of the cells one at a time.
+        whole_rows = idx.size * 8 >= self.width
+        if whole_rows:
+            rows = self._rows.tolist()
+        else:
+            rows = [_StagedRow(row) for row in self._rows]
 
         # Stage touched buckets as plain lists for the loop below — one
         # fancy-indexed gather + tolist per plane, not one per bucket.
@@ -413,7 +526,6 @@ class BatchQuantileFilter:
             zip(touched_list, self._cand_qws[touched].tolist())
         )
 
-        rows = self._rows
         depth = self.depth
         bucket_size = self.bucket_size
         should_replace = self.strategy.should_replace
@@ -513,6 +625,12 @@ class BatchQuantileFilter:
         self._cand_qws[touched] = np.asarray(
             [cand_qws[b] for b in touched_list], dtype=np.float64
         )
+        if whole_rows:
+            self._rows[...] = rows
+        else:
+            for plane_row, row in zip(self._rows, rows):
+                if row:
+                    plane_row[list(row)] = list(row.values())
 
         if track:
             sink.candidate_hits += n_hits
@@ -547,3 +665,111 @@ class BatchQuantileFilter:
         candidate = self.num_buckets * self.bucket_size * per_slot
         vague = self.depth * self.width * sizeof_counter("int32")
         return candidate + vague
+
+
+# ----------------------------------------------------------------------
+# the compiled Algorithm 2 loop
+# ----------------------------------------------------------------------
+def _canary_streams():
+    """Fixed streams the compiled loop must reproduce before it is trusted.
+
+    Six to twelve keys share two 2-slot buckets, so the candidate part
+    fills at once and most items go through the vague part: vacancy
+    fills, vague inserts, swaps and reports from both parts all happen.
+    At ``delta = 0.5`` every weight is ±1, so vague cells return to
+    exactly zero and the median ties ``0.0`` with ``-0.0``; the first
+    two streams (and their filter seeds) are ones where picking the
+    other zero changes a stored Qweight.
+    """
+    values = np.array([(i * 7919 % 13) * 10.0 for i in range(600)],
+                      dtype=np.float64)
+    keys = [np.array([(i * 2654435761 >> 7) % pool for i in range(600)],
+                     dtype=np.int64) for pool in (6, 8, 12)]
+    half = Criteria(delta=0.5, threshold=55.0, epsilon=2.0)
+    return (
+        (half, 5, keys[0], values),
+        (half, 4, keys[1], values),
+        (Criteria(delta=0.8, threshold=30.0, epsilon=0.0), 0,
+         keys[2][::-1], values),
+    )
+
+
+def _canary_run(depth: int, criteria: Criteria, seed: int, keys: np.ndarray,
+                values: np.ndarray, kernel) -> list:
+    """One canary stream through one path: the state after every chunk."""
+    filt = BatchQuantileFilter(
+        criteria, num_buckets=2, vague_width=5, bucket_size=2,
+        depth=depth, seed=seed,
+    )
+    filt.stats_tallies = True
+    states = []
+    for start in range(0, len(keys), 20):
+        if start == 300:
+            filt.retarget(criteria.threshold * 1.5)
+        filt._run_chunk(keys[start:start + 20], values[start:start + 20],
+                        kernel)
+        states.append((
+            filt._cand_fps.tobytes(), filt._cand_qws.tobytes(),
+            filt._rows.tobytes(), sorted(filt.reported_keys),
+            filt.report_count, filt.candidate_reports, filt.vague_reports,
+            filt.candidate_hits, filt.vague_inserts, filt.swaps,
+        ))
+    return states
+
+
+_UNRESOLVED = object()
+_qf_lock = threading.Lock()
+_qf_compiled = _UNRESOLVED
+
+
+def _qf_kernel():
+    """The compiled Algorithm 2 loop, built or loaded on the first call.
+
+    ``None`` means the numpy two-tier path runs instead: no kernel
+    could be built here, or the kernel failed the canary.  Either way
+    the cause was warned about once, and the answer holds for the
+    process.
+    """
+    global _qf_compiled
+    if _qf_compiled is _UNRESOLVED:
+        with _qf_lock:
+            if _qf_compiled is _UNRESOLVED:
+                _qf_compiled = _load_qf_kernel()
+    return _qf_compiled
+
+
+def _load_qf_kernel():
+    lib = native.load(_QF_SOURCE)
+    if lib is None:
+        return None
+    kernel = lib.qf_process
+    pointer, count = ctypes.c_void_p, ctypes.c_int64
+    kernel.argtypes = (
+        pointer, pointer, pointer, count, count,  # chunk items[start:n]
+        pointer, pointer, count,  # candidate planes, bucket size
+        pointer, count, count,  # vague rows, depth, width
+        pointer, pointer,  # row and sign seeds
+        ctypes.c_double, count, pointer,  # threshold, stop flag, out
+    )
+    kernel.restype = count
+    for depth in (3, 4):
+        for stream in _canary_streams():
+            expected = _canary_run(depth, *stream, None)
+            if _canary_run(depth, *stream, kernel) != expected:
+                warnings.warn(
+                    "compiled QuantileFilter loop diverged from the numpy "
+                    f"path on a canary stream at depth {depth}; running "
+                    "the numpy path", RuntimeWarning, stacklevel=2,
+                )
+                return None
+    return kernel
+
+
+def qf_kernel_loaded() -> bool:
+    """Whether the batch and threads engines run the compiled loop.
+
+    True when the kernel was built (or loaded from the cache) and passed
+    its canary; it then runs for every ``comparative`` filter.  Resolves
+    the kernel (building it on first use) if nothing has yet.
+    """
+    return _qf_kernel() is not None

@@ -19,18 +19,23 @@ Concurrency design
 * **Striped bucket-range locks** — the candidate planes are partitioned
   into ``num_stripes`` stripes by ``bucket % num_stripes``.  A flush
   stripe-sorts its buffer (stable, so per-bucket stream order is
-  preserved), then commits each stripe's sub-chunk through the batch
-  engine's two-tier pass (:meth:`~repro.core.vectorized.
-  BatchQuantileFilter._classify_chunk` + the fast/scalar passes) while
-  holding only that stripe's lock.  Threads touching disjoint stripes
-  commit concurrently; only sub-chunks with risky/crossing or
-  vague-bound items additionally serialize on the single vague lock
-  (lock order is always stripe -> vague, so no deadlock is possible).
+  preserved), then commits each stripe's sub-chunk while holding only
+  that stripe's lock.  With the compiled kernel
+  (:func:`~repro.core.vectorized.qf_kernel_loaded`) the commit is one
+  C loop in stream order that stops at the first item needing the
+  vague part; only then does it take the single vague lock and resume.
+  Without the kernel it is the batch engine's two-tier pass
+  (:meth:`~repro.core.vectorized.BatchQuantileFilter._classify_chunk`
+  + the fast/scalar passes), and sub-chunks with scalar-tier items
+  take the vague lock for the whole commit.  Threads touching disjoint
+  stripes commit concurrently; lock order is always stripe -> vague,
+  so no deadlock is possible.
 * **Seqlock read path** — each stripe carries a sequence counter that
-  is odd while a commit mutates it.  Readers (:meth:`query`, the stats
-  snapshot helpers) read optimistically and retry on a seqlock change,
-  falling back to taking the lock after a few spins, so scrapes never
-  block inserts.
+  is odd while a commit mutates it (the kernel runs without the GIL,
+  so a reader can overlap it and must retry).  Readers (:meth:`query`,
+  the stats snapshot helpers) read optimistically and retry on a
+  seqlock change, falling back to taking the lock after a few spins,
+  so scrapes never block inserts.
 * **Per-stripe sinks** (:class:`StripeSink`) — reports and event
   tallies land in per-stripe accumulators (mutated only under the
   stripe's lock), because racing ``int +=`` on one shared filter
@@ -54,17 +59,23 @@ test_property_concurrent_equivalence.py``)
   ShardRouter`).
 * *General regime*: with ``record_witness=True`` every committed
   sub-chunk is logged with a global ticket taken inside its innermost
-  lock.  Replaying the witness segments in ticket order through a
-  fresh single-thread batch filter (:func:`replay_witness`) reproduces
-  the shared planes **bit-exactly** — cross-stripe candidate commits
-  touch disjoint memory (they commute), vague-touching commits are
-  totally ordered by the vague lock, and tickets extend both orders.
+  lock (a compiled commit that reached the vague part logs its
+  stripe-locked prefix and its vague-locked suffix as two segments).
+  Replaying the witness segments in ticket order through a fresh
+  single-thread batch filter (:func:`replay_witness`) reproduces the
+  shared planes **bit-exactly** — cross-stripe candidate commits touch
+  disjoint memory (they commute), vague-touching commits are totally
+  ordered by the vague lock, and tickets extend both orders.
 
-Throughput: CPython's GIL means the win over ``pipeline_shm`` comes
-from skipping the per-chunk serialize/copy/deserialize entirely (the
-numpy passes release the GIL for stretches, but that is a bonus, not
-the design's load-bearing wall) — see the equal-core head-to-head in
-``benchmarks/test_throughput_smoke.py`` and ``docs/performance.md``.
+Throughput: the compiled kernel is called through :mod:`ctypes`, which
+releases the GIL for every call, so stripe commits on different threads
+run in parallel; the Python around them (hashing, the stripe sort, lock
+bookkeeping) still takes turns under the GIL.  Without a compiler the
+commits are numpy passes plus a per-item Python tier, which hold the
+GIL for most of their time, and the remaining win over ``pipeline_shm``
+is skipping the per-chunk serialize/copy/deserialize — see the
+equal-core head-to-head in ``benchmarks/test_throughput_smoke.py`` and
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -253,19 +264,21 @@ class ConcurrentQuantileFilter:
         return self.reported_keys
 
     def _flush(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Commit one ingest buffer through the striped two-tier pass.
+        """Commit one ingest buffer, one stripe sub-chunk at a time.
 
-        Stable-sorts the buffer by stripe, then for each stripe's
-        sub-chunk: take the stripe lock, classify against current
-        plane state, commit the fast tier, and — only when the
-        sub-chunk has scalar-tier items, which may touch the shared
-        vague part — additionally take the vague lock (lock order is
-        stripe -> vague everywhere).
+        Stable-sorts the buffer by stripe, then commits each stripe's
+        sub-chunk while holding that stripe's lock, taking the vague
+        lock as well only for the items that may touch the shared vague
+        part (lock order is stripe -> vague everywhere).  With the
+        compiled kernel the commit is :meth:`_compiled_commit`; without
+        it, the batch engine's two tiers classify the sub-chunk against
+        current plane state.
         """
         core = self._core
         n = int(keys.shape[0])
         if n == 0:
             return
+        kernel = core._kernel()
         # Hash/precompute outside any lock: pure function of the inputs.
         fps, buckets, weights = core._chunk_parts(keys, values)
         stripes = buckets % self.num_stripes
@@ -291,32 +304,19 @@ class ConcurrentQuantileFilter:
             wait_start = time.perf_counter()
             with lock:
                 waited = time.perf_counter() - wait_start
-                seq[stripe] += 1  # odd: commit in progress
+                # Odd while the commit runs, including the GIL-free
+                # kernel calls, so an overlapping seqlock read retries.
+                seq[stripe] += 1
                 try:
-                    hit, fast_idx, slow_idx = core._classify_chunk(
-                        sub_fps, sub_buckets
-                    )
-                    if slow_idx.size:
-                        # Scalar-tier items can spill into the shared
-                        # vague sketch: serialize on the vague lock for
-                        # the whole mixed commit so the witness ticket
-                        # (drawn below) extends the vague order too.
-                        with self._vague_lock:
-                            self._record_witness(idx, keys, values)
-                            if fast_idx.size:
-                                core._fast_candidate_pass(
-                                    sub_keys, sub_buckets, sub_weights,
-                                    hit, fast_idx, sink=sink,
-                                )
-                            core._scalar_pass(
-                                sub_keys, sub_fps, sub_buckets,
-                                sub_weights, slow_idx, sink=sink,
-                            )
+                    if kernel is not None:
+                        self._compiled_commit(
+                            kernel, idx, keys, values, sub_keys, sub_fps,
+                            sub_buckets, sub_weights, sink,
+                        )
                     else:
-                        self._record_witness(idx, keys, values)
-                        core._fast_candidate_pass(
-                            sub_keys, sub_buckets, sub_weights,
-                            hit, fast_idx, sink=sink,
+                        self._two_tier_commit(
+                            idx, keys, values, sub_keys, sub_fps,
+                            sub_buckets, sub_weights, sink,
                         )
                     sink.items += int(idx.shape[0])
                     sink.flushes += 1
@@ -324,6 +324,58 @@ class ConcurrentQuantileFilter:
                     seq[stripe] += 1  # even: stripe consistent again
             with self._telemetry_lock:
                 self.lock_wait.record(waited)
+
+    def _compiled_commit(self, kernel, idx, keys, values, sub_keys,
+                         sub_fps, sub_buckets, sub_weights, sink) -> None:
+        """One stripe sub-chunk through the compiled loop (stripe lock held).
+
+        The loop runs in stream order and stops at the first item that
+        needs the vague part; only then does the commit take the vague
+        lock and resume from that item.  The prefix and the suffix are
+        logged as two witness segments, each ticketed under its own
+        innermost lock, so :func:`replay_witness` stays exact.
+        """
+        core = self._core
+        stop = core._compiled_pass(
+            kernel, sub_keys, sub_fps, sub_buckets, sub_weights,
+            stop_at_vague=True, sink=sink,
+        )
+        if stop:
+            self._record_witness(idx[:stop], keys, values)
+        if stop < idx.shape[0]:
+            with self._vague_lock:
+                self._record_witness(idx[stop:], keys, values)
+                core._compiled_pass(
+                    kernel, sub_keys, sub_fps, sub_buckets, sub_weights,
+                    start=stop, sink=sink,
+                )
+
+    def _two_tier_commit(self, idx, keys, values, sub_keys, sub_fps,
+                         sub_buckets, sub_weights, sink) -> None:
+        """One stripe sub-chunk through the numpy tiers (stripe lock held)."""
+        core = self._core
+        hit, fast_idx, slow_idx = core._classify_chunk(sub_fps, sub_buckets)
+        if slow_idx.size:
+            # Scalar-tier items can spill into the shared vague sketch:
+            # serialize on the vague lock for the whole mixed commit so
+            # the witness ticket (drawn below) extends the vague order.
+            with self._vague_lock:
+                self._record_witness(idx, keys, values)
+                if fast_idx.size:
+                    core._fast_candidate_pass(
+                        sub_keys, sub_buckets, sub_weights,
+                        hit, fast_idx, sink=sink,
+                    )
+                core._scalar_pass(
+                    sub_keys, sub_fps, sub_buckets, sub_weights,
+                    slow_idx, sink=sink,
+                )
+        else:
+            self._record_witness(idx, keys, values)
+            core._fast_candidate_pass(
+                sub_keys, sub_buckets, sub_weights, hit, fast_idx,
+                sink=sink,
+            )
 
     def _record_witness(
         self, idx: np.ndarray, keys: np.ndarray, values: np.ndarray
@@ -394,7 +446,7 @@ class ConcurrentQuantileFilter:
         cols = core._hashes.indices(vkey)
         signs = core._signs.signs(vkey)
         ests = sorted(
-            signs[r] * core._rows[r][cols[r]] for r in range(core.depth)
+            signs[r] * core._rows.item(r, cols[r]) for r in range(core.depth)
         )
         depth = core.depth
         if depth % 2:
@@ -455,7 +507,7 @@ class ConcurrentQuantileFilter:
             )
             twin._cand_fps[...] = core._cand_fps
             twin._cand_qws[...] = core._cand_qws
-            twin._rows = [list(row) for row in core._rows]
+            twin._rows[...] = core._rows
             for sink in self._sinks:
                 twin.reported_keys |= sink.reported_keys
                 twin.report_count += sink.report_count

@@ -1052,8 +1052,14 @@ class ParallelPipeline:
 
         Draining while blocked on a full input queue is what prevents
         the classic feeder/collector deadlock: the worker may itself be
-        blocked putting results into the bounded result queue.
+        blocked putting results into the bounded result queue.  Every
+        put also drains first.  In threads mode no slot credit forces a
+        drain, so without this one a full result queue would park the
+        updaters until a put timed out (0.1 s).  Between two drains at
+        most ``num_shards * (QUEUE_CAPACITY + 1)`` chunks complete, fewer
+        than the result queue holds.
         """
+        self._drain(block=False)
         deadline = time.monotonic() + self.stall_timeout
         while True:
             try:

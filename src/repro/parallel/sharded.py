@@ -354,9 +354,7 @@ def batch_filter_to_scalar(batch: BatchQuantileFilter) -> QuantileFilter:
     )
     scalar.candidate._fps[...] = np.asarray(batch._cand_fps, dtype=np.uint64)
     scalar.candidate._qws[...] = np.asarray(batch._cand_qws, dtype=np.float64)
-    scalar.vague.sketch.counters.data = np.asarray(
-        batch._rows, dtype=scalar.vague.sketch.counters.data.dtype
-    )
+    scalar.vague.sketch.counters.data[...] = batch._rows
     scalar.reported_keys = set(batch.reported_keys)
     scalar.items_processed = batch.items_processed
     scalar.report_count = batch.report_count

@@ -11,6 +11,7 @@ from repro.common.validation import (
     require_probability,
 )
 from repro.core.criteria import Criteria
+from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 from repro.detection.shadow import ShadowAccuracyEstimator
 from repro.parallel.concurrent import ConcurrentQuantileFilter
@@ -46,6 +47,40 @@ def test_array_entry_points_reject_2d_items(entry_point):
     values = np.full((4, 5), 500.0)
     with pytest.raises(ParameterError, match="1-D"):
         ARRAY_ENTRY_POINTS[entry_point](keys, values)
+
+
+@pytest.mark.parametrize("entry_point", sorted(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_reject_nan_values(entry_point):
+    keys = np.arange(20, dtype=np.int64)
+    values = np.full(20, 500.0)
+    values[7] = np.nan
+    with pytest.raises(ParameterError, match="NaN"):
+        ARRAY_ENTRY_POINTS[entry_point](keys, values)
+
+
+@pytest.mark.parametrize("entry_point", sorted(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_accept_infinite_values(entry_point):
+    keys = np.arange(20, dtype=np.int64)
+    values = np.where(keys % 2 == 0, np.inf, -np.inf)
+    ARRAY_ENTRY_POINTS[entry_point](keys, values)
+
+
+class TestScalarInsertRejectsNan:
+    """A NaN reading is neither above nor at-or-below T, so it has no
+    Qweight (it used to weigh -1, silently scored as "<= T")."""
+
+    def test_insert(self):
+        qf = QuantileFilter(CRIT, **GEOMETRY)
+        with pytest.raises(ParameterError, match="NaN"):
+            qf.insert(3, float("nan"))
+        assert qf.query(3) == 0.0
+        assert qf.items_processed == 0
+
+    def test_insert_many_rejects_before_inserting(self):
+        qf = QuantileFilter(CRIT, **GEOMETRY)
+        with pytest.raises(ParameterError, match="NaN"):
+            qf.insert_many([1, 2, 3], [500.0, float("nan"), 500.0])
+        assert qf.items_processed == 0
 
 
 class TestRequirePositiveInt:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from repro.core import vectorized
 from repro.core.criteria import Criteria
 
 # Pinned profile for CI: derandomized (the same example sequence on
@@ -19,6 +20,20 @@ settings.register_profile(
     print_blob=True,
 )
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(scope="module")
+def numpy_qf_path():
+    """Force the batch engine's numpy two-tier path for a whole module.
+
+    The compiled Algorithm 2 loop runs by default wherever it loads;
+    a module that uses this fixture runs its tests on the numpy path
+    instead (the path hosts without a C compiler take).  Module scope
+    lets hypothesis tests use it.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_qf_kernel", lambda: None)
+        yield
 
 
 @pytest.fixture

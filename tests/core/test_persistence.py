@@ -1,12 +1,22 @@
 """Tests for repro.core.persistence (checkpoint/restore)."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.common.errors import TraceFormatError
 from repro.core.criteria import Criteria
-from repro.core.persistence import load_filter, save_filter
+from repro.core.persistence import (
+    engine_state,
+    load_filter,
+    restore_engine,
+    save_filter,
+    state_fingerprint,
+    state_from_jsonable,
+    state_to_jsonable,
+)
 from repro.core.quantile_filter import QuantileFilter
 
 
@@ -85,6 +95,60 @@ class TestRoundTrip:
         restored = load_filter(path)
         for key in range(100):
             assert restored.query(key) == pytest.approx(original.query(key))
+
+
+class TestRestoreContinuesExactly:
+    """A restore mid-stream must not change what the filter does next.
+
+    The default ``counter_kind="int32"`` rounds every fractional vague
+    increment with an RNG (at delta = 0.7 each weight is 2.33), and the
+    ``probabilistic`` strategy draws its swaps from another; both are
+    part of the state a checkpoint carries.
+    """
+
+    @staticmethod
+    def stream():
+        rng = np.random.default_rng(2024)
+        keys = rng.zipf(1.3, size=60_000) % 5_000
+        values = rng.lognormal(mean=3.0, sigma=1.0, size=60_000)
+        threshold = float(np.percentile(values, 80))
+        return keys.tolist(), values.tolist(), threshold
+
+    @staticmethod
+    def json_round_trip(qf):
+        payload = json.loads(json.dumps(state_to_jsonable(engine_state(qf))))
+        return restore_engine(state_from_jsonable(payload))
+
+    @pytest.mark.parametrize("strategy", ["comparative", "probabilistic"])
+    def test_restored_run_matches_uninterrupted(self, strategy):
+        keys, values, threshold = self.stream()
+        crit = Criteria(delta=0.7, threshold=threshold, epsilon=5.0)
+
+        def build():
+            return QuantileFilter(crit, memory_bytes=2_048,
+                                  strategy=strategy, seed=5)
+
+        whole = build()
+        whole.insert_many(keys, values)
+        first = build()
+        first.insert_many(keys[:30_000], values[:30_000])
+        resumed = self.json_round_trip(first)
+        resumed.insert_many(keys[30_000:], values[30_000:])
+        assert resumed.reported_keys == whole.reported_keys
+        assert state_fingerprint(resumed) == state_fingerprint(whole)
+
+    def test_capture_without_rng_states_still_loads(self):
+        keys, values, threshold = self.stream()
+        qf = QuantileFilter(Criteria(delta=0.7, threshold=threshold,
+                                     epsilon=5.0),
+                            memory_bytes=2_048, strategy="probabilistic")
+        qf.insert_many(keys[:5_000], values[:5_000])
+        state = engine_state(qf)
+        del state["meta"]["rounding_rng"], state["meta"]["strategy_rng"]
+        restored = restore_engine(state)
+        assert restored.reported_keys == qf.reported_keys
+        assert np.array_equal(restored.vague.sketch.counters.data,
+                              qf.vague.sketch.counters.data)
 
 
 class TestFailureModes:

@@ -130,14 +130,6 @@ class TestUnusualValues:
         qf.insert("k", -math.inf)
         assert qf.query("k") == pytest.approx(-1.0)
 
-    def test_nan_value_counts_as_below(self):
-        """NaN > T is False, so NaN readings weigh -1 — documented
-        behaviour (sensor glitches never push a key toward a report)."""
-        crit = Criteria(delta=0.5, threshold=10.0, epsilon=1e9)
-        qf = QuantileFilter(crit, memory_bytes=16 * 1024, seed=6)
-        qf.insert("k", math.nan)
-        assert qf.query("k") == pytest.approx(-1.0)
-
     def test_negative_threshold_supported(self):
         crit = Criteria(delta=0.5, threshold=-5.0, epsilon=0.0)
         qf = QuantileFilter(crit, memory_bytes=16 * 1024, seed=7)

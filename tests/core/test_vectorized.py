@@ -106,6 +106,18 @@ class TestBehaviour:
         with pytest.raises(ParameterError):
             BatchQuantileFilter(crit, memory_bytes=8_192, chunk_size=0)
 
+    @pytest.mark.parametrize("geometry", [
+        dict(num_buckets=0, vague_width=8),
+        dict(num_buckets=8, vague_width=0),
+        dict(num_buckets=8, vague_width=8, bucket_size=0),
+        dict(num_buckets=8, vague_width=8, depth=0),
+    ])
+    def test_invalid_geometry(self, geometry):
+        # The compiled loop indexes the planes by these dimensions.
+        crit = Criteria(delta=0.95, threshold=200.0)
+        with pytest.raises(ParameterError):
+            BatchQuantileFilter(crit, **geometry)
+
     def test_forceful_strategy_supported(self):
         crit = Criteria(delta=0.95, threshold=200.0, epsilon=5.0)
         keys, values = make_stream(seed=9, n=3_000)
