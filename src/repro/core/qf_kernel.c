@@ -1,6 +1,23 @@
-/* QuantileFilter's Algorithm 2 over one chunk, in stream order.
+/* QuantileFilter's per-chunk work: hashing (qf_split) and Algorithm 2
+ * (qf_process).
  *
- * The compiled twin of BatchQuantileFilter._scalar_pass in vectorized.py
+ * qf_split hashes a chunk of integer keys and float64 values exactly as
+ * BatchQuantileFilter._chunk_parts in vectorized.py does, then stably
+ * partitions the items by bucket % parts (the threads engine's stripes).
+ *
+ * keys:    n integer keys as 64-bit two's complement (the canonical key
+ *          is mix64 of them, as canonical_keys computes it).
+ * fp_seed, fp_mask: the FingerprintHasher's seed and bit mask.
+ * bucket_seed, num_buckets: the candidate-bucket hash.
+ * threshold, positive_weight: an item weighs positive_weight when its
+ *          value exceeds threshold, -1 otherwise (compared in float64).
+ * fps, buckets, weights: the n fingerprints, buckets and weights,
+ *          grouped by part, each part in stream order.
+ * order:   order[j] is the chunk index of item j in that grouping.
+ * bounds:  parts + 1 offsets; part p is items [bounds[p], bounds[p + 1]).
+ *
+ * qf_process runs Algorithm 2 over one chunk, in stream order: the
+ * compiled twin of BatchQuantileFilter._scalar_pass in vectorized.py
  * with the comparative strategy: every item takes the per-item branch
  * (candidate hit, vacancy, vague insert with the fused median estimate,
  * vague report, candidate election).  It performs the same float64
@@ -10,7 +27,8 @@
  * them, keep their row order, as they do under Python's list.sort.
  *
  * fps, buckets, weights: the chunk's fingerprints, candidate buckets and
- *          item weights; items [start, n) are processed.
+ *          item weights (qf_split's output); items [start, n) are
+ *          processed.
  * cand_fps, cand_qws: the (num_buckets, bucket_size) candidate planes.
  * rows:    the (depth, width) vague rows.
  * row_seeds, sign_seeds: the per-row seeds of the column and sign hashes.
@@ -35,6 +53,50 @@ static uint64_t mix64(uint64_t x)
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
     return x ^ (x >> 31);
+}
+
+static int64_t bucket_of(uint64_t canon, uint64_t bucket_seed,
+                         int64_t num_buckets)
+{
+    return (int64_t)(mix64(canon ^ bucket_seed) % (uint64_t)num_buckets);
+}
+
+void qf_split(const uint64_t *keys, const double *values, int64_t n,
+              uint64_t fp_seed, uint64_t fp_mask, uint64_t bucket_seed,
+              int64_t num_buckets, double threshold, double positive_weight,
+              int64_t parts, uint64_t *fps, int64_t *buckets,
+              double *weights, int64_t *order, int64_t *bounds)
+{
+    int64_t i, p;
+
+    /* Count each part's items into bounds[p + 1], then turn the counts
+     * into each part's first slot. */
+    for (p = 0; p <= parts; p++)
+        bounds[p] = 0;
+    if (parts == 1)
+        bounds[1] = n;
+    else
+        for (i = 0; i < n; i++)
+            bounds[bucket_of(mix64(keys[i]), bucket_seed, num_buckets)
+                   % parts + 1]++;
+    for (p = 1; p <= parts; p++)
+        bounds[p] += bounds[p - 1];
+
+    /* Write each item to its part's next slot: bounds[p] advances from
+     * the part's first slot to its end, which is the next part's first. */
+    for (i = 0; i < n; i++) {
+        uint64_t canon = mix64(keys[i]);
+        int64_t bucket = bucket_of(canon, bucket_seed, num_buckets);
+        uint64_t fp = mix64(canon ^ fp_seed) & fp_mask;
+        int64_t j = bounds[bucket % parts]++;
+        fps[j] = fp ? fp : 1;
+        buckets[j] = bucket;
+        weights[j] = values[i] > threshold ? positive_weight : -1.0;
+        order[j] = i;
+    }
+    for (p = parts; p > 0; p--)
+        bounds[p] = bounds[p - 1];
+    bounds[0] = 0;
 }
 
 /* The vague cell (flat index into rows) and sign of a (fingerprint,

@@ -3,13 +3,17 @@
 The scalar :class:`~repro.core.quantile_filter.QuantileFilter` spends
 most of its Python time computing hashes and walking Algorithm 2's
 branches one item at a time.  This engine processes the stream in
-chunks.  Fingerprints, candidate buckets and item weights are computed
-for the whole chunk at once in numpy; then, with the default
-``comparative`` strategy, one compiled C loop (``qf_kernel.c``, loaded
-through :mod:`repro.common.native`) runs Algorithm 2's per-item branch
-over every item in stream order.  That loop is bit for bit the scalar
-tier below.  When no kernel loads here, and for the ``probabilistic``
-and ``forceful`` strategies, every chunk splits into two tiers instead:
+chunks.  With the default ``comparative`` strategy, the compiled kernel
+(``qf_kernel.c``, loaded through :mod:`repro.common.native`) does a
+chunk in two C calls: ``qf_split`` computes the fingerprints, candidate
+buckets and item weights of integer keys exactly as
+:meth:`BatchQuantileFilter._chunk_parts` does in numpy, and
+``qf_process`` runs Algorithm 2's per-item branch over every item in
+stream order, bit for bit the scalar tier below.  Other key dtypes are
+hashed in numpy (``canonical_keys``) before the same loop.  When no
+kernel loads here, and for the ``probabilistic`` and ``forceful``
+strategies, the hashing is numpy's and every chunk splits into two
+tiers instead:
 
 * **Vectorised tier** — fingerprints, candidate buckets and item
   weights are computed for the whole chunk at once; items that resolve
@@ -46,7 +50,7 @@ import ctypes
 import threading
 import warnings
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set
 
 import numpy as np
 
@@ -209,14 +213,18 @@ class BatchQuantileFilter:
         """Run the whole stream; returns the deduplicated reported keys."""
         require_item_arrays(keys, values)
         n = keys.shape[0]
-        # Ramp the chunk size up geometrically from a small first chunk:
-        # at cold start every key misses the candidate part, sending the
-        # whole first chunk to the scalar tier, so short early chunks
-        # populate the buckets cheaply before full-width chunks arrive.
-        # Chunk boundaries never change semantics (each chunk is exact),
-        # only how much work lands in which tier.
+        # A cold filter ramps the chunk size up geometrically from a
+        # small first chunk: at cold start every key misses the
+        # candidate part, sending the whole first chunk to the scalar
+        # tier, so short early chunks populate the buckets cheaply
+        # before full-width chunks arrive.  A warm filter (every call
+        # after the first, e.g. one call per chunk) starts at full
+        # width.  Chunk boundaries never change semantics (each chunk
+        # is exact), only how much work lands in which tier.
         start = 0
-        size = min(_RAMP_FIRST_CHUNK, self.chunk_size)
+        size = self.chunk_size
+        if self.items_processed == 0:
+            size = min(_RAMP_FIRST_CHUNK, size)
         while start < n:
             self._process_chunk(
                 keys[start:start + size], values[start:start + size]
@@ -262,10 +270,53 @@ class BatchQuantileFilter:
         buckets = (
             _mix64_array(canon ^ self._bucket_seed) % self._num_buckets_u64
         ).astype(np.int64)
+        # Compared in float64, as the scalar filter does: NumPy would
+        # compare a float32 array with T in float32.
         weights = np.where(
-            values > crit.threshold, crit.positive_weight, -1.0
+            np.asarray(values, dtype=np.float64) > crit.threshold,
+            crit.positive_weight, -1.0,
         )
         return fps, buckets, weights
+
+    def _partition(self, keys: np.ndarray, values: np.ndarray, parts: int,
+                   kernel):
+        """:meth:`_chunk_parts`, with the items grouped by ``bucket % parts``.
+
+        Returns ``(fps, buckets, weights, order, bounds)``: part ``p`` is
+        items ``bounds[p]:bounds[p + 1]`` of the first three arrays, in
+        stream order, and item ``j`` is ``keys[order[j]]``.  With the
+        compiled ``kernel`` integer keys take one C call (``qf_split``,
+        which releases the GIL); other key dtypes, and hosts without the
+        kernel, take :meth:`_chunk_parts` and a stable argsort.  Either
+        way it reads no filter state but the criteria, so the threads
+        engine runs it outside any lock.
+        """
+        if kernel is None or not np.issubdtype(keys.dtype, np.integer):
+            fps, buckets, weights = self._chunk_parts(keys, values)
+            part_of = buckets % parts
+            order = np.argsort(part_of, kind="stable")
+            bounds = np.searchsorted(part_of[order], np.arange(parts + 1))
+            return fps[order], buckets[order], weights[order], order, bounds
+        n = int(keys.shape[0])
+        # Two's complement bits of any integer dtype, as canonical_keys
+        # reads them; kept alive in locals for the foreign call.
+        key_bits = np.ascontiguousarray(keys, dtype=np.int64)
+        values = np.ascontiguousarray(values, dtype=np.float64)
+        fps = np.empty(n, dtype=np.uint64)
+        buckets = np.empty(n, dtype=np.int64)
+        weights = np.empty(n, dtype=np.float64)
+        order = np.empty(n, dtype=np.int64)
+        bounds = np.empty(parts + 1, dtype=np.int64)
+        crit = self.criteria
+        fp_hasher = self._fp_hasher
+        kernel.split(
+            key_bits.ctypes.data, values.ctypes.data, n,
+            fp_hasher._seed, fp_hasher._mask, int(self._bucket_seed),
+            self.num_buckets, crit.threshold, crit.positive_weight, parts,
+            fps.ctypes.data, buckets.ctypes.data, weights.ctypes.data,
+            order.ctypes.data, bounds.ctypes.data,
+        )
+        return fps, buckets, weights, order, bounds
 
     def _classify_chunk(self, fps: np.ndarray, buckets: np.ndarray):
         """Split a (sub)chunk into the fast and scalar tiers.
@@ -298,8 +349,8 @@ class BatchQuantileFilter:
     def _process_chunk(self, keys: np.ndarray, values: np.ndarray) -> None:
         self._run_chunk(keys, values, self._kernel())
 
-    def _kernel(self):
-        """The compiled Algorithm 2 loop, or ``None`` for the two tiers.
+    def _kernel(self) -> Optional[_QfKernel]:
+        """The compiled kernel's routines, or ``None`` for the two tiers.
 
         The kernel implements the ``comparative`` election only; the
         other strategies, and hosts where no kernel loads, take the
@@ -309,10 +360,13 @@ class BatchQuantileFilter:
 
     def _run_chunk(self, keys: np.ndarray, values: np.ndarray, kernel) -> None:
         n = int(keys.shape[0])
-        fps, buckets, weights = self._chunk_parts(keys, values)
         if kernel is not None:
-            self._compiled_pass(kernel, keys, fps, buckets, weights)
+            fps, buckets, weights, order, _ = self._partition(
+                keys, values, 1, kernel
+            )
+            self._compiled_pass(kernel, keys, order, fps, buckets, weights)
         else:
+            fps, buckets, weights = self._chunk_parts(keys, values)
             hit, fast_idx, slow_idx = self._classify_chunk(fps, buckets)
             # The two tiers commute: fast items touch only candidate
             # slots of buckets whose chunk prefix is hit-pure, and the
@@ -331,29 +385,34 @@ class BatchQuantileFilter:
         self,
         kernel,
         keys: np.ndarray,
+        order: np.ndarray,
         fps: np.ndarray,
         buckets: np.ndarray,
         weights: np.ndarray,
         start: int = 0,
+        end: Optional[int] = None,
         stop_at_vague: bool = False,
         sink=None,
     ) -> int:
-        """Algorithm 2 over items ``start:`` in one C loop, in stream order.
+        """Algorithm 2 over items ``start:end`` in one C loop, in stream order.
 
-        ``fps``, ``buckets`` and ``weights`` are :meth:`_chunk_parts`'s
-        C-contiguous arrays.  ``ctypes`` releases the GIL for the call.
+        ``order``, ``fps``, ``buckets`` and ``weights`` are
+        :meth:`_partition`'s C-contiguous arrays; item ``j`` is
+        ``keys[order[j]]``.  ``ctypes`` releases the GIL for the call.
         With ``stop_at_vague`` the loop stops before the first item that
         needs the vague part; returns the index of the first item it did
-        not process (``len(fps)`` when it ran to the end).  ``sink``
-        plays the same role as in :meth:`_fast_candidate_pass`.
+        not process (``end`` when it ran to the end).  ``sink`` plays
+        the same role as in :meth:`_fast_candidate_pass`.
         """
         if sink is None:
             sink = self
-        n = int(fps.shape[0])
-        out = np.zeros(_TALLIES + n - start, dtype=np.int64)
-        stop = kernel(
+        if end is None:
+            end = int(fps.shape[0])
+        out = np.zeros(_TALLIES + end - start, dtype=np.int64)
+        stop = kernel.process(
             fps.ctypes.data, buckets.ctypes.data, weights.ctypes.data,
-            start, n, self._cand_fps.ctypes.data, self._cand_qws.ctypes.data,
+            start, end, self._cand_fps.ctypes.data,
+            self._cand_qws.ctypes.data,
             self.bucket_size, self._rows.ctypes.data, self.depth, self.width,
             self._hashes._seeds_np.ctypes.data,
             self._signs._seeds_np.ctypes.data,
@@ -365,7 +424,7 @@ class BatchQuantileFilter:
         reports = candidate_reports + vague_reports
         if reports:
             sink.reported_keys.update(
-                keys[out[_TALLIES:_TALLIES + reports]].tolist()
+                keys[order[out[_TALLIES:_TALLIES + reports]]].tolist()
             )
             sink.report_count += reports
             sink.candidate_reports += candidate_reports
@@ -717,13 +776,41 @@ def _canary_run(depth: int, criteria: Criteria, seed: int, keys: np.ndarray,
     return states
 
 
+def _canary_partitions(kernel) -> bool:
+    """Whether ``qf_split`` groups the canary keys as the numpy path does.
+
+    The canary streams' keys plus the int64 extremes, into 7 buckets
+    split 2 and 3 ways: every part is non-empty, so the counts, the
+    order within each part and the bounds are all checked.
+    """
+    streams = _canary_streams()
+    extremes = np.array([-1, -(2 ** 63), 2 ** 63 - 1], dtype=np.int64)
+    keys = np.concatenate([stream[2] for stream in streams] + [extremes])
+    values = np.resize(streams[0][3], keys.shape)
+    filt = BatchQuantileFilter(Criteria(delta=0.8, threshold=30.0),
+                               num_buckets=7, vague_width=5, seed=3)
+    for parts in (2, 3):
+        compiled = filt._partition(keys, values, parts, kernel)
+        reference = filt._partition(keys, values, parts, None)
+        if not all(map(np.array_equal, compiled, reference)):
+            return False
+    return True
+
+
+class _QfKernel(NamedTuple):
+    """The routines of ``qf_kernel.c``: hashing and Algorithm 2."""
+
+    split: ctypes._CFuncPtr
+    process: ctypes._CFuncPtr
+
+
 _UNRESOLVED = object()
 _qf_lock = threading.Lock()
 _qf_compiled = _UNRESOLVED
 
 
-def _qf_kernel():
-    """The compiled Algorithm 2 loop, built or loaded on the first call.
+def _qf_kernel() -> Optional[_QfKernel]:
+    """The compiled kernel's routines, built or loaded on the first call.
 
     ``None`` means the numpy two-tier path runs instead: no kernel
     could be built here, or the kernel failed the canary.  Either way
@@ -738,20 +825,31 @@ def _qf_kernel():
     return _qf_compiled
 
 
-def _load_qf_kernel():
+def _load_qf_kernel() -> Optional[_QfKernel]:
     lib = native.load(_QF_SOURCE)
     if lib is None:
         return None
-    kernel = lib.qf_process
     pointer, count = ctypes.c_void_p, ctypes.c_int64
-    kernel.argtypes = (
+    seed, real = ctypes.c_uint64, ctypes.c_double
+    split = lib.qf_split
+    split.argtypes = (
+        pointer, pointer, count,  # keys, values, n
+        seed, seed, seed, count,  # fingerprint seed and mask, bucket hash
+        real, real, count,  # threshold, positive weight, parts
+        pointer, pointer, pointer,  # fps, buckets, weights
+        pointer, pointer,  # order, bounds
+    )
+    split.restype = None
+    process = lib.qf_process
+    process.argtypes = (
         pointer, pointer, pointer, count, count,  # chunk items[start:n]
         pointer, pointer, count,  # candidate planes, bucket size
         pointer, count, count,  # vague rows, depth, width
         pointer, pointer,  # row and sign seeds
-        ctypes.c_double, count, pointer,  # threshold, stop flag, out
+        real, count, pointer,  # threshold, stop flag, out
     )
-    kernel.restype = count
+    process.restype = count
+    kernel = _QfKernel(split, process)
     for depth in (3, 4):
         for stream in _canary_streams():
             expected = _canary_run(depth, *stream, None)
@@ -762,14 +860,22 @@ def _load_qf_kernel():
                     "the numpy path", RuntimeWarning, stacklevel=2,
                 )
                 return None
+    if not _canary_partitions(kernel):
+        warnings.warn(
+            "compiled QuantileFilter hashing diverged from the numpy path "
+            "on the canary keys; running the numpy path",
+            RuntimeWarning, stacklevel=2,
+        )
+        return None
     return kernel
 
 
 def qf_kernel_loaded() -> bool:
-    """Whether the batch and threads engines run the compiled loop.
+    """Whether the batch and threads engines run the compiled kernel.
 
     True when the kernel was built (or loaded from the cache) and passed
-    its canary; it then runs for every ``comparative`` filter.  Resolves
+    its canary; it then hashes integer keys and runs Algorithm 2's loop
+    for every ``comparative`` filter.  Resolves
     the kernel (building it on first use) if nothing has yet.
     """
     return _qf_kernel() is not None

@@ -6,9 +6,11 @@
  * and positions bit for bit.  The caller keeps the first five values and
  * their sort in Python and hands over the initialised markers.
  *
- * markers: four runs of five doubles.  The marker heights and positions
- *          (markers[0..4], markers[5..9]) are updated in place.  The
- *          bases and increments (markers[10..14], markers[15..19]) give
+ * markers: the estimator's marker block (_P2Markers in threshold.py),
+ *          kept from call to call: four runs of five doubles.  The
+ *          marker heights and positions (markers[0..4], markers[5..9])
+ *          are updated in place.  The bases and increments
+ *          (markers[10..14], markers[15..19]) give
  *          marker m's desired position after n observations past the
  *          fifth: bases[m] + n * increments[m].
  * count:   observations folded in before values[0].

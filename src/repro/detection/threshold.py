@@ -16,7 +16,8 @@ Three layers, smallest first:
   interface: :class:`P2QuantileEstimator` (the Jain & Chlamtac P²
   algorithm — five markers, O(1) space and update, no allocation after
   startup; batches run through a compiled C loop, ``p2_kernel.c``,
-  that is bit for bit equal to ``update``) and
+  that updates one persistent marker block in place and is bit for bit
+  equal to ``update``) and
   :class:`KLLQuantileEstimator` (the existing
   :class:`~repro.quantiles.kll.KLLSketch`, with a provable rank-error
   bound and mergeability at ~``3k`` stored values).
@@ -50,9 +51,8 @@ from __future__ import annotations
 import ctypes
 import threading
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -67,20 +67,33 @@ ESTIMATOR_BACKENDS = ("p2", "kll")
 _MAX_TRAJECTORY = 4_096
 
 _P2_SOURCE = Path(__file__).with_name("p2_kernel.c")
-#: The kernel's marker block: heights, positions, bases, increments.
-_P2Markers = ctypes.c_double * 20
+
+
+class _P2Markers(ctypes.Structure):
+    """One estimator's marker state, laid out as the kernel reads it."""
+
+    _fields_ = [("heights", ctypes.c_double * 5),
+                ("positions", ctypes.c_double * 5),
+                ("bases", ctypes.c_double * 5),
+                ("increments", ctypes.c_double * 5)]
+
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _as_values(values) -> np.ndarray:
     """``values`` as a contiguous 1-D float64 array."""
-    if not hasattr(values, "__len__"):
-        values = list(values)
-    array = np.asarray(values, dtype=np.float64)
-    if array.ndim != 1:
+    # A float64 ndarray (every chunked engine's values) skips asarray,
+    # whose dtype resolution costs more than the rest of this function.
+    if type(values) is not np.ndarray or values.dtype != _FLOAT64:
+        if not hasattr(values, "__len__"):
+            values = list(values)
+        values = np.asarray(values, dtype=_FLOAT64)
+    if values.ndim != 1:
         raise ParameterError(
-            f"values must be one-dimensional, got shape {array.shape}"
+            f"values must be one-dimensional, got shape {values.shape}"
         )
-    return np.ascontiguousarray(array)
+    return np.ascontiguousarray(values)
 
 
 class P2QuantileEstimator:
@@ -105,7 +118,7 @@ class P2QuantileEstimator:
     """
 
     __slots__ = ("q", "_heights", "_positions", "_bases", "_increments",
-                 "_count")
+                 "_count", "_markers")
 
     def __init__(self, q: float):
         if not 0.0 < q < 1.0:
@@ -121,6 +134,11 @@ class P2QuantileEstimator:
                        5.0)
         self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
         self._count = 0
+        # The compiled loop's marker block.  The first compiled
+        # update_many builds it from the lists above, and from then on
+        # the heights and positions are views into it, so every later
+        # batch is one kernel call on it in place, with no copy.
+        self._markers: Optional[_P2Markers] = None
 
     @property
     def count(self) -> int:
@@ -191,19 +209,26 @@ class P2QuantileEstimator:
 
     def _update_many(self, values: np.ndarray, kernel) -> None:
         # The kernel takes over once the five markers are initialised.
-        in_python = (len(values) if kernel is None
-                     else min(len(values), 5 - len(self._heights)))
-        update = self.update
-        for value in values[:in_python].tolist():
-            update(value)
-        rest = values[in_python:]
-        if len(rest):
-            markers = _P2Markers(*self._heights, *self._positions,
-                                 *self._bases, *self._increments)
-            kernel(markers, self._count, rest.ctypes.data, len(rest))
-            self._heights[:] = markers[0:5]
-            self._positions[:] = markers[5:10]
-            self._count += len(rest)
+        if kernel is None or self._count < 5:
+            in_python = (len(values) if kernel is None
+                         else min(len(values), 5 - self._count))
+            update = self.update
+            for value in values[:in_python].tolist():
+                update(value)
+            values = values[in_python:]
+        if len(values):
+            markers = self._markers
+            if markers is None:
+                markers = self._markers = _P2Markers(
+                    tuple(self._heights), tuple(self._positions),
+                    self._bases, self._increments)
+                self._heights = markers.heights
+                self._positions = markers.positions
+            if not values.flags.writeable:
+                values = values.copy()  # from_buffer needs a writable one
+            kernel(markers, self._count, ctypes.c_double.from_buffer(values),
+                   len(values))
+            self._count += len(values)
 
     def _parabolic(self, marker: int, step: float) -> float:
         heights, positions = self._heights, self._positions
@@ -289,8 +314,8 @@ def _load_p2_kernel():
     if lib is None:
         return None
     kernel = lib.p2_update_many
-    kernel.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64)
+    kernel.argtypes = (ctypes.POINTER(_P2Markers), ctypes.c_int64,
+                       ctypes.POINTER(ctypes.c_double), ctypes.c_int64)
     kernel.restype = None
     for canary in _P2_CANARIES:
         for q in (0.01, 0.5, 0.9, 0.99):
@@ -398,9 +423,12 @@ def make_estimator(backend: str, quantile: float, *, k: int = 200,
     )
 
 
-@dataclass(frozen=True)
-class ThresholdDecision:
+class ThresholdDecision(NamedTuple):
     """Outcome of one controller evaluation.
+
+    An immutable record, built on every evaluation (so on every
+    ``observe_many`` call): a named tuple costs about a third of a
+    frozen dataclass to build.
 
     Attributes
     ----------
@@ -570,17 +598,23 @@ class ThresholdController:
         split wherever it crosses ``horizon_items``.
         """
         values = _as_values(values)
-        nan = np.isnan(values)
-        if nan.any():
-            values = values[~nan]
-        at, n = 0, len(values)
-        while at < n:
-            self._maybe_restart()
-            end = n
-            if self.horizon_items is not None:
+        # A sum of squares is NaN exactly when some value is NaN, and on
+        # the short batches a strided control loop passes in it costs
+        # half of building a NaN mask.
+        squares = values.dot(values)
+        if squares != squares:
+            values = values[~np.isnan(values)]
+        n = len(values)
+        if self.horizon_items is None:
+            if n:
+                self.estimator.update_many(values)
+        else:
+            at = 0
+            while at < n:
+                self._maybe_restart()
                 end = min(n, at + self.horizon_items - self.estimator.count)
-            self.estimator.update_many(values[at:end])
-            at = end
+                self.estimator.update_many(values[at:end])
+                at = end
         self.items_seen += n
         return self._decide()
 
@@ -594,34 +628,27 @@ class ThresholdController:
     def _decide(self) -> ThresholdDecision:
         estimate = self.estimator.quantile()
         previous = self.threshold
+        retargeted = False
         if self.items_seen == 0 or estimate != estimate:  # NaN: no data
-            decision = self._decision(False, previous, estimate, "empty")
+            reason = "empty"
         elif self.estimator.count < self.warmup_items:
-            decision = self._decision(False, previous, estimate, "warmup")
+            reason = "warmup"
         elif (self.items_seen - self._items_at_last_retarget
               < self.min_dwell_items):
-            decision = self._decision(False, previous, estimate, "dwell")
+            reason = "dwell"
         elif abs(estimate - previous) <= self.deadband * max(
             abs(previous), abs(estimate)
         ):
-            decision = self._decision(False, previous, estimate, "deadband")
+            reason = "deadband"
         else:
             self.threshold = float(estimate)
             self.retargets += 1
             self._items_at_last_retarget = self.items_seen
-            decision = self._decision(True, previous, estimate, "retarget")
-        self.last_decision = decision
+            retargeted, reason = True, "retarget"
+        decision = self.last_decision = ThresholdDecision(
+            retargeted, self.threshold, previous, estimate, self.items_seen,
+            reason)
         return decision
-
-    def _decision(self, retargeted, previous, estimate, reason):
-        return ThresholdDecision(
-            retargeted=retargeted,
-            threshold=self.threshold,
-            previous=previous,
-            estimate=estimate,
-            items_seen=self.items_seen,
-            reason=reason,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

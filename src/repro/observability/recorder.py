@@ -32,12 +32,12 @@ becomes a runnable regression test.
 
 Determinism contract: chunks are replayed through one engine call each,
 exactly as they were captured.  The batch engine's geometric cold-start
-ramp is local to each ``process()`` call, so matching the call
-boundaries matches the arithmetic; the scalar filter's ``insert_many``
-is item-order identical to per-item ``insert``.  The default
-``comparative`` strategy uses no RNG on the insert path, so replays are
-exact (probabilistic strategies would diverge at random tie-breaks and
-are not recorded).
+ramp runs only while ``items_processed`` is 0, which the base state
+restores, so matching the call boundaries matches the arithmetic; the
+scalar filter's ``insert_many`` is item-order identical to per-item
+``insert``.  The default ``comparative`` strategy uses no RNG on the
+insert path, so replays are exact (probabilistic strategies would
+diverge at random tie-breaks and are not recorded).
 
 >>> from repro import Criteria, QuantileFilter
 >>> filt = QuantileFilter(Criteria(delta=0.5, threshold=10.0,
@@ -404,10 +404,8 @@ class FlightRecorder:
         """
         if decision is None:
             return
-        from dataclasses import asdict
-
         with self._lock:
-            self._decisions.append(asdict(decision))
+            self._decisions.append(decision._asdict())
 
     # -- triggers -------------------------------------------------------
     def observe_alerts(self, transitions) -> List[Path]:

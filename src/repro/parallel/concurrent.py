@@ -18,11 +18,12 @@ Concurrency design
   shared state is touched per item, only per flush.
 * **Striped bucket-range locks** — the candidate planes are partitioned
   into ``num_stripes`` stripes by ``bucket % num_stripes``.  A flush
-  stripe-sorts its buffer (stable, so per-bucket stream order is
-  preserved), then commits each stripe's sub-chunk while holding only
-  that stripe's lock.  With the compiled kernel
-  (:func:`~repro.core.vectorized.qf_kernel_loaded`) the commit is one
-  C loop in stream order that stops at the first item needing the
+  hashes its buffer and groups it by stripe (stably, so per-bucket
+  stream order is preserved) outside any lock, then commits each
+  stripe's range while holding only that stripe's lock.  With the
+  compiled kernel (:func:`~repro.core.vectorized.qf_kernel_loaded`)
+  the hashing and grouping is one C call, and the commit is one C
+  loop in stream order that stops at the first item needing the
   vague part; only then does it take the single vague lock and resume.
   Without the kernel it is the batch engine's two-tier pass
   (:meth:`~repro.core.vectorized.BatchQuantileFilter._classify_chunk`
@@ -68,14 +69,15 @@ test_property_concurrent_equivalence.py``)
   ordered by the vague lock, and tickets extend both orders.
 
 Throughput: the compiled kernel is called through :mod:`ctypes`, which
-releases the GIL for every call, so stripe commits on different threads
-run in parallel; the Python around them (hashing, the stripe sort, lock
-bookkeeping) still takes turns under the GIL.  Without a compiler the
-commits are numpy passes plus a per-item Python tier, which hold the
-GIL for most of their time, and the remaining win over ``pipeline_shm``
-is skipping the per-chunk serialize/copy/deserialize — see the
-equal-core head-to-head in ``benchmarks/test_throughput_smoke.py`` and
-``docs/performance.md``.
+releases the GIL for every call.  A flush makes one call to hash and
+stripe-split its buffer and one or two per stripe to commit, so the
+updaters hash and commit in parallel; only the per-stripe lock
+bookkeeping and report handling take turns under the GIL.  Without a
+compiler the hashing, the stripe sort and the commits are numpy passes
+plus a per-item Python tier, which hold the GIL for most of their
+time, and the remaining win over ``pipeline_shm`` is skipping the
+per-chunk serialize/copy/deserialize — see the equal-core head-to-head
+in ``benchmarks/test_throughput_smoke.py`` and ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -264,96 +266,78 @@ class ConcurrentQuantileFilter:
         return self.reported_keys
 
     def _flush(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Commit one ingest buffer, one stripe sub-chunk at a time.
+        """Commit one ingest buffer, one stripe at a time.
 
-        Stable-sorts the buffer by stripe, then commits each stripe's
-        sub-chunk while holding that stripe's lock, taking the vague
-        lock as well only for the items that may touch the shared vague
-        part (lock order is stripe -> vague everywhere).  With the
-        compiled kernel the commit is :meth:`_compiled_commit`; without
-        it, the batch engine's two tiers classify the sub-chunk against
-        current plane state.
+        One :meth:`~repro.core.vectorized.BatchQuantileFilter._partition`
+        call hashes the buffer and groups it by stripe, outside any lock
+        (with the compiled kernel: one C call without the GIL).  Each
+        stripe's ``[lo, hi)`` range then commits under that stripe's
+        lock.  With the kernel the commit runs in stream order and stops
+        at the first item that needs the vague part; only then does it
+        take the vague lock and resume from that item.  The prefix and
+        the suffix are logged as two witness segments, each ticketed
+        under its own innermost lock, so :func:`replay_witness` stays
+        exact.  Without the kernel, the batch engine's two tiers
+        classify the range against current plane state.  Lock order is
+        stripe -> vague everywhere.
         """
         core = self._core
-        n = int(keys.shape[0])
-        if n == 0:
+        if keys.shape[0] == 0:
             return
         kernel = core._kernel()
-        # Hash/precompute outside any lock: pure function of the inputs.
-        fps, buckets, weights = core._chunk_parts(keys, values)
-        stripes = buckets % self.num_stripes
-        order = np.argsort(stripes, kind="stable")
-        sorted_stripes = stripes[order]
-        # Boundaries of each stripe's run inside the sorted permutation.
-        boundaries = np.flatnonzero(
-            np.diff(sorted_stripes, prepend=-1, append=self.num_stripes)
+        fps, buckets, weights, order, bounds = core._partition(
+            keys, values, self.num_stripes, kernel
         )
+        bounds = bounds.tolist()
         seq = self._stripe_seq
-        for i in range(len(boundaries) - 1):
-            lo, hi = int(boundaries[i]), int(boundaries[i + 1])
+        for stripe in range(self.num_stripes):
+            lo, hi = bounds[stripe], bounds[stripe + 1]
             if lo == hi:
                 continue
-            idx = order[lo:hi]
-            stripe = int(sorted_stripes[lo])
-            sub_keys = keys[idx]
-            sub_fps = fps[idx]
-            sub_buckets = buckets[idx]
-            sub_weights = weights[idx]
             sink = self._sinks[stripe]
-            lock = self._stripe_locks[stripe]
             wait_start = time.perf_counter()
-            with lock:
+            with self._stripe_locks[stripe]:
                 waited = time.perf_counter() - wait_start
                 # Odd while the commit runs, including the GIL-free
                 # kernel calls, so an overlapping seqlock read retries.
                 seq[stripe] += 1
                 try:
-                    if kernel is not None:
-                        self._compiled_commit(
-                            kernel, idx, keys, values, sub_keys, sub_fps,
-                            sub_buckets, sub_weights, sink,
+                    if kernel is None:
+                        self._two_tier_commit(
+                            keys, values, order, fps, buckets, weights,
+                            lo, hi, sink,
                         )
                     else:
-                        self._two_tier_commit(
-                            idx, keys, values, sub_keys, sub_fps,
-                            sub_buckets, sub_weights, sink,
+                        stop = core._compiled_pass(
+                            kernel, keys, order, fps, buckets, weights,
+                            lo, hi, stop_at_vague=True, sink=sink,
                         )
-                    sink.items += int(idx.shape[0])
+                        if stop > lo:
+                            self._record_witness(order[lo:stop], keys, values)
+                        if stop < hi:
+                            with self._vague_lock:
+                                self._record_witness(
+                                    order[stop:hi], keys, values
+                                )
+                                core._compiled_pass(
+                                    kernel, keys, order, fps, buckets,
+                                    weights, stop, hi, sink=sink,
+                                )
+                    sink.items += hi - lo
                     sink.flushes += 1
                 finally:
                     seq[stripe] += 1  # even: stripe consistent again
             with self._telemetry_lock:
                 self.lock_wait.record(waited)
 
-    def _compiled_commit(self, kernel, idx, keys, values, sub_keys,
-                         sub_fps, sub_buckets, sub_weights, sink) -> None:
-        """One stripe sub-chunk through the compiled loop (stripe lock held).
-
-        The loop runs in stream order and stops at the first item that
-        needs the vague part; only then does the commit take the vague
-        lock and resume from that item.  The prefix and the suffix are
-        logged as two witness segments, each ticketed under its own
-        innermost lock, so :func:`replay_witness` stays exact.
-        """
+    def _two_tier_commit(self, keys, values, order, fps, buckets, weights,
+                         lo, hi, sink) -> None:
+        """Items ``[lo, hi)`` through the numpy tiers (stripe lock held)."""
         core = self._core
-        stop = core._compiled_pass(
-            kernel, sub_keys, sub_fps, sub_buckets, sub_weights,
-            stop_at_vague=True, sink=sink,
-        )
-        if stop:
-            self._record_witness(idx[:stop], keys, values)
-        if stop < idx.shape[0]:
-            with self._vague_lock:
-                self._record_witness(idx[stop:], keys, values)
-                core._compiled_pass(
-                    kernel, sub_keys, sub_fps, sub_buckets, sub_weights,
-                    start=stop, sink=sink,
-                )
-
-    def _two_tier_commit(self, idx, keys, values, sub_keys, sub_fps,
-                         sub_buckets, sub_weights, sink) -> None:
-        """One stripe sub-chunk through the numpy tiers (stripe lock held)."""
-        core = self._core
+        idx = order[lo:hi]
+        sub_keys = keys[idx]
+        sub_fps, sub_buckets = fps[lo:hi], buckets[lo:hi]
+        sub_weights = weights[lo:hi]
         hit, fast_idx, slow_idx = core._classify_chunk(sub_fps, sub_buckets)
         if slow_idx.size:
             # Scalar-tier items can spill into the shared vague sketch:

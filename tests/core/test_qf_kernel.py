@@ -12,6 +12,7 @@ import shutil
 import sys
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -61,8 +62,9 @@ def test_kernel_loads_wherever_cc_is_on_path():
 @needs_kernel
 def test_kernel_call_releases_the_gil():
     # A ctypes.CDLL function drops the GIL for the call; a PyDLL one
-    # would serialise the threads engine's commits again.
-    assert not vectorized._qf_kernel()._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    # would serialise the threads engine's hashing and commits again.
+    for routine in vectorized._qf_kernel():
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def test_no_compiler_warns_once_and_stays_exact(unresolved, tmp_path,
@@ -127,17 +129,27 @@ def test_concurrent_first_use_resolves_once(unresolved, monkeypatch):
 @needs_kernel
 def test_canary_refuses_a_divergent_kernel(unresolved, tmp_path,
                                            monkeypatch):
-    # An unstable median sort: of two equal estimates, the later row's
-    # wins.  It differs from Python's list.sort only when the median
-    # ties 0.0 with -0.0, which the canary streams are chosen to reach.
     source = vectorized._QF_SOURCE.read_text()
-    unstable = source.replace("est < ests[j - 1]", "est <= ests[j - 1]")
-    assert unstable != source
-    mutant = tmp_path / "qf_kernel.c"
-    mutant.write_text(unstable)
-    monkeypatch.setattr(vectorized, "_QF_SOURCE", mutant)
-    with pytest.warns(RuntimeWarning, match="diverged"):
-        assert not qf_kernel_loaded()
+    mutants = (
+        # An unstable median sort: of two equal estimates, the later
+        # row's wins.  It differs from Python's list.sort only when the
+        # median ties 0.0 with -0.0, which the canary streams reach.
+        ("est < ests[j - 1]", "est <= ests[j - 1]", "loop diverged"),
+        # A split that loses the chunk order.  With one part the order
+        # is the identity anyway, so only the canary's 2- and 3-part
+        # partitions can catch it.
+        ("order[j] = i;", "order[j] = j;", "hashing diverged"),
+    )
+    for index, (original, mutated, message) in enumerate(mutants):
+        assert original in source
+        mutant = tmp_path / str(index) / "qf_kernel.c"
+        mutant.parent.mkdir()
+        mutant.write_text(source.replace(original, mutated))
+        monkeypatch.setattr(vectorized, "_QF_SOURCE", mutant)
+        monkeypatch.setattr(vectorized, "_qf_compiled",
+                            vectorized._UNRESOLVED)
+        with pytest.warns(RuntimeWarning, match=message):
+            assert not qf_kernel_loaded()
 
 
 @pytest.mark.parametrize("depth", [3, 4])
@@ -201,3 +213,36 @@ def test_threads_commit_splits_at_the_vague_part():
     replayed = replay_witness(cqf.witness, cqf)
     assert replayed.reported_keys == cqf.reported_keys
     assert np.array_equal(replayed._rows, cqf._rows)
+
+
+@needs_kernel
+def test_threads_flush_splits_once_and_commits_each_stripe_at_most_twice(
+    monkeypatch,
+):
+    # The whole buffer is hashed and split by one qf_split call; each
+    # stripe then commits its [lo, hi) range with one qf_process call,
+    # or two when it stops at the vague part and resumes.
+    kernel = vectorized._qf_kernel()
+    splits, ranges = [], []
+
+    def split(*args):
+        splits.append(args[9])  # parts
+        return kernel.split(*args)
+
+    def process(*args):
+        ranges.append(args[3:5])  # start, end
+        return kernel.process(*args)
+
+    monkeypatch.setattr(vectorized, "_qf_kernel",
+                        lambda: vectorized._QfKernel(split, process))
+    keys, values = stream(n=2_000)
+    cqf = ConcurrentQuantileFilter(
+        CRIT, num_buckets=8, vague_width=16, bucket_size=2, seed=5,
+        num_stripes=4,
+    )
+    cqf._flush(keys, values)
+    assert splits == [4]
+    calls_per_stripe = Counter(end for _, end in ranges)
+    assert len(calls_per_stripe) == 4
+    assert set(calls_per_stripe.values()) <= {1, 2}
+    assert cqf.items_processed == 2_000

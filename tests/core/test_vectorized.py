@@ -7,6 +7,7 @@ from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
+from repro.parallel.sharded import ShardedQuantileFilter
 
 
 def make_stream(seed: int, n: int = 20_000, n_keys: int = 500, n_hot: int = 20):
@@ -83,6 +84,29 @@ class TestBehaviour:
         parts.process(keys[2_000:], values[2_000:])
         assert parts.reported_keys == whole.reported_keys
 
+    def test_only_a_cold_filter_ramps(self, monkeypatch):
+        # The first call ramps up from 512-item chunks; later calls (one
+        # per chunk, as perfbench and the pipeline workers make them)
+        # take one full-width chunk per chunk_size items.
+        crit = Criteria(delta=0.95, threshold=200.0)
+        keys, values = make_stream(seed=10, n=4 * 8_192)
+        batch = BatchQuantileFilter(crit, memory_bytes=16_384)
+        sizes = []
+        run_chunk = batch._run_chunk
+
+        def recording_run_chunk(chunk_keys, chunk_values, kernel):
+            sizes.append(chunk_keys.shape[0])
+            run_chunk(chunk_keys, chunk_values, kernel)
+
+        monkeypatch.setattr(batch, "_run_chunk", recording_run_chunk)
+        batch.process(keys[:8_192], values[:8_192])
+        assert sizes == [512, 1_024, 2_048, 4_096, 512]
+        sizes.clear()
+        for start in range(8_192, keys.shape[0], 8_192):
+            batch.process(keys[start:start + 8_192],
+                          values[start:start + 8_192])
+        assert sizes == [8_192] * 3
+
     def test_items_processed(self):
         crit = Criteria(delta=0.95, threshold=200.0)
         keys, values = make_stream(seed=8, n=1_234)
@@ -126,3 +150,21 @@ class TestBehaviour:
         )
         reported = batch.process(keys, values)
         assert reported  # hot keys still found under forceful election
+
+
+def test_float32_values_are_compared_with_t_in_float64():
+    # NumPy compares a float32 array with a Python float in float32,
+    # where T = 100.099998 rounds to the same float32 as 100.1.  The
+    # scalar filter compares Python floats, so every engine must
+    # compare in float64.
+    crit = Criteria(delta=0.5, threshold=100.099998, epsilon=3.0)
+    keys = np.full(10, 7, dtype=np.int64)
+    values = np.full(10, 100.1, dtype=np.float32)
+    geometry = dict(num_buckets=8, vague_width=8)
+    scalar = QuantileFilter(crit, counter_kind="float", **geometry)
+    scalar.insert_many(keys, values)
+    batch = BatchQuantileFilter(crit, **geometry)
+    sharded = ShardedQuantileFilter(crit, 2, engine="batch", **geometry)
+    assert scalar.reported_keys == {7}
+    assert batch.process(keys, values) == {7}
+    assert sharded.process(keys, values) == {7}

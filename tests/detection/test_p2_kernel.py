@@ -106,7 +106,7 @@ def test_concurrent_first_use_resolves_once(unresolved, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert len(calls) == 1
-    assert all(estimator._heights == reference._heights
+    assert all(estimator._heights[:] == reference._heights[:]
                for estimator in estimators)
 
 
@@ -143,7 +143,8 @@ def test_update_many_accepts_lists_and_iterables(p2_path):
     from_list, from_iter = P2QuantileEstimator(0.5), P2QuantileEstimator(0.5)
     from_list.update_many([float(value) for value in range(50)])
     from_iter.update_many(float(value) for value in range(50))
-    assert from_list._heights == from_iter._heights == reference._heights
+    assert (from_list._heights[:] == from_iter._heights[:]
+            == reference._heights[:])
 
 
 @pytest.mark.parametrize("q", [0.9, 0.95, 0.99])

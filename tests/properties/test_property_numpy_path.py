@@ -12,6 +12,9 @@ import pytest
 
 from repro.core.criteria import Criteria
 from repro.core.vectorized import BatchQuantileFilter
+from tests.core.test_vectorized import (  # noqa: F401
+    test_float32_values_are_compared_with_t_in_float64,
+)
 from tests.parallel.test_shard_equivalence import (  # noqa: F401
     test_batch_and_scalar_sharding_agree_under_contention,
     test_merged_view_matches_single_without_overflow,

@@ -122,12 +122,13 @@ def test_stopping_at_the_vague_part_and_resuming_equals_one_call(
     keys, values = keys[warmup:], values[warmup:]
     if not len(keys):
         return
-    parts = whole._chunk_parts(keys, values)
+    fps, buckets, weights, order, _ = whole._partition(keys, values, 1,
+                                                       kernel)
+    parts = (order, fps, buckets, weights)
     assert whole._compiled_pass(kernel, keys, *parts) == len(keys)
     stop = split._compiled_pass(kernel, keys, *parts, stop_at_vague=True)
     if stop < len(keys):
         # The item it stopped at misses a full bucket.
-        fps, buckets, _ = parts
         bucket_fps = split._cand_fps[buckets[stop]]
         assert fps[stop] not in bucket_fps and 0 not in bucket_fps
         assert split._compiled_pass(kernel, keys, *parts,
