@@ -24,4 +24,4 @@ class CapacityError(ReproError):
 
 
 class TraceFormatError(ReproError):
-    """A stored trace file does not match the expected on-disk format."""
+    """A saved filter or incident bundle does not match its on-disk format."""

@@ -53,6 +53,24 @@ def require_probability(name: str, value) -> float:
     return value
 
 
+def require_integer_keys(keys) -> np.ndarray:
+    """``keys`` as an int64 array; raise unless its dtype is integer.
+
+    Casting floats to int64 would truncate them, silently merging keys
+    such as 1.5 and 1.9 into key 1, so a non-empty array of any other
+    dtype raises :class:`ParameterError`, as the batch engine's hashing
+    does for such keys.  uint64 keys keep their bits, which is all the
+    hashing reads.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu" and keys.size:
+        raise ParameterError(
+            f"unsupported key type {keys.dtype.name}; "
+            "use an array of integers"
+        )
+    return keys.astype(np.int64, copy=False)
+
+
 def require_item_arrays(keys, values) -> None:
     """Raise unless ``keys`` and ``values`` are equal-length 1-D arrays
     and no value is NaN.
@@ -66,5 +84,10 @@ def require_item_arrays(keys, values) -> None:
             "keys and values must be equal-length 1-D arrays, got "
             f"{keys.shape} and {values.shape}"
         )
-    if values.dtype.kind in "fc" and np.isnan(values).any():
+    # ``minimum`` propagates NaN, so one reduction finds any NaN without
+    # building a mask.  ``values.dot(values)`` is cheaper still on small
+    # arrays, but OpenBLAS runs it on its thread pool above 10000 items,
+    # which steals a core from the threads engine's updaters.
+    if (values.dtype.kind in "fc" and values.size
+            and np.isnan(np.minimum.reduce(values))):
         raise ParameterError("values must not be NaN")

@@ -174,17 +174,6 @@ def build_matrix_parser() -> argparse.ArgumentParser:
         "--last", type=int, default=None,
         help="only include the newest N runs",
     )
-    report.add_argument(
-        "--bench-seed", dest="bench_seed", action="store_true",
-        default=True,
-        help="prepend the committed BENCH_*.json snapshots as a "
-        "synthetic oldest run so the trajectory is never empty "
-        "(default on)",
-    )
-    report.add_argument(
-        "--no-bench-seed", dest="bench_seed", action="store_false",
-        help="render only the persisted runs",
-    )
 
     gate = sub.add_parser(
         "gate",
@@ -243,19 +232,10 @@ def _cmd_matrix_report(args) -> int:
     runs = store.load_all()
     if args.last:
         runs = runs[-args.last:]
-    # Gates compare persisted runs only; the bench seed is prepended
-    # after the gate pair is chosen (and after --last) so it informs
-    # the trajectory without ever acting as a regression baseline.
     gate = None
     if len(runs) >= 2:
         policy = GatePolicy.from_config(runs[-1].manifest.get("config", {}))
         gate = evaluate_gates(runs[-2], runs[-1], policy)
-    if getattr(args, "bench_seed", True):
-        from repro.experiments.benchseed import bench_seed_run
-
-        seed = bench_seed_run()
-        if seed is not None:
-            runs = [seed] + runs
     out = Path(args.out)
     out.write_text(render_markdown(runs, gate=gate))
     print(f"trend report over {len(runs)} run(s) written to {out}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
 #: Eight-level block characters for sparklines, lowest first.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -163,26 +163,3 @@ class LiveScreen:
     def __exit__(self, *_exc) -> None:
         self.close()
 
-
-def render_frames(
-    frames: Sequence[str],
-    stream=None,
-    live: Optional[bool] = None,
-) -> None:
-    """Print frames: live in-place when capable, plain lines otherwise.
-
-    Convenience for one-shot callers; interactive loops hold a
-    :class:`LiveScreen` themselves.
-    """
-    if stream is None:
-        stream = sys.stdout
-    if live is None:
-        live = ansi_capable(stream)
-    if not live:
-        for frame in frames:
-            stream.write(frame + "\n")
-        stream.flush()
-        return
-    with LiveScreen(stream) as screen:
-        for frame in frames:
-            screen.render(frame)

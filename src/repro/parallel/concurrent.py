@@ -83,6 +83,7 @@ in ``benchmarks/test_throughput_smoke.py`` and ``docs/performance.md``.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -91,6 +92,7 @@ from typing import List, Optional, Set
 import numpy as np
 
 from repro.common.errors import ParameterError
+from repro.common.validation import require_integer_keys, require_item_arrays
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
 from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
@@ -685,7 +687,19 @@ class ThreadIngest:
             self._values = []
 
     def insert(self, key: int, value: float) -> None:
-        """Buffer one item; flushes when the buffer fills."""
+        """Buffer one item; flushes when the buffer fills.
+
+        A non-integer ``key`` or a NaN ``value`` raises
+        :class:`ParameterError` before anything is buffered.
+        """
+        try:
+            key = operator.index(key)
+        except TypeError:
+            raise ParameterError(
+                f"unsupported key type {type(key).__name__}; use an integer"
+            ) from None
+        if value != value:
+            raise ParameterError(f"value of key {key!r} must not be NaN")
         self._keys.append(key)
         self._values.append(value)
         if len(self._keys) + self._array_items >= self.flush_items:
@@ -695,11 +709,13 @@ class ThreadIngest:
         """Buffer whole arrays (by reference, zero copies).
 
         Flushes once the accumulated total reaches ``flush_items``;
-        oversized inputs stream through in ``flush_items``-sized chunks
-        via :meth:`~repro.streams.model.Trace.iter_chunks`.
+        oversized inputs stream through in ``flush_items``-sized chunks.
+        A rejected pair raises :class:`ParameterError` before anything
+        is buffered, so the items already buffered stay pending.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = require_integer_keys(keys)
         values = np.asarray(values, dtype=np.float64)
+        require_item_arrays(keys, values)
         if keys.shape[0] == 0:
             return
         self._fold_scalar_buffer()
@@ -720,9 +736,11 @@ class ThreadIngest:
             values = np.concatenate([pair[1] for pair in self._arrays])
         self._arrays = []
         self._array_items = 0
-        trace = Trace(keys, values)
-        for chunk_keys, chunk_values in trace.iter_chunks(self.flush_items):
-            self.filt._flush(chunk_keys, chunk_values)
+        step = self.flush_items
+        for start in range(0, keys.shape[0], step):
+            self.filt._flush(
+                keys[start:start + step], values[start:start + step]
+            )
             self.flushes += 1
 
     @property

@@ -73,7 +73,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.common.errors import ReproError, ParameterError
-from repro.common.validation import require_item_arrays
+from repro.common.validation import require_integer_keys, require_item_arrays
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
@@ -793,7 +793,7 @@ class ParallelPipeline:
                 "pipeline already finished; build a new ParallelPipeline "
                 "to process another stream"
             )
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = require_integer_keys(keys)
         values = np.asarray(values, dtype=np.float64)
         require_item_arrays(keys, values)
         if not self._started:

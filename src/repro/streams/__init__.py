@@ -14,14 +14,6 @@ from repro.streams.caida_like import CaidaLikeConfig, generate_caida_like_trace
 from repro.streams.cloud_like import CloudLikeConfig, generate_cloud_like_trace
 from repro.streams.drift import DriftConfig, generate_drift_trace
 from repro.streams.bursty import BurstyConfig, generate_bursty_trace
-from repro.streams.trace_io import save_trace, load_trace
-from repro.streams.live import (
-    batch_detect_stream,
-    detect_chunk_stream,
-    detect_stream,
-    interleave_traces,
-    replay,
-)
 
 __all__ = [
     "Trace",
@@ -36,11 +28,4 @@ __all__ = [
     "generate_drift_trace",
     "BurstyConfig",
     "generate_bursty_trace",
-    "save_trace",
-    "load_trace",
-    "detect_stream",
-    "batch_detect_stream",
-    "detect_chunk_stream",
-    "replay",
-    "interleave_traces",
 ]

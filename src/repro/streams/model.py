@@ -14,7 +14,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from repro.common.errors import ParameterError
-from repro.common.validation import require_item_arrays
+from repro.common.validation import require_integer_keys, require_item_arrays
 
 
 @dataclass
@@ -27,7 +27,7 @@ class Trace:
     metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.keys = np.asarray(self.keys, dtype=np.int64)
+        self.keys = require_integer_keys(self.keys)
         self.values = np.asarray(self.values, dtype=np.float64)
         require_item_arrays(self.keys, self.values)
 

@@ -38,6 +38,8 @@ ARRAY_ENTRY_POINTS = {
         CRIT, 2, engine="threads", **GEOMETRY).run(k, v),
     "ShadowAccuracyEstimator.observe_batch":
         lambda k, v: ShadowAccuracyEstimator(CRIT).observe_batch(k, v),
+    "ThreadIngest.insert_many": lambda k, v: ConcurrentQuantileFilter(
+        CRIT, **GEOMETRY).ingest().insert_many(k, v),
 }
 
 
@@ -55,6 +57,15 @@ def test_array_entry_points_reject_nan_values(entry_point):
     values = np.full(20, 500.0)
     values[7] = np.nan
     with pytest.raises(ParameterError, match="NaN"):
+        ARRAY_ENTRY_POINTS[entry_point](keys, values)
+
+
+@pytest.mark.parametrize("entry_point", sorted(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_reject_float_keys(entry_point):
+    # Truncating to int64 would merge keys 1.5 and 1.9 into key 1.
+    keys = np.array([1.5, 2.7, 1.9, 1.5] * 5)
+    values = np.full(20, 500.0)
+    with pytest.raises(ParameterError, match="unsupported key type float64"):
         ARRAY_ENTRY_POINTS[entry_point](keys, values)
 
 

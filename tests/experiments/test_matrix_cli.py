@@ -166,19 +166,8 @@ class TestOperationsCliDoor:
         assert (runs / "via-repro" / "manifest.json").exists()
         assert "persisted run via-repro" in capsys.readouterr().out
 
-    def test_report_on_empty_store_shows_bench_seed(self, tmp_path):
-        # A fresh checkout has no persisted runs, but the committed
-        # BENCH_*.json snapshots seed the trajectory by default.
+    def test_report_on_empty_store_says_no_persisted_runs(self, tmp_path):
         out = tmp_path / "report.md"
         assert _run(["report", "--runs", tmp_path / "none",
                      "--out", out]) == 0
-        text = out.read_text()
-        assert "bench-seed" in text
-        assert "bench/throughput/batch" in text
-        assert "bench/observability/recorded" in text
-
-    def test_report_on_empty_store_without_bench_seed(self, tmp_path):
-        out = tmp_path / "report.md"
-        assert _run(["report", "--runs", tmp_path / "none",
-                     "--no-bench-seed", "--out", out]) == 0
         assert "no persisted runs" in out.read_text()

@@ -19,7 +19,6 @@ from repro.core.windowed import WindowedQuantileFilter
 from repro.detection.reports import AlertPolicy, ReportLog
 from repro.detection.threshold import ThresholdControlLoop, ThresholdController
 from repro.streams.drift import DriftConfig, generate_drift_trace
-from repro.streams.trace_io import load_trace, save_trace
 
 
 class TestFullStack:
@@ -110,19 +109,3 @@ class TestFullStack:
         assert health_warnings(restored) == health_warnings(inner)
         for key in range(100):
             assert restored.query(key) == pytest.approx(inner.query(key))
-
-    def test_trace_io_round_trips_drift_metadata(self, tmp_path):
-        trace = generate_drift_trace(
-            DriftConfig(num_items=3_000, num_keys=100, num_phases=3,
-                        anomalous_per_phase=5, seed=7)
-        )
-        path = tmp_path / "drift.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.metadata["phase_anomalous_keys"] == (
-            trace.metadata["phase_anomalous_keys"]
-        )
-        assert loaded.metadata["phase_boundaries"] == (
-            trace.metadata["phase_boundaries"]
-        )
-        assert (loaded.values == trace.values).all()

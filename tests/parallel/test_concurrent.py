@@ -128,6 +128,28 @@ class TestThreadIngest:
                 ingest.insert(key, value)
         assert via_ingest.reported_keys == via_process.reported_keys
 
+    @pytest.mark.parametrize("reject", [
+        lambda ing: ing.insert_many(np.arange(5), [1.0, np.nan, 1.0, 1.0, 1]),
+        lambda ing: ing.insert_many(np.ones((2, 2), dtype=np.int64),
+                                    np.ones((2, 2))),
+        lambda ing: ing.insert_many([1.5, 2.5], [1.0, 1.0]),
+        lambda ing: ing.insert(1, float("nan")),
+        lambda ing: ing.insert(1.5, 1.0),
+    ], ids=["nan", "2-d", "float-keys", "insert-nan", "insert-float-key"])
+    def test_rejected_call_keeps_buffered_items(self, reject):
+        cqf = ConcurrentQuantileFilter(
+            Criteria(delta=0.5, threshold=10.0, epsilon=2.0),
+            num_buckets=4, vague_width=8,
+        )
+        ingest = cqf.ingest(flush_items=8)
+        ingest.insert_many(np.arange(5), np.full(5, 20.0))
+        with pytest.raises(ParameterError):
+            reject(ingest)
+        assert ingest.pending == 5
+        ingest.flush()
+        assert cqf.items_processed == 5
+        assert ingest.pending == 0
+
 
 class TestValidation:
     def test_bad_num_stripes(self):

@@ -2,60 +2,71 @@
 
 Guards against export drift: names documented in docs/api.md and the
 README must stay importable from the advertised locations, and
-``__all__`` lists must match reality.
+``__all__`` lists must match reality.  Every module must also have a
+caller outside the test suites, so code that only its own tests use
+shows up here.
 """
 
+import ast
 import importlib
+import pkgutil
+from pathlib import Path
 
 import pytest
 
 import repro
 
-PUBLIC_MODULES = [
-    "repro.common", "repro.common.hashing", "repro.common.counters",
-    "repro.common.memory", "repro.common.rng", "repro.common.validation",
-    "repro.sketches", "repro.sketches.count_sketch",
-    "repro.sketches.count_min", "repro.sketches.count_mean_min",
-    "repro.sketches.space_saving", "repro.sketches.sampling",
-    "repro.quantiles", "repro.quantiles.gk", "repro.quantiles.kll",
-    "repro.quantiles.tdigest", "repro.quantiles.ddsketch",
-    "repro.quantiles.qdigest", "repro.quantiles.exact",
-    "repro.core", "repro.core.criteria", "repro.core.qweight",
-    "repro.core.vague", "repro.core.candidate", "repro.core.strategies",
-    "repro.core.quantile_filter", "repro.core.naive",
-    "repro.core.vectorized", "repro.core.multi_criteria",
-    "repro.core.windowed", "repro.core.persistence", "repro.core.inspect",
-    "repro.baselines", "repro.baselines.squad",
-    "repro.baselines.sketchpolymer", "repro.baselines.histsketch",
-    "repro.baselines.perkey",
-    "repro.detection", "repro.detection.base",
-    "repro.detection.ground_truth", "repro.detection.adapters",
-    "repro.detection.reports", "repro.detection.shadow",
-    "repro.observability", "repro.observability.registry",
-    "repro.observability.health", "repro.observability.server",
-    "repro.observability.timeseries", "repro.observability.alerts",
-    "repro.observability.term", "repro.observability.dashboard",
-    "repro.streams", "repro.streams.model", "repro.streams.zipf",
-    "repro.streams.caida_like", "repro.streams.cloud_like",
-    "repro.streams.drift", "repro.streams.bursty",
-    "repro.streams.trace_io", "repro.streams.live",
-    "repro.metrics", "repro.metrics.accuracy", "repro.metrics.throughput",
-    "repro.metrics.latency",
-    "repro.analysis", "repro.analysis.theory", "repro.analysis.sizing",
-    "repro.experiments", "repro.experiments.config",
-    "repro.experiments.harness", "repro.experiments.figures",
-    "repro.experiments.scaling", "repro.experiments.report",
-    "repro.experiments.cli", "repro.experiments.matrix",
-    "repro.experiments.runstore", "repro.experiments.trend",
-    "repro.parallel", "repro.parallel.sharded", "repro.parallel.pipeline",
-    "repro.parallel.concurrent",
+REPO = Path(__file__).resolve().parents[1]
+
+#: Every module of the package except the ``python -m repro`` entry point.
+MODULES = [
+    info for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if info.name != "repro.__main__"
 ]
 
+#: Where the callers that count live; ``tests/`` directories never count.
+CALLER_ROOTS = ("src", "examples", "benchmarks", "perfbench")
 
-@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+
+@pytest.mark.parametrize("module_name", sorted(m.name for m in MODULES))
 def test_module_imports(module_name):
     module = importlib.import_module(module_name)
     assert module.__doc__, f"{module_name} is missing a module docstring"
+
+
+def _imported_names(path: Path):
+    """Every dotted name ``path`` imports, at any nesting depth."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            for alias in node.names:
+                yield f"{node.module}.{alias.name}"
+
+
+def test_every_module_is_imported_outside_tests():
+    importers = {}
+    for root in CALLER_ROOTS:
+        for path in (REPO / root).rglob("*.py"):
+            if "tests" in path.relative_to(REPO).parts:
+                continue
+            for name in _imported_names(path):
+                importers.setdefault(name, set()).add(path)
+    unimported = []
+    for info in MODULES:
+        if info.ispkg:
+            continue
+        parts = info.name.split(".")
+        own_files = {
+            REPO.joinpath("src", *parts).with_suffix(".py"),
+            REPO.joinpath("src", *parts[:-1], "__init__.py"),
+        }
+        if not importers.get(info.name, set()) - own_files:
+            unimported.append(info.name)
+    assert not unimported, (
+        f"imported only by tests (or by nothing): {unimported}"
+    )
 
 
 @pytest.mark.parametrize(
