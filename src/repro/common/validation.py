@@ -73,21 +73,28 @@ def require_integer_keys(keys) -> np.ndarray:
 
 def require_item_arrays(keys, values) -> None:
     """Raise unless ``keys`` and ``values`` are equal-length 1-D arrays
-    and no value is NaN.
+    and every value is an integer or a float other than NaN.
 
     A NaN is neither above nor at-or-below ``T``, so it has no Qweight;
-    ±inf are ordinary values.  The arrays are neither copied nor
-    converted, so every caller keeps the dtypes it passed.
+    ±inf are ordinary values.  Values of any other dtype, such as an
+    object array holding ``None``, would be scored as NaN.  The arrays
+    are neither copied nor converted, so every caller keeps the dtypes
+    it passed.
     """
     if keys.ndim != 1 or keys.shape != values.shape:
         raise ParameterError(
             "keys and values must be equal-length 1-D arrays, got "
             f"{keys.shape} and {values.shape}"
         )
+    if values.dtype.kind not in "iuf":
+        raise ParameterError(
+            f"unsupported value type {values.dtype.name}; "
+            "use an array of numbers"
+        )
     # ``minimum`` propagates NaN, so one reduction finds any NaN without
     # building a mask.  ``values.dot(values)`` is cheaper still on small
     # arrays, but OpenBLAS runs it on its thread pool above 10000 items,
     # which steals a core from the threads engine's updaters.
-    if (values.dtype.kind in "fc" and values.size
+    if (values.dtype.kind == "f" and values.size
             and np.isnan(np.minimum.reduce(values))):
         raise ParameterError("values must not be NaN")

@@ -724,8 +724,9 @@ DEFAULT_RULE_TABLES: Tuple[Mapping, ...] = (
         "qf_health_workers_missing > 0", "critical",
         "A shard worker process died; the next feed() or finish() "
         "raises.",
-        "Check the incident bundle (worker_crash dump) and worker "
-        "stderr; restart the pipeline — shard state is lost.",
+        "Check the worker stderr and, if the worker raised, the "
+        "traceback WorkerFailedError carries; restart the pipeline — "
+        "shard state is lost.",
     ),
     {
         "name": "ring-buffer-drops",

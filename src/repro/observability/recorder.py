@@ -3,9 +3,8 @@
 The alert rules (:mod:`repro.observability.alerts`) over the health
 signal gauges can say *that* a filter went degraded or critical; this
 module preserves *why*.  A :class:`FlightRecorder` rides a filter's
-insert path at **chunk granularity** — the unit the batch engine, the
-pipeline workers and the serve loop already feed in — and retains, in
-bounded memory:
+insert path at **chunk granularity** — the unit the batch engine and
+the serve loop already feed in — and retains, in bounded memory:
 
 * a **base snapshot** of the full filter state
   (:func:`repro.core.persistence.engine_state`), refreshed whenever the
@@ -19,10 +18,10 @@ bounded memory:
   :class:`~repro.observability.provenance.ReportProvenance` entries.
 
 When an alert rule enters the firing state
-(:meth:`FlightRecorder.observe_alerts`), on an explicit ``repro record
-dump``, or when a pipeline worker crashes, the recorder writes a
-self-contained, versioned **incident bundle** (``incident-<ts>.json.gz``
-plus a small sidecar manifest) atomically, runstore-style.
+(:meth:`FlightRecorder.observe_alerts`) or on an explicit ``repro
+record dump``, the recorder writes a self-contained, versioned
+**incident bundle** (``incident-<ts>.json.gz`` plus a small sidecar
+manifest) atomically, runstore-style.
 :func:`replay_bundle` closes the loop: it rebuilds the filter from the
 base snapshot, re-feeds every captured chunk through the same engine
 entry point (``insert_many`` / ``process``) and asserts the captured
@@ -563,9 +562,9 @@ def _atomic_write_bytes(path: Path, payload: bytes) -> None:
 def list_incidents(incident_dir: PathLike) -> List[dict]:
     """Read every sidecar manifest under ``incident_dir``, newest first.
 
-    Bundles written by pipeline workers live in per-shard
-    subdirectories, so the scan is recursive.  Unreadable manifests are
-    skipped (a dump may be mid-replace).
+    The scan is recursive, so recorders that dump into subdirectories
+    (one per shard, say) are listed from the root.  Unreadable
+    manifests are skipped (a dump may be mid-replace).
     """
     root = Path(incident_dir)
     if not root.is_dir():

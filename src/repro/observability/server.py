@@ -30,8 +30,8 @@ collects them with the telemetry snapshot into the
 :class:`~repro.observability.timeseries.MetricStore`, evaluates the
 :class:`~repro.observability.alerts.AlertEngine` (the shipped
 :func:`~repro.observability.alerts.default_rules` unless ``rules`` is
-given) and sends every rule entering firing to the deployment's
-incident dumps.  The routes only read the last tick's state.
+given) and sends every rule entering firing to the flight recorder,
+when one is attached.  The routes only read the last tick's state.
 
 :class:`FilterServeSource` snapshots the filter's registry (pull-model
 reads of plain attributes) and probes its structure;
@@ -76,7 +76,7 @@ from repro.observability.health import (
     verdict_rank,
 )
 from repro.observability.instrument import observe_filter, observe_process
-from repro.observability.recorder import list_incidents, observe_recorder
+from repro.observability.recorder import observe_recorder
 from repro.observability.registry import StatsRegistry, aggregate_snapshots
 from repro.observability.timeseries import MetricStore
 
@@ -86,11 +86,14 @@ class _ServeSource:
 
     Subclasses set ``monitor`` and implement ``_views()`` — the
     telemetry snapshot plus ``(source, signal gauges)`` for every view
-    they judge — and ``_dump_on_alerts(transitions)``, then call
-    :meth:`_init_source`.  The thread contract: :meth:`tick` belongs to
-    the feeding thread; every other method is safe from HTTP threads
-    because it only reads the last tick's state.
+    they judge — then call :meth:`_init_source`.  A subclass that
+    records sets ``recorder``, whose bundles the ``/incidents`` route
+    lists.  The thread contract: :meth:`tick` belongs to the feeding
+    thread; every other method is safe from HTTP threads because it
+    only reads the last tick's state.
     """
+
+    recorder = None
 
     def _init_source(self, rules, store) -> None:
         # Process gauges live on their own registry so they never skew
@@ -113,7 +116,7 @@ class _ServeSource:
         wins), collects them with the telemetry snapshot into the store
         — subject to the store's ``step_seconds`` throttle: a throttled
         tick changes nothing the routes serve — evaluates every rule,
-        and sends the rules that entered firing to the incident dumps.
+        and sends the rules that entered firing to the recorder.
         Returns the state transitions taken.
         """
         snapshot, views = self._views()
@@ -136,8 +139,8 @@ class _ServeSource:
             ]
             transitions = self.alerts.evaluate(now=now)
         fired = [t for t in transitions if t.new_state == "firing"]
-        if fired:
-            self._dump_on_alerts(fired)
+        if fired and self.recorder is not None:
+            self.recorder.observe_alerts(fired)
         return transitions
 
     # -- HTTP-thread side ---------------------------------------------
@@ -172,12 +175,11 @@ class _ServeSource:
         return self.alerts.as_dict()
 
     def incidents(self) -> List[dict]:
-        """Recent incident-bundle manifests under :attr:`incident_dir`
-        (recursive, so pipeline workers' per-shard directories count),
-        newest first; empty when nothing records."""
-        if self.incident_dir is None:
+        """The recorder's recent incident-bundle manifests, newest
+        first; empty when nothing records."""
+        if self.recorder is None:
             return []
-        return list_incidents(self.incident_dir)
+        return self.recorder.list_incidents()
 
 
 class FilterServeSource(_ServeSource):
@@ -214,7 +216,6 @@ class FilterServeSource(_ServeSource):
             monitor if monitor is not None else HealthMonitor.for_filter(filt)
         )
         self.recorder = recorder
-        self.incident_dir = getattr(recorder, "incident_dir", None)
         if recorder is not None:
             observe_recorder(recorder, self.registry)
         self._init_source(rules, store)
@@ -232,10 +233,6 @@ class FilterServeSource(_ServeSource):
         )
         return snapshot, [("filter", gauges)]
 
-    def _dump_on_alerts(self, transitions: list) -> None:
-        if self.recorder is not None:
-            self.recorder.observe_alerts(transitions)
-
 
 class PipelineServeSource(_ServeSource):
     """Serve source for a running :class:`~repro.parallel.pipeline.
@@ -247,10 +244,6 @@ class PipelineServeSource(_ServeSource):
     themselves.  The aggregate view carries the stream signals (drift,
     shadow, worker liveness); each cached worker view adds its own
     structural and telemetry signals, and the fold keeps the worst.
-
-    Never tick from an HTTP thread: a rule entering the firing state
-    broadcasts ``pipeline.request_incident_dump``, which rides the
-    worker queues.
     """
 
     def __init__(
@@ -269,9 +262,6 @@ class PipelineServeSource(_ServeSource):
         # Shard views get structural/telemetry signals only: the stream
         # detectors watch the whole stream, not one shard.
         self._shard_monitor = HealthMonitor()
-        # Workers dump into per-shard subdirectories of this root when
-        # the pipeline was built with one.
-        self.incident_dir = getattr(pipeline, "incident_dir", None)
         self._init_source(rules, store)
 
     def _global_snapshot(self) -> Dict[str, float]:
@@ -296,14 +286,6 @@ class PipelineServeSource(_ServeSource):
                 (source, self._shard_monitor.samples(view, source=source))
             )
         return snapshot, views
-
-    def _dump_on_alerts(self, transitions: list) -> None:
-        if not self.pipeline.running:
-            return
-        for transition in transitions:
-            self.pipeline.request_incident_dump(
-                f"alert:{transition.rule.name}"
-            )
 
 
 class _HealthRequestHandler(BaseHTTPRequestHandler):

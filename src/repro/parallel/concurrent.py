@@ -14,8 +14,8 @@ Concurrency design
 ==================
 
 * **Thread-local ingest** (:class:`ThreadIngest`) — each updater thread
-  appends into a private buffer; at ``flush_items`` it flushes.  No
-  shared state is touched per item, only per flush.
+  keeps a private buffer of arrays and flushes it at ``flush_items``
+  items.  No shared state is touched per array, only per flush.
 * **Striped bucket-range locks** — the candidate planes are partitioned
   into ``num_stripes`` stripes by ``bucket % num_stripes``.  A flush
   hashes its buffer and groups it by stripe (stably, so per-bucket
@@ -31,12 +31,13 @@ Concurrency design
   take the vague lock for the whole commit.  Threads touching disjoint
   stripes commit concurrently; lock order is always stripe -> vague,
   so no deadlock is possible.
-* **Seqlock read path** — each stripe carries a sequence counter that
-  is odd while a commit mutates it (the kernel runs without the GIL,
-  so a reader can overlap it and must retry).  Readers (:meth:`query`,
-  the stats snapshot helpers) read optimistically and retry on a
-  seqlock change, falling back to taking the lock after a few spins,
-  so scrapes never block inserts.
+* **Lock-free scrapes** — :attr:`reported_keys` copies the stripes'
+  report sets optimistically, retrying a copy that races an insert
+  and falling back to the stripe locks after a few tries.  The tallies
+  and plane counts that telemetry scrapes read
+  (:func:`~repro.observability.instrument.observe_filter`,
+  :func:`~repro.core.inspect.structural_probe`) are plain loads of
+  snapshot quality: a scrape during a flush may see part of it.
 * **Per-stripe sinks** (:class:`StripeSink`) — reports and event
   tallies land in per-stripe accumulators (mutated only under the
   stripe's lock), because racing ``int +=`` on one shared filter
@@ -83,7 +84,6 @@ in ``benchmarks/test_throughput_smoke.py`` and ``docs/performance.md``.
 from __future__ import annotations
 
 import itertools
-import operator
 import threading
 import time
 from dataclasses import dataclass
@@ -97,7 +97,6 @@ from repro.core.criteria import Criteria
 from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
 from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
 from repro.observability.histogram import LogHistogram
-from repro.streams.model import Trace
 
 #: Default number of bucket stripes.  A multiple of the updater-thread
 #: count keeps steady-state commits contention-free under bucket-affine
@@ -108,8 +107,8 @@ DEFAULT_NUM_STRIPES = 16
 #: batch engine's chunk size: each flush is one exact chunk pass.
 DEFAULT_FLUSH_ITEMS = DEFAULT_CHUNK_SIZE
 
-#: Optimistic seqlock read attempts before falling back to the lock.
-_SEQLOCK_SPINS = 64
+#: Optimistic report-set copies before falling back to the stripe locks.
+_COPY_RETRIES = 64
 
 
 class StripeSink:
@@ -174,7 +173,7 @@ class ConcurrentQuantileFilter:
         commit contention; ``DEFAULT_NUM_STRIPES`` unless the filter is
         tiny.
     flush_items:
-        Default thread-local buffer length for :meth:`ingest`.
+        Thread-local buffer length of every :meth:`ingest` buffer.
     record_witness:
         Log every committed sub-chunk with a commit ticket for
         :func:`replay_witness` (test/verification aid; costs one array
@@ -227,10 +226,6 @@ class ConcurrentQuantileFilter:
             threading.Lock() for _ in range(self.num_stripes)
         ]
         self._vague_lock = threading.Lock()
-        #: Per-stripe seqlock counters — odd while a commit is mutating
-        #: the stripe.  Plain list of ints: every write happens under
-        #: the stripe's lock, readers only ever load.
-        self._stripe_seq = [0] * self.num_stripes
         self._sinks = [StripeSink() for _ in range(self.num_stripes)]
         #: Commit tickets; ``itertools.count`` advances atomically on
         #: CPython, and each draw happens inside a lock anyway.
@@ -246,25 +241,23 @@ class ConcurrentQuantileFilter:
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def ingest(self, flush_items: Optional[int] = None) -> "ThreadIngest":
+    def ingest(self) -> "ThreadIngest":
         """A new thread-local ingest buffer bound to this filter.
 
         Each updater thread owns one; buffers are independent, so no
         two threads may share a :class:`ThreadIngest`.
         """
-        return ThreadIngest(
-            self, flush_items if flush_items is not None else self.flush_items
-        )
+        return ThreadIngest(self)
 
     def process(self, keys: np.ndarray, values: np.ndarray) -> Set[int]:
         """Single-caller convenience: ingest + flush the whole stream.
 
-        Chunks through the striped commit path exactly as a lone
-        updater thread would; returns the deduplicated reported keys.
+        Feeds one :class:`ThreadIngest`, exactly as a lone updater
+        thread would, so the stream commits in ``flush_items`` chunks;
+        returns the deduplicated reported keys.
         """
-        trace = Trace(np.asarray(keys), np.asarray(values))
-        for chunk_keys, chunk_values in trace.iter_chunks(self.flush_items):
-            self._flush(chunk_keys, chunk_values)
+        with self.ingest() as ingest:
+            ingest.insert_many(keys, values)
         return self.reported_keys
 
     def _flush(self, keys: np.ndarray, values: np.ndarray) -> None:
@@ -291,7 +284,6 @@ class ConcurrentQuantileFilter:
             keys, values, self.num_stripes, kernel
         )
         bounds = bounds.tolist()
-        seq = self._stripe_seq
         for stripe in range(self.num_stripes):
             lo, hi = bounds[stripe], bounds[stripe + 1]
             if lo == hi:
@@ -300,35 +292,29 @@ class ConcurrentQuantileFilter:
             wait_start = time.perf_counter()
             with self._stripe_locks[stripe]:
                 waited = time.perf_counter() - wait_start
-                # Odd while the commit runs, including the GIL-free
-                # kernel calls, so an overlapping seqlock read retries.
-                seq[stripe] += 1
-                try:
-                    if kernel is None:
-                        self._two_tier_commit(
-                            keys, values, order, fps, buckets, weights,
-                            lo, hi, sink,
-                        )
-                    else:
-                        stop = core._compiled_pass(
-                            kernel, keys, order, fps, buckets, weights,
-                            lo, hi, stop_at_vague=True, sink=sink,
-                        )
-                        if stop > lo:
-                            self._record_witness(order[lo:stop], keys, values)
-                        if stop < hi:
-                            with self._vague_lock:
-                                self._record_witness(
-                                    order[stop:hi], keys, values
-                                )
-                                core._compiled_pass(
-                                    kernel, keys, order, fps, buckets,
-                                    weights, stop, hi, sink=sink,
-                                )
-                    sink.items += hi - lo
-                    sink.flushes += 1
-                finally:
-                    seq[stripe] += 1  # even: stripe consistent again
+                if kernel is None:
+                    self._two_tier_commit(
+                        keys, values, order, fps, buckets, weights,
+                        lo, hi, sink,
+                    )
+                else:
+                    stop = core._compiled_pass(
+                        kernel, keys, order, fps, buckets, weights,
+                        lo, hi, stop_at_vague=True, sink=sink,
+                    )
+                    if stop > lo:
+                        self._record_witness(order[lo:stop], keys, values)
+                    if stop < hi:
+                        with self._vague_lock:
+                            self._record_witness(
+                                order[stop:hi], keys, values
+                            )
+                            core._compiled_pass(
+                                kernel, keys, order, fps, buckets,
+                                weights, stop, hi, sink=sink,
+                            )
+                sink.items += hi - lo
+                sink.flushes += 1
             with self._telemetry_lock:
                 self.lock_wait.record(waited)
 
@@ -379,66 +365,8 @@ class ConcurrentQuantileFilter:
         self.witness.append(segment)
 
     # ------------------------------------------------------------------
-    # read path (seqlock: never blocks inserts)
+    # reads (never block inserts)
     # ------------------------------------------------------------------
-    def query(self, key) -> float:
-        """Current Qweight estimate of ``key`` (consistent snapshot read).
-
-        Candidate part first (exact if resident), read optimistically
-        under the owning stripe's seqlock; a candidate miss falls back
-        to the vague estimate under the vague lock (misses are the rare
-        path).
-        """
-        core = self._core
-        key_arr = np.asarray([key], dtype=np.int64)
-        fps, buckets, _ = core._chunk_parts(
-            key_arr, np.zeros(1, dtype=np.float64)
-        )
-        fp = int(fps[0])
-        bucket = int(buckets[0])
-        stripe = bucket % self.num_stripes
-        row_fps, row_qws = self._read_bucket(bucket, stripe)
-        for slot in range(core.bucket_size):
-            if row_fps[slot] == fp:
-                return float(row_qws[slot])
-        with self._vague_lock:
-            return self._vague_estimate(fp, bucket)
-
-    def _read_bucket(self, bucket: int, stripe: int):
-        """Seqlock-consistent copy of one bucket's fp/qw rows."""
-        core = self._core
-        seq = self._stripe_seq
-        for _ in range(_SEQLOCK_SPINS):
-            before = seq[stripe]
-            if before & 1:
-                continue
-            row_fps = core._cand_fps[bucket].tolist()
-            row_qws = core._cand_qws[bucket].tolist()
-            if seq[stripe] == before:
-                return row_fps, row_qws
-        # Pathological contention: take the lock (bounded, still rare).
-        with self._stripe_locks[stripe]:
-            return (
-                core._cand_fps[bucket].tolist(),
-                core._cand_qws[bucket].tolist(),
-            )
-
-    def _vague_estimate(self, fp: int, bucket: int) -> float:
-        """Median-of-rows vague estimate (caller holds the vague lock)."""
-        core = self._core
-        from repro.core.vague import vague_key
-
-        vkey = vague_key(fp, bucket)
-        cols = core._hashes.indices(vkey)
-        signs = core._signs.signs(vkey)
-        ests = sorted(
-            signs[r] * core._rows.item(r, cols[r]) for r in range(core.depth)
-        )
-        depth = core.depth
-        if depth % 2:
-            return float(ests[depth // 2])
-        return float(0.5 * (ests[depth // 2 - 1] + ests[depth // 2]))
-
     @property
     def reported_keys(self) -> Set[int]:
         """Deduplicated reported keys across all stripes (lock-free).
@@ -448,7 +376,7 @@ class ConcurrentQuantileFilter:
         to the stripe locks.  The union is exact because each key
         belongs to exactly one stripe.
         """
-        for _ in range(_SEQLOCK_SPINS):
+        for _ in range(_COPY_RETRIES):
             try:
                 out: Set[int] = set()
                 for sink in self._sinks:
@@ -645,65 +573,21 @@ class _MultiLock:
 class ThreadIngest:
     """Thread-local ingest buffer feeding one ConcurrentQuantileFilter.
 
-    Single-owner: exactly one thread appends and flushes.  Scalar
-    inserts accumulate into Python lists (cheap appends, one ndarray
-    materialization per flush); array inserts accumulate by reference.
-    Both buffer until ``flush_items`` is reached — committing a
-    sub-``flush_items`` slice immediately would defeat the whole point
-    of the buffer (each commit pays fixed per-pass numpy and locking
-    overhead, so the pipeline feeding 1/N-sized shard slices must still
-    amortize over full-size flushes).
+    Single-owner: exactly one thread inserts and flushes.  Arrays
+    accumulate by reference until the filter's ``flush_items`` is
+    reached — committing a short piece immediately would defeat the
+    point of the buffer (each commit pays a fixed cost in hashing calls
+    and locking, so pieces smaller than a chunk amortize it over
+    full-size flushes).
     """
 
-    __slots__ = (
-        "filt", "flush_items", "_keys", "_values", "_arrays",
-        "_array_items", "flushes",
-    )
+    __slots__ = ("filt", "_arrays", "_array_items")
 
-    def __init__(self, filt: ConcurrentQuantileFilter, flush_items: int):
-        if flush_items < 1:
-            raise ParameterError(
-                f"flush_items must be >= 1, got {flush_items}"
-            )
+    def __init__(self, filt: ConcurrentQuantileFilter):
         self.filt = filt
-        self.flush_items = flush_items
-        self._keys: List[int] = []
-        self._values: List[float] = []
-        #: Buffered (keys, values) array pairs, in arrival order; the
-        #: scalar lists are folded in whenever the mode switches so one
-        #: interleaving of insert()/insert_many() keeps stream order.
+        #: Buffered (keys, values) array pairs, in arrival order.
         self._arrays: List = []
         self._array_items = 0
-        self.flushes = 0
-
-    def _fold_scalar_buffer(self) -> None:
-        if self._keys:
-            self._arrays.append((
-                np.asarray(self._keys, dtype=np.int64),
-                np.asarray(self._values, dtype=np.float64),
-            ))
-            self._array_items += len(self._keys)
-            self._keys = []
-            self._values = []
-
-    def insert(self, key: int, value: float) -> None:
-        """Buffer one item; flushes when the buffer fills.
-
-        A non-integer ``key`` or a NaN ``value`` raises
-        :class:`ParameterError` before anything is buffered.
-        """
-        try:
-            key = operator.index(key)
-        except TypeError:
-            raise ParameterError(
-                f"unsupported key type {type(key).__name__}; use an integer"
-            ) from None
-        if value != value:
-            raise ParameterError(f"value of key {key!r} must not be NaN")
-        self._keys.append(key)
-        self._values.append(value)
-        if len(self._keys) + self._array_items >= self.flush_items:
-            self.flush()
 
     def insert_many(self, keys, values) -> None:
         """Buffer whole arrays (by reference, zero copies).
@@ -718,15 +602,13 @@ class ThreadIngest:
         require_item_arrays(keys, values)
         if keys.shape[0] == 0:
             return
-        self._fold_scalar_buffer()
         self._arrays.append((keys, values))
         self._array_items += int(keys.shape[0])
-        if self._array_items >= self.flush_items:
+        if self._array_items >= self.filt.flush_items:
             self.flush()
 
     def flush(self) -> None:
         """Commit all buffered items now (no-op when empty)."""
-        self._fold_scalar_buffer()
         if not self._arrays:
             return
         if len(self._arrays) == 1:
@@ -736,17 +618,16 @@ class ThreadIngest:
             values = np.concatenate([pair[1] for pair in self._arrays])
         self._arrays = []
         self._array_items = 0
-        step = self.flush_items
+        step = self.filt.flush_items
         for start in range(0, keys.shape[0], step):
             self.filt._flush(
                 keys[start:start + step], values[start:start + step]
             )
-            self.flushes += 1
 
     @property
     def pending(self) -> int:
         """Items buffered but not yet flushed."""
-        return len(self._keys) + self._array_items
+        return self._array_items
 
     def __enter__(self) -> "ThreadIngest":
         return self
@@ -778,6 +659,9 @@ def replay_witness(
         strategy=core.strategy.name,
         seed=core.seed,
     )
+    # Tally as the template does, so a filter observed from its first
+    # commit on replays its hit/insert/swap tallies exactly too.
+    replayed.stats_tallies = template.stats_tallies
     for segment in sorted(segments, key=lambda s: s.ticket):
         replayed._process_chunk(segment.keys, segment.values)
     return replayed

@@ -15,10 +15,10 @@ sends only a ``("chunk", chunk_id, slot_id, length)`` descriptor; the
 worker reads the slot zero-copy, and the slot credit returns on the
 worker's report ack.
 
-Requests: stats views, incident dumps and the thread engine's
-retarget barrier all go to every worker as ``(kind, sync_id, *args)``
-behind the chunks already queued, and every worker answers
-``("reply", sync_id, shard_id, payload)``.
+Requests: stats views and the thread engine's retarget barrier go to
+every worker as ``(kind, sync_id, *args)`` behind the chunks already
+queued, and every worker answers ``("reply", sync_id, shard_id,
+payload)``.
 
 Consistency model (also documented in ``docs/operations.md``):
 
@@ -66,8 +66,7 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -96,9 +95,6 @@ DEFAULT_CHUNK_ITEMS = 16_384
 #: queue is bounded proportionally.  Backpressure, not unbounded
 #: buffering.
 QUEUE_CAPACITY = 4
-
-#: Chunks each shard's flight recorder retains (``incident_dir`` only).
-RECORD_CHUNKS = 32
 
 #: Engines the pipeline can run: the process-per-shard engines plus the
 #: in-process thread engine (one shared
@@ -143,7 +139,6 @@ class PipelineResult:
     chunks: int
     per_shard_items: List[int]
     per_shard_reports: List[int]
-    batches: List[ReportBatch] = field(default_factory=list)
     #: Aggregated telemetry snapshot (worker registries summed per the
     #: metric aggregation rules, plus the master's pipeline_* samples).
     #: None unless the pipeline ran with ``collect_stats=True``.
@@ -191,7 +186,6 @@ def _worker_main(
 ) -> None:
     """Worker loop: build the shard filter, consume chunks until stop."""
     ring = None
-    recorder = None
     try:
         engine = config["engine"]
         ring = ShmSlotRing.attach(*ring_info)
@@ -208,18 +202,6 @@ def _worker_main(
                 _append(provenance_record(report))
 
         filt = _build_worker_filter(config, on_report=on_report)
-        record_config = config.get("record")
-        if record_config:
-            from repro.observability.recorder import FlightRecorder
-
-            recorder = FlightRecorder(
-                filt,
-                max_chunks=record_config["max_chunks"],
-                incident_dir=(
-                    Path(record_config["incident_dir"]) / f"shard-{shard_id}"
-                ),
-                config={"shard": shard_id, "engine": engine},
-            )
         tracer = None
         if config.get("trace"):
             tracer = Tracer(capacity=config.get("trace_capacity", 65_536))
@@ -246,13 +228,6 @@ def _worker_main(
                     help="Trace events dropped by a full ring buffer.",
                     labels={"role": f"shard-{shard_id}"},
                 )
-            if recorder is not None:
-                from repro.observability.recorder import observe_recorder
-
-                observe_recorder(
-                    recorder, registry,
-                    labels={"role": f"shard-{shard_id}"},
-                )
         known: Set = set()
         while True:
             if tracer is not None:
@@ -273,12 +248,7 @@ def _worker_main(
                 if length:
                     keys, values = ring.read(slot_id, length)
                     insert_start = time.perf_counter()
-                    if recorder is not None:
-                        # The recorder IS the insert path while
-                        # recording: it applies the chunk through the
-                        # same engine call after capturing it.
-                        recorder.feed(keys, values)
-                    elif engine == "batch":
+                    if engine == "batch":
                         filt.process(keys, values)
                     else:
                         filt.insert_many(keys, values)
@@ -309,10 +279,6 @@ def _worker_main(
                 # effect at a consistent between-chunks cut per shard.
                 _, new_threshold = message
                 filt.retarget(new_threshold)
-                if recorder is not None:
-                    # Re-base the recorder: retargets are not replayed
-                    # as events, so no retained chunk may straddle one.
-                    recorder.note_discontinuity(f"retarget:{new_threshold}")
             elif kind == "stop":
                 final_stats = (
                     registry.snapshot() if registry is not None else None
@@ -326,32 +292,15 @@ def _worker_main(
                      report_records)
                 )
                 return
-            else:
-                # A master request: (kind, sync_id, *args), see
+            elif kind == "stats":
+                # A master request: (kind, sync_id), see
                 # ParallelPipeline._request.
-                if kind == "stats":
-                    payload = registry.snapshot() if registry is not None else {}
-                elif kind == "dump":
-                    # Alert-triggered forensics: dump this shard's
-                    # recorder window at a between-chunks cut.
-                    payload = (
-                        str(recorder.dump(message[2]))
-                        if recorder is not None else None
-                    )
-                else:
-                    raise ParameterError(f"unknown worker message {kind!r}")
+                payload = registry.snapshot() if registry is not None else {}
                 out_queue.put(("reply", message[1], shard_id, payload))
+            else:
+                raise ParameterError(f"unknown worker message {kind!r}")
     except Exception:
-        tb_text = traceback.format_exc()
-        if recorder is not None:
-            try:
-                bundle_path = recorder.dump(
-                    "worker_crash", extra={"traceback": tb_text}
-                )
-                tb_text += f"\n[incident bundle: {bundle_path}]"
-            except Exception:  # pragma: no cover - best-effort forensics
-                pass
-        out_queue.put(("error", shard_id, tb_text))
+        out_queue.put(("error", shard_id, traceback.format_exc()))
     finally:
         if ring is not None:
             ring.close()
@@ -446,9 +395,9 @@ class ParallelPipeline:
     master-side key hashing either: whole chunks go to one updater
     round-robin, because the shared filter's stripe locks make
     any-thread/any-key safe (see the equal-core head-to-head in
-    ``benchmarks/test_throughput_smoke.py``).  Tracing, provenance
-    and flight recording stay process-engine features and raise
-    ``ParameterError`` up front.
+    ``benchmarks/test_throughput_smoke.py``).  Tracing and provenance
+    stay process-engine features and raise ``ParameterError`` up
+    front.
 
     Use as a one-shot ``run(keys, values)`` or stream explicitly::
 
@@ -470,14 +419,6 @@ class ParallelPipeline:
     on_reports:
         Callback receiving each :class:`ReportBatch` as the master
         drains it.
-    incident_dir:
-        With ``incident_dir`` set, every shard worker runs a
-        :class:`~repro.observability.recorder.FlightRecorder` retaining
-        its last :data:`RECORD_CHUNKS` chunks; each worker dumps an
-        incident bundle into ``incident_dir/shard-<id>/`` when it
-        crashes (the bundle path is appended to the error surfaced by
-        :class:`WorkerFailedError`), making the crash replayable with
-        ``repro record replay``.
     """
 
     def __init__(
@@ -502,7 +443,6 @@ class ParallelPipeline:
         collect_provenance: bool = False,
         trace_sample_every: int = 64,
         on_reports: Optional[Callable[[ReportBatch], None]] = None,
-        incident_dir=None,
     ):
         if num_shards < 1:
             raise ParameterError(f"num_shards must be >= 1, got {num_shards}")
@@ -511,19 +451,12 @@ class ParallelPipeline:
                 f"unknown engine {engine!r}; choose from {PIPELINE_ENGINES}"
             )
         self._threads = engine == "threads"
-        if self._threads:
-            unsupported = [
-                ("collect_trace", collect_trace),
-                ("incident_dir", incident_dir is not None),
-            ]
-            bad = [name for name, flagged in unsupported if flagged]
-            if bad:
-                raise ParameterError(
-                    f"engine='threads' does not support {', '.join(bad)}: "
-                    "the per-worker trace and recorder hooks are "
-                    "process-engine features — use engine='batch' or "
-                    "engine='scalar' for those"
-                )
+        if self._threads and collect_trace:
+            raise ParameterError(
+                "engine='threads' does not support collect_trace: the "
+                "per-worker trace hooks are a process-engine feature — "
+                "use engine='batch' or engine='scalar' for it"
+            )
         if transport != "shm":
             raise ParameterError(
                 f"transport must be 'shm', got {transport!r}: the pickle "
@@ -552,7 +485,6 @@ class ParallelPipeline:
         #: Master tracer; worker spans fold into it at finish().
         self.tracer: Optional[Tracer] = Tracer() if collect_trace else None
         self._on_reports = on_reports
-        self.incident_dir = Path(incident_dir) if incident_dir else None
 
         # Resolve the geometry once in the master (a throwaway template
         # filter applies the byte-budget split), then ship explicit
@@ -612,11 +544,6 @@ class ParallelPipeline:
             trace=collect_trace,
             trace_sample_every=trace_sample_every,
             provenance=collect_provenance,
-            record=(
-                dict(incident_dir=str(self.incident_dir),
-                     max_chunks=RECORD_CHUNKS)
-                if self.incident_dir is not None else None
-            ),
         )
         self.router = ShardRouter(num_shards, resolved_buckets, seed=seed)
         self._ctx = multiprocessing.get_context(
@@ -639,7 +566,6 @@ class ParallelPipeline:
         self.items_fed = 0
         # Collection state.
         self._reported: Set = set()
-        self._batches: List[ReportBatch] = []
         # shard -> (items, reports, stats, trace_events, report_records)
         self._done: Dict[int, Tuple] = {}
         # sync_id -> {shard_id: payload} for every request kind.
@@ -656,7 +582,7 @@ class ParallelPipeline:
             "pipeline_items_fed_total",
             help="Items dispatched to workers.",
         )
-        self._batches_counter = self.stats.counter(
+        self._batch_counter = self.stats.counter(
             "pipeline_report_batches_total",
             help="Report batches released to the caller.",
         )
@@ -943,7 +869,6 @@ class ParallelPipeline:
                 chunks=self._chunk_id,
                 per_shard_items=per_items,
                 per_shard_reports=per_reports,
-                batches=list(self._batches),
                 stats=aggregate,
                 per_shard_stats=per_stats,
                 trace_events=trace_events,
@@ -1176,8 +1101,7 @@ class ParallelPipeline:
                 )
 
     def _emit(self, batch: ReportBatch) -> None:
-        self._batches.append(batch)
-        self._batches_counter.inc()
+        self._batch_counter.inc()
         if self._on_reports is not None:
             self._on_reports(batch)
 
@@ -1199,34 +1123,14 @@ class ParallelPipeline:
         if not self._started:
             raise PipelineError("pipeline is not running")
         if self._threads:
-            # One registry observes the one shared filter; scrapes are
-            # seqlock reads, so no worker round-trip is needed.
+            # One registry observes the one shared filter; its pull
+            # gauges read plain attributes, so no worker round-trip is
+            # needed.
             per_shard = [self._filter_registry.snapshot()]
         else:
             per_shard = self._request("stats")
         self._stat_views_counter.inc()
         return self._aggregate_worker_stats(per_shard)
-
-    def request_incident_dump(self, reason: str) -> List[str]:
-        """Ask every recording shard worker for an incident bundle.
-
-        The request rides each worker's chunk FIFO (like the stats
-        requests), so every shard dumps a consistent
-        between-chunks cut of its recorder window into
-        ``incident_dir/shard-<id>/``.  Returns the bundle paths, in
-        shard order.
-
-        A no-op returning ``[]`` when the pipeline was built without
-        ``incident_dir`` (which the thread engine rejects) — callers
-        such as the alert engine's trigger hook need not special-case
-        it.
-        """
-        if not self._started:
-            raise PipelineError("pipeline is not running")
-        if self.incident_dir is None:
-            return []
-        paths = self._request("dump", str(reason))
-        return [path for path in paths if path is not None]
 
     def _aggregate_worker_stats(
         self, per_shard: List[Dict[str, float]]

@@ -29,7 +29,6 @@ filter via :meth:`QuantileFilter.merge`.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Hashable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -38,7 +37,7 @@ from repro.common.errors import ParameterError
 from repro.common.hashing import _mix64_array, canonical_key, canonical_keys, mix64
 from repro.common.validation import require_item_arrays
 from repro.core.criteria import Criteria
-from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION, QuantileFilter, Report
+from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION, QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 
 #: Engines a shard can run.
@@ -119,9 +118,9 @@ class ShardedQuantileFilter:
     num_shards:
         Shard count (>= 1).
     engine:
-        ``"scalar"`` (general keys, :meth:`insert` and :meth:`process`)
-        or ``"batch"`` (integer keys, :meth:`process` only,
-        numpy-accelerated).
+        ``"scalar"`` (each shard inserts its slice item by item) or
+        ``"batch"`` (each shard processes its slice as arrays); both
+        take integer-keyed arrays through :meth:`process`.
     """
 
     def __init__(
@@ -198,23 +197,6 @@ class ShardedQuantileFilter:
     # ------------------------------------------------------------------
     # the online path
     # ------------------------------------------------------------------
-    def insert(
-        self, key: Hashable, value: float, criteria: Optional[Criteria] = None
-    ) -> Optional[Report]:
-        """Route one item to its owning shard (scalar engine only).
-
-        The returned report's ``item_index`` is the *global* position in
-        the sharded stream, not the shard-local one.
-        """
-        self._require_scalar("insert")
-        global_index = self.items_processed
-        self.items_processed += 1
-        shard = self.shards[self.router.shard_of(key)]
-        report = shard.insert(key, value, criteria=criteria)
-        if report is None:
-            return None
-        return replace(report, item_index=global_index)
-
     def process(self, keys: np.ndarray, values: np.ndarray) -> Set:
         """Partition a whole stream and run every shard over its slice.
 
@@ -321,13 +303,6 @@ class ShardedQuantileFilter:
             f"ShardedQuantileFilter(num_shards={self.num_shards}, "
             f"engine={self.engine!r}, nbytes={self.nbytes})"
         )
-
-    def _require_scalar(self, operation: str) -> None:
-        if self.engine != "scalar":
-            raise ParameterError(
-                f"{operation}() requires engine='scalar'; the batch engine "
-                "only supports process(keys, values)"
-            )
 
 
 def batch_filter_to_scalar(batch: BatchQuantileFilter) -> QuantileFilter:

@@ -70,6 +70,15 @@ def test_array_entry_points_reject_float_keys(entry_point):
 
 
 @pytest.mark.parametrize("entry_point", sorted(ARRAY_ENTRY_POINTS))
+def test_array_entry_points_reject_object_values(entry_point):
+    # Each None would be committed as NaN, that is, weighed -1.
+    keys = np.zeros(20, dtype=np.int64)
+    values = np.array([None] * 20, dtype=object)
+    with pytest.raises(ParameterError):
+        ARRAY_ENTRY_POINTS[entry_point](keys, values)
+
+
+@pytest.mark.parametrize("entry_point", sorted(ARRAY_ENTRY_POINTS))
 def test_array_entry_points_accept_infinite_values(entry_point):
     keys = np.arange(20, dtype=np.int64)
     values = np.where(keys % 2 == 0, np.inf, -np.inf)

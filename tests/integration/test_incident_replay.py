@@ -2,18 +2,13 @@
 
 The acceptance scenario for the flight recorder: an injected-drift
 incident on BOTH engines must fire a rule that auto-dumps a bundle
-whose replay is bit-identical, the ``repro record`` CLI must
-round-trip it with honest exit codes, and a crashing pipeline worker
-must leave behind a bundle that replays the exact chunks it ingested
-before dying.
+whose replay is bit-identical, and the ``repro record`` CLI must
+round-trip it with honest exit codes.
 """
 
 import gzip
 import json
-import queue as queue_module
-import re
 
-import numpy as np
 import pytest
 
 from repro.core.criteria import Criteria
@@ -24,12 +19,10 @@ from repro.observability.health import HealthMonitor
 from repro.observability.instrument import observe_filter
 from repro.observability.recorder import (
     FlightRecorder,
-    list_incidents,
     load_bundle,
     replay_bundle,
 )
 from repro.observability.server import FilterServeSource
-from repro.parallel.pipeline import ParallelPipeline, WorkerFailedError
 from repro.streams.drift import DriftConfig, generate_drift_trace
 
 CRITERIA = Criteria(delta=0.9, threshold=300.0, epsilon=5.0)
@@ -171,68 +164,3 @@ class TestRecordCli:
             "record", "list", "--dir", str(tmp_path / "none"),
         ]) == 0
         assert "no incident bundles" in capsys.readouterr().out
-
-
-class TestPipelineWorkerCrash:
-    def test_crash_dump_names_bundle_and_replays(self, tmp_path):
-        rng = np.random.default_rng(0)
-        pipe = ParallelPipeline(
-            CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            incident_dir=tmp_path,
-            num_buckets=128, vague_width=512,
-        )
-        pipe.start()
-        try:
-            for _ in range(6):
-                keys = rng.integers(0, 200, size=2_048).astype(np.int64)
-                values = rng.uniform(0.0, 400.0, size=2_048)
-                pipe.feed(keys, values)
-            # Poison one worker: an unknown message kind raises inside
-            # its loop, which must dump a crash bundle before the error
-            # propagates.  Keep draining acks while enqueuing — a
-            # blocking put with a full ack queue would deadlock against
-            # the backpressure the pipeline normally applies in feed().
-            while True:
-                try:
-                    pipe._in_queues[0].put(("poison",), timeout=0.5)
-                    break
-                except queue_module.Full:
-                    pipe._drain(block=False)
-            with pytest.raises(WorkerFailedError) as excinfo:
-                pipe.finish()
-        finally:
-            pipe.close()
-        message = str(excinfo.value)
-        match = re.search(r"\[incident bundle: (.+?)\]", message)
-        assert match, f"crash must name its bundle, got: {message}"
-        bundle_path = match.group(1)
-
-        bundle = load_bundle(bundle_path)
-        assert bundle["manifest"]["reason"] == "worker_crash"
-        assert bundle["manifest"]["config"]["shard"] == 0
-        assert "poison" in bundle["forensics"]["extra"]["traceback"]
-        result = replay_bundle(bundle_path)
-        assert result.ok, result.mismatches
-
-        # The shard subdirectory layout is discoverable from the root.
-        manifests = list_incidents(tmp_path)
-        assert any(m["reason"] == "worker_crash" for m in manifests)
-
-    def test_clean_run_leaves_no_bundles(self, tmp_path):
-        rng = np.random.default_rng(1)
-        pipe = ParallelPipeline(
-            CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            incident_dir=tmp_path,
-            num_buckets=128, vague_width=512,
-        )
-        keys = rng.integers(0, 100, size=8_192).astype(np.int64)
-        values = rng.uniform(0.0, 400.0, size=8_192)
-        recorded = pipe.run(keys, values)
-        assert list_incidents(tmp_path) == []
-
-        # Recording must not change what gets detected.
-        plain = ParallelPipeline(
-            CRITERIA, 2, engine="batch", chunk_items=STRIDE,
-            num_buckets=128, vague_width=512,
-        ).run(keys, values)
-        assert recorded.reported_keys == plain.reported_keys

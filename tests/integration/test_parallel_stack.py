@@ -5,18 +5,24 @@ end-to-end: agreement with the deterministic in-process sharded filter
 and — the part unit tests cannot cover — the failure model.  A worker
 killed mid-stream, or while the master waits for a request reply, must
 surface as a :class:`WorkerCrashError` within the stall budget and leave
-no live child processes and no shared-memory blocks behind; a hang here
-is a bug.
+no live child processes and no shared-memory blocks behind, and a worker
+that raises must surface as a :class:`WorkerFailedError` carrying its
+traceback; a hang here is a bug.
 """
 
 import os
+import queue
 import signal
 import time
 
 import pytest
 
 from repro.core.criteria import Criteria
-from repro.parallel.pipeline import ParallelPipeline, WorkerCrashError
+from repro.parallel.pipeline import (
+    ParallelPipeline,
+    WorkerCrashError,
+    WorkerFailedError,
+)
 from repro.parallel.sharded import ShardedQuantileFilter
 from repro.streams.caida_like import CaidaLikeConfig, generate_caida_like_trace
 
@@ -107,3 +113,29 @@ def test_worker_crash_while_awaiting_stats_reply(trace):
         pipe.close()
     _assert_no_live_workers(pipe)
     _assert_shm_unlinked(pipe, ring_names)
+
+
+def test_worker_exception_surfaces_traceback(trace):
+    pipe = ParallelPipeline(
+        CRITERIA, 2, engine="batch", stall_timeout=20.0, **GEOMETRY,
+    )
+    pipe.start()
+    try:
+        pipe.feed(trace.keys[:20_000], trace.values[:20_000])
+        # An unknown message kind raises inside worker 0's loop.  Drain
+        # acks while enqueuing: a blocking put against a full result
+        # queue would deadlock, which feed()'s backpressure prevents.
+        while True:
+            try:
+                pipe._in_queues[0].put(("poison",), timeout=0.5)
+                break
+            except queue.Full:
+                pipe._drain(block=False)
+        with pytest.raises(WorkerFailedError) as excinfo:
+            pipe.finish()
+    finally:
+        pipe.close()
+    message = str(excinfo.value)
+    assert "shard 0 worker raised" in message
+    assert "unknown worker message 'poison'" in message
+    _assert_no_live_workers(pipe)

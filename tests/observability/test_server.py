@@ -162,15 +162,12 @@ class TestLifecycle:
     def test_concurrent_scrapes_while_threaded_filter_mid_flush(self):
         """Scrapes against a live thread-parallel engine never error.
 
-        The seqlock read path means /metrics and /healthz observe the
-        shared planes while updater threads are committing striped
-        flushes — every scrape must return parseable output and the
-        thread-engine families must be present.
+        /metrics and /healthz read the shared planes without locks
+        while updater threads are committing striped flushes — every
+        scrape must return parseable output and the thread-engine
+        families must be present.
         """
-        from repro.parallel.concurrent import (
-            ConcurrentQuantileFilter,
-            ThreadIngest,
-        )
+        from repro.parallel.concurrent import ConcurrentQuantileFilter
 
         cqf = ConcurrentQuantileFilter(
             CRIT, num_buckets=64, vague_width=512, bucket_size=4,
@@ -183,7 +180,7 @@ class TestLifecycle:
         def update(seed):
             rng = np.random.default_rng(seed)
             try:
-                ingest = ThreadIngest(cqf, flush_items=256)
+                ingest = cqf.ingest()
                 while not stop.is_set():
                     keys = rng.integers(0, 500, size=256)
                     values = rng.lognormal(4.0, 0.6, size=256)

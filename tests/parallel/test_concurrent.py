@@ -3,9 +3,11 @@
 Bit-exact equivalence against the batch engine is pinned by
 ``tests/properties/test_property_concurrent_equivalence.py`` and the
 contention behaviour by ``test_concurrent_stress.py``; this file covers
-the API surface — queries, snapshots, retargeting, ingest buffers,
+the API surface — report reads, snapshots, retargeting, ingest buffers,
 validation — and ``ParallelPipeline(engine="threads")`` end to end.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -13,10 +15,7 @@ import pytest
 from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
 from repro.core.vectorized import BatchQuantileFilter
-from repro.parallel.concurrent import (
-    ConcurrentQuantileFilter,
-    ThreadIngest,
-)
+from repro.parallel.concurrent import ConcurrentQuantileFilter
 from repro.parallel.pipeline import ParallelPipeline
 from repro.parallel.sharded import batch_filter_to_scalar
 
@@ -45,12 +44,6 @@ def _fed(n=20_000, **overrides):
 
 
 class TestReadPath:
-    def test_query_matches_batch_twin(self):
-        cqf, keys, values = _fed()
-        twin = batch_filter_to_scalar(cqf.as_batch())
-        for key in [int(keys[0]), 0, 123, 1_999]:
-            assert cqf.query(key) == pytest.approx(twin.query(key))
-
     def test_reports_alias_and_dedup(self):
         cqf, _, _ = _fed()
         assert len(cqf.reported_keys) > 0
@@ -92,31 +85,45 @@ class TestRetarget:
         cqf.process(*_trace(n=2_000, seed=10))  # still ingests fine
 
 
+def _pieces(n, sizes=(1, 4, 2, 7, 3)):
+    """Uneven ``[lo, hi)`` pieces covering ``range(n)``."""
+    lo = 0
+    for size in itertools.cycle(sizes):
+        if lo >= n:
+            return
+        yield lo, min(lo + size, n)
+        lo += size
+
+
 class TestThreadIngest:
     def test_buffers_until_flush_items(self):
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY)
-        ingest = cqf.ingest(flush_items=10)
-        for i in range(9):
-            ingest.insert(i, 1.0)
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=10)
+        ingest = cqf.ingest()
+        keys = np.arange(10, dtype=np.int64)
+        ones = np.ones(10)
+        for lo, hi in ((0, 1), (1, 5), (5, 9)):
+            ingest.insert_many(keys[lo:hi], ones[lo:hi])
         assert ingest.pending == 9
         assert cqf.items_processed == 0
-        ingest.insert(9, 1.0)  # tenth item: auto-flush
+        ingest.insert_many(keys[9:], ones[9:])  # tenth item: auto-flush
         assert ingest.pending == 0
         assert cqf.items_processed == 10
 
     def test_context_manager_flushes_tail(self):
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY)
-        with cqf.ingest(flush_items=100) as ingest:
-            ingest.insert(1, 1.0)
-        assert cqf.items_processed == 1
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=100)
+        with cqf.ingest() as ingest:
+            ingest.insert_many([1, 2, 3], [1.0, 1.0, 1.0])
+            assert ingest.pending == 3
+        assert cqf.items_processed == 3
 
     def test_insert_many_streams_arrays(self):
         cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=64)
         keys, values = _trace(n=1_000)
         ingest = cqf.ingest()
-        ingest.insert(7, 2.0)  # scalar buffer flushed first, in order
-        ingest.insert_many(keys, values)
-        assert cqf.items_processed == 1_001
+        ingest.insert_many(keys[:7], values[:7])  # buffered first, in order
+        ingest.insert_many(keys[7:], values[7:])  # crosses 64: flush all
+        assert cqf.items_processed == 1_000
+        assert ingest.pending == 0
 
     def test_matches_process(self):
         keys, values = _trace(n=8_000)
@@ -124,8 +131,8 @@ class TestThreadIngest:
         via_process.process(keys, values)
         via_ingest = ConcurrentQuantileFilter(CRIT, **GEOMETRY)
         with via_ingest.ingest() as ingest:
-            for key, value in zip(keys.tolist(), values.tolist()):
-                ingest.insert(key, value)
+            for lo, hi in _pieces(keys.shape[0]):
+                ingest.insert_many(keys[lo:hi], values[lo:hi])
         assert via_ingest.reported_keys == via_process.reported_keys
 
     @pytest.mark.parametrize("reject", [
@@ -133,15 +140,13 @@ class TestThreadIngest:
         lambda ing: ing.insert_many(np.ones((2, 2), dtype=np.int64),
                                     np.ones((2, 2))),
         lambda ing: ing.insert_many([1.5, 2.5], [1.0, 1.0]),
-        lambda ing: ing.insert(1, float("nan")),
-        lambda ing: ing.insert(1.5, 1.0),
-    ], ids=["nan", "2-d", "float-keys", "insert-nan", "insert-float-key"])
+    ], ids=["nan", "2-d", "float-keys"])
     def test_rejected_call_keeps_buffered_items(self, reject):
         cqf = ConcurrentQuantileFilter(
             Criteria(delta=0.5, threshold=10.0, epsilon=2.0),
-            num_buckets=4, vague_width=8,
+            num_buckets=4, vague_width=8, flush_items=8,
         )
-        ingest = cqf.ingest(flush_items=8)
+        ingest = cqf.ingest()
         ingest.insert_many(np.arange(5), np.full(5, 20.0))
         with pytest.raises(ParameterError):
             reject(ingest)
@@ -159,11 +164,6 @@ class TestValidation:
     def test_bad_flush_items(self):
         with pytest.raises(ParameterError):
             ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=0)
-
-    def test_bad_ingest_flush_items(self):
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY)
-        with pytest.raises(ParameterError):
-            ThreadIngest(cqf, flush_items=0)
 
     def test_stripes_clamped_to_buckets(self):
         cqf = ConcurrentQuantileFilter(
@@ -226,7 +226,6 @@ class TestPipelineThreadsMode:
         for kwargs in (
             dict(collect_trace=True),
             dict(collect_provenance=True),
-            dict(incident_dir="/tmp"),
         ):
             with pytest.raises(ParameterError):
                 ParallelPipeline(

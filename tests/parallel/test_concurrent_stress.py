@@ -2,11 +2,11 @@
 
 Eight updater threads (override with ``QF_STRESS_THREADS``) race 200k
 items into one shared filter, released simultaneously by a barrier so
-the stripe locks, the vague lock and the seqlock read path all see real
-contention.  The witness log then proves no report was lost or
-duplicated: replaying the commit-ticket linearization through a fresh
-single-thread batch filter must reproduce the racing filter's report
-set and planes bit-exactly.
+the stripe locks and the vague lock see real contention, while the main
+thread scrapes what ``/metrics`` reads.  The witness log then proves no
+report was lost or duplicated: replaying the commit-ticket
+linearization through a fresh single-thread batch filter must
+reproduce the racing filter's report set and planes bit-exactly.
 """
 
 import os
@@ -15,7 +15,9 @@ import threading
 import numpy as np
 
 from repro.core.criteria import Criteria
+from repro.core.inspect import structural_probe
 from repro.core.persistence import state_fingerprint
+from repro.observability.instrument import observe_filter
 from repro.parallel.concurrent import ConcurrentQuantileFilter, replay_witness
 
 NUM_THREADS = int(os.environ.get("QF_STRESS_THREADS", "8"))
@@ -29,6 +31,9 @@ def test_racing_threads_lose_and_duplicate_no_reports():
         depth=3, seed=7, num_stripes=4 * NUM_THREADS, flush_items=1_024,
         record_witness=True,
     )
+    # Observed before the race, so the hot-loop tallies it turns on
+    # count every commit (the replay below compares them too).
+    registry = observe_filter(cqf)
     per_thread = TOTAL_ITEMS // NUM_THREADS
     rng = np.random.default_rng(7)
     # Hot keys each ship >= 40 items far above T — their detection does
@@ -63,15 +68,21 @@ def test_racing_threads_lose_and_duplicate_no_reports():
     ]
     for t in threads:
         t.start()
-    scrapes = 0
+    items_seen, occupancies = [], []
     while any(t.is_alive() for t in threads):
-        # Exercise the seqlock read path against live commits.
-        cqf.query(int(hot[scrapes % hot.size]))
+        # Scrape the telemetry and the structure against live commits.
+        snapshot = registry.snapshot()
+        probe = structural_probe(cqf)
+        items_seen.append(snapshot["qf_items_total"])
+        occupancies += [
+            snapshot["qf_candidate_occupancy"], probe["candidate_occupancy"]
+        ]
         _ = cqf.reported_keys
-        scrapes += 1
     for t in threads:
         t.join()
     assert errors == []
+    assert items_seen == sorted(items_seen)  # the counter never went back
+    assert all(0.0 <= occupancy <= 1.0 for occupancy in occupancies)
     assert cqf.items_processed == per_thread * NUM_THREADS
 
     # No report duplicated: a key's bucket owns it, so it must appear in

@@ -31,14 +31,16 @@ def make_stream(n=6_000, universe=100, seed=7):
 
 @pytest.fixture(scope="module")
 def traced_result():
+    """The report batches the pipeline released, and its result."""
     keys, values = make_stream()
+    batches = []
     pipeline = ParallelPipeline(
         CRIT, 2, engine="scalar", memory_bytes=16_384, chunk_items=1_000,
         collect_trace=True, collect_provenance=True, collect_stats=True,
-        trace_sample_every=1, seed=3,
+        trace_sample_every=1, seed=3, on_reports=batches.append,
     )
     result = pipeline.run(keys, values)
-    return pipeline, result
+    return batches, result
 
 
 class TestTraceCollection:
@@ -94,12 +96,10 @@ class TestProvenanceCollection:
         json.dumps(records)
 
     def test_records_match_released_reports(self, traced_result):
-        _, result = traced_result
+        batches, result = traced_result
         assert len(result.report_records) == sum(result.per_shard_reports)
         record_keys = {r["key"] for r in result.report_records}
-        released = {
-            int(key) for batch in result.batches for key in batch.keys
-        }
+        released = {int(key) for batch in batches for key in batch.keys}
         assert record_keys == released
 
     def test_provenance_requires_scalar_engine(self):

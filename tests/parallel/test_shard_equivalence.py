@@ -83,8 +83,7 @@ def test_sharded_equals_single_without_overflow(scenario):
             criteria, shards, engine="scalar", counter_kind="float",
             **geometry,
         )
-        for key, value in zip(keys.tolist(), values.tolist()):
-            scalar_sharded.insert(key, value)
+        scalar_sharded.process(keys, values)
         assert scalar_sharded.reported_keys == single.reported_keys, shards
         assert scalar_sharded.report_count == single.report_count, shards
 
@@ -144,8 +143,7 @@ def test_one_shard_is_exactly_the_single_filter_under_contention():
         criteria, 1, engine="scalar", counter_kind="float",
         num_buckets=8, bucket_size=2, vague_width=32, depth=3, seed=11,
     )
-    for key, value in zip(keys.tolist(), values.tolist()):
-        sharded.insert(key, value)
+    sharded.process(keys, values)
     assert sharded.reported_keys == single.reported_keys
     assert sharded.report_count == single.report_count
 
@@ -161,8 +159,7 @@ def test_batch_and_scalar_sharding_agree_under_contention():
             criteria, shards, engine="scalar", counter_kind="float",
             **geometry,
         )
-        for key, value in zip(keys.tolist(), values.tolist()):
-            scalar.insert(key, value)
+        scalar.process(keys, values)
         batch = ShardedQuantileFilter(
             criteria, shards, engine="batch", **geometry,
         )

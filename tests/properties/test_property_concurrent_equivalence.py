@@ -22,6 +22,7 @@ Hypothesis picks the geometry, stream, stripe count and flush size —
 any divergence is a real bug in the striped commit path.
 """
 
+import itertools
 import threading
 
 import numpy as np
@@ -70,6 +71,16 @@ def scenarios(draw):
         n=draw(st.integers(min_value=1, max_value=400)),
         stream_seed=draw(st.integers(min_value=0, max_value=1_000)),
     )
+
+
+def _uneven_pieces(idx, sizes=(1, 5, 2, 9, 3)):
+    """``idx`` cut into pieces of cycling uneven sizes."""
+    lo = 0
+    for size in itertools.cycle(sizes):
+        if lo >= idx.size:
+            return
+        yield idx[lo:lo + size]
+        lo += size
 
 
 def _assert_same_state(cqf, reference):
@@ -148,11 +159,9 @@ def test_racing_bucket_affine_threads_match_batch_when_no_overflow(scenario):
 
     def run(idx):
         barrier.wait()
-        with cqf.ingest(scenario["flush_items"]) as ingest:
-            for key, value in zip(
-                keys[idx].tolist(), values[idx].tolist()
-            ):
-                ingest.insert(key, value)
+        with cqf.ingest() as ingest:
+            for piece in _uneven_pieces(idx):
+                ingest.insert_many(keys[piece], values[piece])
 
     threads = [
         threading.Thread(target=run, args=(idx,)) for idx in slices
@@ -199,7 +208,7 @@ def test_witness_replay_reproduces_racing_threads_bit_exactly(
 
     def run(idx):
         barrier.wait()
-        ingest = cqf.ingest(scenario["flush_items"])
+        ingest = cqf.ingest()
         ingest.insert_many(keys[idx], values[idx])
         ingest.flush()
 

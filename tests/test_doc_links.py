@@ -1,13 +1,15 @@
 """Documentation link integrity.
 
 Every relative markdown link in the repo's documentation must resolve
-to a real file (and a real heading, when it carries an anchor), and
-every ``path``-shaped inline-code reference to a repo file must point
-at something that exists.  CI runs this as part of tier-1, so a rename
-that orphans a docs cross-reference fails the build instead of rotting
-in place.
+to a real file (and a real heading, when it carries an anchor), every
+``path``-shaped inline-code reference to a repo file must point at
+something that exists, and every ``ClassName.attr`` reference to a
+repro class must name an attribute it has.  CI runs this as part of
+tier-1, so a rename or deletion that orphans a docs cross-reference
+fails the build instead of rotting in place.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -40,6 +42,61 @@ CODE_PATH = re.compile(
     r"`((?:docs|examples|benchmarks|tests|src|\.github)"
     r"/[\w./\-]+\.\w{1,4})(?:::[\w.\-\[\]:]+)?`"
 )
+
+
+#: Inline code that starts with a class attribute, e.g.
+#: ``ThreadIngest.insert_many`` or ``Trace.iter_chunks(n)``.
+CLASS_ATTRIBUTE = re.compile(r"`([A-Z]\w*)\.(\w+)")
+
+
+def _repro_class_attributes():
+    """``{class name: attribute names}`` for every class under
+    ``src/repro``, read with the AST: names bound in the class body
+    (methods, properties, class attributes, dataclass fields),
+    ``__slots__`` entries and every ``self.<attr>`` assigned in its
+    methods, plus what it inherits from other repro classes."""
+    own, bases = {}, {}
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = own.setdefault(node.name, set())
+            bases.setdefault(node.name, set()).update(
+                base.id for base in node.bases if isinstance(base, ast.Name)
+            )
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    names.add(stmt.name)
+                targets = (
+                    stmt.targets if isinstance(stmt, ast.Assign)
+                    else [stmt.target] if isinstance(stmt, ast.AnnAssign)
+                    else []
+                )
+                for target in targets:
+                    if isinstance(target, ast.Name):
+                        names.add(target.id)
+                        if target.id == "__slots__":
+                            names.update(
+                                elt.value for elt in ast.walk(stmt.value)
+                                if isinstance(elt, ast.Constant)
+                            )
+            names.update(
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+            )
+
+    def resolve(name, seen=()):
+        names = set(own[name])
+        for base in bases[name] - {name, *seen}:
+            if base in own:
+                names |= resolve(base, (*seen, name))
+        return names
+
+    return {name: resolve(name) for name in own}
 
 
 def _heading_anchors(path: Path):
@@ -88,6 +145,19 @@ def test_inline_code_path_references_exist(doc):
         f"{doc.relative_to(REPO_ROOT)} references missing repo files: "
         f"{broken}"
     )
+
+
+def test_class_attribute_references_exist():
+    """Every ``ClassName.attr`` in the docs, where ``ClassName`` is a
+    repro class, names an attribute the class has."""
+    attributes = _repro_class_attributes()
+    stale = [
+        f"{doc.relative_to(REPO_ROOT)}: {cls}.{attr}"
+        for doc in DOC_FILES
+        for cls, attr in CLASS_ATTRIBUTE.findall(doc.read_text())
+        if cls in attributes and attr not in attributes[cls]
+    ]
+    assert not stale, f"docs name attributes that do not exist: {stale}"
 
 
 def test_the_audit_actually_covers_the_docs():
