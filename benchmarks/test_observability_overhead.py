@@ -132,10 +132,7 @@ def _time_chunked_loop(config, keys, values):
         if config == "recorded":
             from repro.observability.recorder import FlightRecorder
 
-            feed = FlightRecorder(
-                filt, max_chunks=RECORD_MAX_CHUNKS,
-                chunk_items=RECORD_STRIDE,
-            ).feed
+            feed = FlightRecorder(filt, max_chunks=RECORD_MAX_CHUNKS).feed
         elif config == "alerted":
             from repro.observability.alerts import (
                 AlertEngine,

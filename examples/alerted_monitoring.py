@@ -80,7 +80,7 @@ def main(out_dir=None):
     filt = QuantileFilter(CRITERIA, **GEOMETRY)
     registry = observe_filter(filt)
     recorder = FlightRecorder(
-        filt, max_chunks=16, chunk_items=STRIDE, incident_dir=out_dir,
+        filt, max_chunks=16, incident_dir=out_dir,
         config={"example": "alerted_monitoring", "stride": STRIDE},
         registry=registry,
     )

@@ -1,5 +1,5 @@
-"""``python -m repro`` — the operations CLI (``stats`` / ``watch`` /
-``trace`` / ``serve`` / ``health``).
+"""``python -m repro`` — the operations CLI (``stats`` / ``trace`` /
+``serve`` / ``top`` / ``alerts`` / ``record`` / ``matrix``).
 
 Delegates to :mod:`repro.observability.cli`; the ``repro-experiments``
 figure runner stays its own entry point

@@ -8,15 +8,16 @@ compressed ``.npz`` file (:func:`save_filter` / :func:`load_filter`).
 
 The same capture is useful *without* touching disk: the flight recorder
 (:mod:`repro.observability.recorder`) snapshots filters at chunk
-boundaries and ships the state inside incident bundles.  The in-memory
-layer is therefore the primitive here:
+boundaries and ships the state inside incident bundles, and sharded
+deployments copy batch shards into mergeable scalar filters.  The
+in-memory layer is therefore the primitive here, one format for every
+engine:
 
-* :func:`filter_state` / :func:`restore_filter` — scalar
-  :class:`~repro.core.quantile_filter.QuantileFilter`;
-* :func:`batch_filter_state` / :func:`restore_batch_filter` — the
-  numpy :class:`~repro.core.vectorized.BatchQuantileFilter` engine;
-* :func:`engine_state` / :func:`restore_engine` — engine-dispatching
-  wrappers (the state dict carries an ``engine`` tag);
+* :func:`engine_state` / :func:`restore_engine` — capture the scalar,
+  batch or threads engine, and rebuild the captured engine or the one
+  ``restore_engine(engine=...)`` names (the state dict carries an
+  ``engine`` tag; its arrays are ``candidate_fps``, ``candidate_qws``
+  and ``vague_counters`` whatever the engine);
 * :func:`state_to_jsonable` / :func:`state_from_jsonable` — lossless
   JSON encoding of a state dict (floats survive exactly: Python's JSON
   round-trips the shortest-repr form bit-identically);
@@ -25,14 +26,14 @@ layer is therefore the primitive here:
 
 Restoration rebuilds the filter with the *same seed and dimensions*, so
 all hash families address identical cells, then overwrites the arrays.
-The scalar filter's two RNG streams are part of its state and are
-checkpointed too: the integer counters' probabilistic rounding (every
-fractional vague increment of the default ``counter_kind="int32"``
-draws from it, so it decides future counter values) and the
-``probabilistic`` strategy's swap draws.  A restored filter therefore
-continues bit-identically to one that was never checkpointed.
-Captures taken before the RNG states were stored still load; their
-RNGs restart from the seed.
+The RNG streams are part of the state and are checkpointed too: the
+``probabilistic`` strategy's swap draws (any engine) and the scalar
+integer counters' probabilistic rounding (every fractional vague
+increment of the default ``counter_kind="int32"`` draws from it, so it
+decides future counter values).  A restored filter therefore continues
+bit-identically to one that was never checkpointed.  Captures taken
+before the RNG states were stored still load; their RNGs restart from
+the seed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -92,59 +93,106 @@ def _set_rng_state(rng, state: list) -> None:
 
 
 # ----------------------------------------------------------------------
-# in-memory state: scalar engine
+# in-memory state: one format for every engine
 # ----------------------------------------------------------------------
-def filter_state(qf: QuantileFilter, include_history: bool = True) -> dict:
-    """Capture ``qf``'s full state as ``{"meta": ..., "arrays": ...}``.
+_ARRAYS = ("candidate_fps", "candidate_qws", "vague_counters")
+
+#: Counters every engine keeps, then the ones only the scalar filter has.
+_TALLIES = ("items_processed", "report_count", "candidate_hits",
+            "vague_inserts", "swaps", "candidate_reports", "vague_reports",
+            "retargets")
+_SCALAR_TALLIES = ("resets", "merges", "items_at_last_reset")
+
+
+def _parts(filt) -> tuple:
+    """A scalar or batch filter's arrays (in ``_ARRAYS`` order) and the
+    RNG streams that decide what it does next, by their capture names."""
+    rngs = {"strategy_rng": getattr(filt.strategy, "_rng", None)}
+    if isinstance(filt, QuantileFilter):
+        counters = filt.vague.sketch.counters
+        rngs["rounding_rng"] = counters._rng
+        arrays = (filt.candidate._fps, filt.candidate._qws, counters.data)
+    else:
+        arrays = (filt._cand_fps, filt._cand_qws, filt._rows)
+    return arrays, {name: rng for name, rng in rngs.items() if rng is not None}
+
+
+def engine_state(filt, include_history: bool = True) -> dict:
+    """Capture an engine's full state as ``{"meta": ..., "arrays": ...}``.
+
+    Takes a scalar :class:`~repro.core.quantile_filter.QuantileFilter`,
+    a :class:`~repro.core.vectorized.BatchQuantileFilter` or a
+    :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter`.  The
+    threads engine is captured under all its locks, with its stripe
+    tallies folded, as a batch filter.
 
     ``include_history=True`` also stores the deduplicated reported-key
-    set and the per-key criteria overrides; both require keys to be
-    plain ints or strings (tuple keys raise ``TraceFormatError`` —
-    capture with ``include_history=False`` in that case).
+    set and the scalar filter's per-key criteria overrides; both require
+    keys to be plain ints or strings (tuple keys raise
+    ``TraceFormatError`` — capture with ``include_history=False`` in
+    that case).
     """
+    from repro.core.vectorized import BatchQuantileFilter
+    from repro.parallel.concurrent import ConcurrentQuantileFilter
+
+    if isinstance(filt, ConcurrentQuantileFilter):
+        with filt._all_locks():
+            return _capture(filt, filt._core, include_history)
+    if not isinstance(filt, (QuantileFilter, BatchQuantileFilter)):
+        raise TraceFormatError(
+            f"cannot capture state of {type(filt).__name__}; expected "
+            "QuantileFilter, BatchQuantileFilter or ConcurrentQuantileFilter"
+        )
+    return _capture(filt, filt, include_history)
+
+
+def _capture(filt, core, include_history: bool) -> dict:
+    """``filt``'s tallies and history over ``core``'s arrays (the threads
+    engine keeps its tallies apart from its batch core)."""
+    scalar = isinstance(core, QuantileFilter)
+    arrays, rngs = _parts(core)
+    fps, _, counters = arrays
     meta = {
         "version": _FORMAT_VERSION,
-        "engine": "scalar",
-        "criteria": _criteria_to_dict(qf.criteria),
-        "num_buckets": qf.candidate.num_buckets,
-        "bucket_size": qf.candidate.bucket_size,
-        "fp_bits": qf.candidate.fp_bits,
-        "depth": qf.vague.depth,
-        "vague_width": qf.vague.width,
-        "vague_backend": qf.vague.backend,
-        "counter_kind": qf.vague.sketch.counters.kind,
-        "strategy": qf.strategy.name,
-        "seed": qf._seed,
-        "items_processed": qf.items_processed,
-        "report_count": qf.report_count,
-        "candidate_hits": qf.candidate_hits,
-        "vague_inserts": qf.vague_inserts,
-        "swaps": qf.swaps,
-        "candidate_reports": qf.candidate_reports,
-        "vague_reports": qf.vague_reports,
-        "resets": qf.resets,
-        "merges": qf.merges,
-        "retargets": getattr(qf, "retargets", 0),
-        "items_at_last_reset": getattr(qf, "items_at_last_reset", 0),
-        "track_reports": qf._track_reports,
+        "engine": "scalar" if scalar else "batch",
+        "criteria": _criteria_to_dict(filt.criteria),
+        "num_buckets": fps.shape[0],
+        "bucket_size": fps.shape[1],
+        "depth": counters.shape[0],
+        "vague_width": counters.shape[1],
+        "strategy": core.strategy.name,
         "has_history": bool(include_history),
-        "rounding_rng": _rng_state(qf.vague.sketch.counters._rng),
     }
-    strategy_rng = getattr(qf.strategy, "_rng", None)
-    if strategy_rng is not None:
-        meta["strategy_rng"] = _rng_state(strategy_rng)
+    for name in _TALLIES + (_SCALAR_TALLIES if scalar else ()):
+        meta[name] = getattr(filt, name)
+    for name, rng in rngs.items():
+        meta[name] = _rng_state(rng)
+    if scalar:
+        meta.update(
+            fp_bits=core.candidate.fp_bits, seed=core._seed,
+            vague_backend=core.vague.backend,
+            counter_kind=core.vague.sketch.counters.kind,
+            track_reports=core._track_reports,
+        )
+    else:
+        meta.update(
+            fp_bits=core.fp_bits, seed=core.seed, vague_backend="cs",
+            counter_kind="float", chunk_size=core.chunk_size,
+            stats_tallies=bool(filt.stats_tallies),
+        )
     if include_history:
         try:
             meta["reported_keys"] = sorted(
-                (_json_safe_key(key) for key in qf.reported_keys), key=repr
+                (_json_safe_key(key) for key in filt.reported_keys), key=repr
             )
-            meta["key_criteria"] = sorted(
-                (
-                    [_json_safe_key(key), _criteria_to_dict(crit)]
-                    for key, crit in qf._key_criteria.items()
-                ),
-                key=repr,
-            )
+            if scalar:
+                meta["key_criteria"] = sorted(
+                    (
+                        [_json_safe_key(key), _criteria_to_dict(crit)]
+                        for key, crit in core._key_criteria.items()
+                    ),
+                    key=repr,
+                )
         except TypeError as exc:
             raise TraceFormatError(
                 f"cannot serialise history ({exc}); "
@@ -152,178 +200,82 @@ def filter_state(qf: QuantileFilter, include_history: bool = True) -> dict:
             ) from None
     return {
         "meta": meta,
-        "arrays": {
-            "candidate_fps": qf.candidate._fps.copy(),
-            "candidate_qws": qf.candidate._qws.copy(),
-            "vague_counters": np.array(qf.vague.sketch.counters.data),
-        },
+        "arrays": {name: np.array(a) for name, a in zip(_ARRAYS, arrays)},
     }
 
 
-def restore_filter(state: dict) -> QuantileFilter:
-    """Rebuild a scalar filter from a :func:`filter_state` capture."""
+def restore_engine(state: dict, engine: Optional[str] = None):
+    """Rebuild the engine ``state`` was captured from, or ``engine``.
+
+    ``engine="scalar"`` turns a batch capture into a scalar filter with
+    ``counter_kind="float"`` that continues exactly as the batch filter
+    would.  ``engine="batch"`` raises ``TraceFormatError`` for a capture
+    the batch engine cannot run: integer counters, a ``cms``/``cmm``
+    vague backend or per-key criteria.
+    """
+    from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
+
     meta = state["meta"]
-    arrays = state["arrays"]
     if meta.get("version") != _FORMAT_VERSION:
         raise TraceFormatError(
             f"unsupported checkpoint version {meta.get('version')!r}"
         )
-    qf = QuantileFilter(
-        _criteria_from_dict(meta["criteria"]),
-        num_buckets=meta["num_buckets"],
-        bucket_size=meta["bucket_size"],
-        fp_bits=meta["fp_bits"],
-        depth=meta["depth"],
-        vague_width=meta["vague_width"],
-        vague_backend=meta["vague_backend"],
-        counter_kind=meta["counter_kind"],
-        strategy=meta["strategy"],
-        seed=meta["seed"],
-        track_reports=meta["track_reports"],
-    )
-    qf.candidate._fps[...] = arrays["candidate_fps"]
-    qf.candidate._qws[...] = arrays["candidate_qws"]
-    qf.vague.sketch.counters.data[...] = arrays["vague_counters"]
+    engine = engine or meta.get("engine", "scalar")
+    criteria = _criteria_from_dict(meta["criteria"])
+    geometry = {
+        name: meta[name]
+        for name in ("num_buckets", "bucket_size", "fp_bits", "depth",
+                     "vague_width", "strategy", "seed")
+    }
+    if engine == "scalar":
+        filt = QuantileFilter(
+            criteria, vague_backend=meta["vague_backend"],
+            counter_kind=meta["counter_kind"],
+            track_reports=meta.get("track_reports", True), **geometry,
+        )
+    elif engine == "batch":
+        if (meta["counter_kind"], meta["vague_backend"]) != ("float", "cs") \
+                or meta.get("key_criteria"):
+            raise TraceFormatError(
+                "the batch engine runs float counters over vague_backend="
+                "'cs' with no per-key criteria; this capture has counter_kind="
+                f"{meta['counter_kind']!r}, vague_backend="
+                f"{meta['vague_backend']!r} and "
+                f"{len(meta.get('key_criteria', []))} per-key criteria"
+            )
+        filt = BatchQuantileFilter(
+            criteria, chunk_size=meta.get("chunk_size", DEFAULT_CHUNK_SIZE),
+            **geometry,
+        )
+        filt.stats_tallies = meta.get("stats_tallies", False)
+    else:
+        raise TraceFormatError(f"unknown engine {engine!r}")
+    arrays, rngs = _parts(filt)
+    for array, name in zip(arrays, _ARRAYS):
+        array[...] = state["arrays"][name]
+    # .get(): checkpoints from before the telemetry counters still load.
+    for name in _TALLIES + (_SCALAR_TALLIES if engine == "scalar" else ()):
+        setattr(filt, name, meta.get(name, 0))
+    # Captures from before the RNG states were stored restart them from
+    # the seed.
+    for name, rng in rngs.items():
+        if name in meta:
+            _set_rng_state(rng, meta[name])
+    if meta.get("has_history"):
+        filt.reported_keys = {
+            _decode_key(tag, key) for tag, key in meta.get("reported_keys", [])
+        }
+    for (tag, key), crit in meta.get("key_criteria", []):
+        filt._key_criteria[_decode_key(tag, key)] = _criteria_from_dict(crit)
     if meta["vague_backend"] == "cmm":
         # Rebuild the row totals the correction uses.
-        qf.vague.sketch._row_totals = [
-            float(row.sum()) for row in arrays["vague_counters"]
-        ]
-    qf.items_processed = meta["items_processed"]
-    qf.report_count = meta["report_count"]
-    qf.candidate_hits = meta["candidate_hits"]
-    qf.vague_inserts = meta["vague_inserts"]
-    qf.swaps = meta["swaps"]
-    # Telemetry counters; .get() keeps pre-observability checkpoints loadable.
-    qf.candidate_reports = meta.get("candidate_reports", 0)
-    qf.vague_reports = meta.get("vague_reports", 0)
-    qf.resets = meta.get("resets", 0)
-    qf.merges = meta.get("merges", 0)
-    qf.retargets = meta.get("retargets", 0)
-    qf.items_at_last_reset = meta.get("items_at_last_reset", 0)
-    if "rounding_rng" in meta:
-        _set_rng_state(qf.vague.sketch.counters._rng, meta["rounding_rng"])
-    if "strategy_rng" in meta:
-        _set_rng_state(qf.strategy._rng, meta["strategy_rng"])
-    if meta.get("has_history"):
-        qf.reported_keys = {
-            _decode_key(tag, key)
-            for tag, key in meta.get("reported_keys", [])
-        }
-        for encoded_key, crit in meta.get("key_criteria", []):
-            tag, key = encoded_key
-            qf._key_criteria[_decode_key(tag, key)] = (
-                _criteria_from_dict(crit)
-            )
-    return qf
+        filt.vague.sketch._row_totals = [float(row.sum()) for row in arrays[2]]
+    return filt
 
 
 # ----------------------------------------------------------------------
-# in-memory state: batch engine
+# JSON encoding + fingerprint
 # ----------------------------------------------------------------------
-def batch_filter_state(bf) -> dict:
-    """Capture a :class:`~repro.core.vectorized.BatchQuantileFilter`.
-
-    Same shape as :func:`filter_state`; the batch engine's vague
-    counters are already one float64 ``(depth, width)`` plane.
-    """
-    meta = {
-        "version": _FORMAT_VERSION,
-        "engine": "batch",
-        "criteria": _criteria_to_dict(bf.criteria),
-        "num_buckets": bf.num_buckets,
-        "bucket_size": bf.bucket_size,
-        "fp_bits": bf.fp_bits,
-        "depth": bf.depth,
-        "vague_width": bf.width,
-        "strategy": bf.strategy.name,
-        "seed": bf.seed,
-        "chunk_size": bf.chunk_size,
-        "items_processed": bf.items_processed,
-        "report_count": bf.report_count,
-        "candidate_hits": bf.candidate_hits,
-        "vague_inserts": bf.vague_inserts,
-        "swaps": bf.swaps,
-        "candidate_reports": bf.candidate_reports,
-        "vague_reports": bf.vague_reports,
-        "retargets": bf.retargets,
-        "stats_tallies": bool(bf.stats_tallies),
-        "reported_keys": sorted(int(key) for key in bf.reported_keys),
-    }
-    return {
-        "meta": meta,
-        "arrays": {
-            "candidate_fps": bf._cand_fps.copy(),
-            "candidate_qws": bf._cand_qws.copy(),
-            "vague_rows": bf._rows.copy(),
-        },
-    }
-
-
-def restore_batch_filter(state: dict):
-    """Rebuild a batch filter from a :func:`batch_filter_state` capture."""
-    from repro.core.vectorized import BatchQuantileFilter
-
-    meta = state["meta"]
-    arrays = state["arrays"]
-    if meta.get("version") != _FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported checkpoint version {meta.get('version')!r}"
-        )
-    bf = BatchQuantileFilter(
-        _criteria_from_dict(meta["criteria"]),
-        num_buckets=meta["num_buckets"],
-        vague_width=meta["vague_width"],
-        bucket_size=meta["bucket_size"],
-        depth=meta["depth"],
-        fp_bits=meta["fp_bits"],
-        strategy=meta["strategy"],
-        seed=meta["seed"],
-        chunk_size=meta["chunk_size"],
-    )
-    bf._cand_fps[...] = arrays["candidate_fps"]
-    bf._cand_qws[...] = arrays["candidate_qws"]
-    bf._rows[...] = arrays["vague_rows"]
-    bf.items_processed = meta["items_processed"]
-    bf.report_count = meta["report_count"]
-    bf.candidate_hits = meta["candidate_hits"]
-    bf.vague_inserts = meta["vague_inserts"]
-    bf.swaps = meta["swaps"]
-    bf.candidate_reports = meta["candidate_reports"]
-    bf.vague_reports = meta["vague_reports"]
-    bf.retargets = meta["retargets"]
-    bf.stats_tallies = meta["stats_tallies"]
-    bf.reported_keys = set(meta["reported_keys"])
-    return bf
-
-
-# ----------------------------------------------------------------------
-# engine dispatch + JSON encoding + fingerprint
-# ----------------------------------------------------------------------
-def engine_state(filt, include_history: bool = True) -> dict:
-    """Capture any supported engine; the state carries its engine tag."""
-    if isinstance(filt, QuantileFilter):
-        return filter_state(filt, include_history=include_history)
-    from repro.core.vectorized import BatchQuantileFilter
-
-    if isinstance(filt, BatchQuantileFilter):
-        return batch_filter_state(filt)
-    raise TraceFormatError(
-        f"cannot capture state of {type(filt).__name__}; expected "
-        "QuantileFilter or BatchQuantileFilter"
-    )
-
-
-def restore_engine(state: dict):
-    """Rebuild whichever engine a state dict was captured from."""
-    engine = state["meta"].get("engine", "scalar")
-    if engine == "scalar":
-        return restore_filter(state)
-    if engine == "batch":
-        return restore_batch_filter(state)
-    raise TraceFormatError(f"unknown engine tag {engine!r} in state")
-
-
 def state_to_jsonable(state: dict) -> dict:
     """Encode a state dict as plain JSON types, losslessly.
 
@@ -389,7 +341,7 @@ def save_filter(
     plain ints or strings (tuple keys raise ``TraceFormatError`` —
     checkpoint with ``include_history=False`` in that case).
     """
-    state = filter_state(qf, include_history=include_history)
+    state = engine_state(qf, include_history=include_history)
     np.savez_compressed(
         Path(path),
         meta=np.frombuffer(
@@ -406,15 +358,11 @@ def load_filter(path: PathLike) -> QuantileFilter:
         with np.load(path) as archive:
             state = {
                 "meta": json.loads(archive["meta"].tobytes().decode("utf-8")),
-                "arrays": {
-                    "candidate_fps": archive["candidate_fps"],
-                    "candidate_qws": archive["candidate_qws"],
-                    "vague_counters": archive["vague_counters"],
-                },
+                "arrays": {name: archive[name] for name in _ARRAYS},
             }
     except (KeyError, OSError, ValueError, json.JSONDecodeError) as exc:
         raise TraceFormatError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        return restore_filter(state)
+        return restore_engine(state)
     except TraceFormatError as exc:
         raise TraceFormatError(f"{exc} in {path}") from None

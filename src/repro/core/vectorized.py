@@ -164,8 +164,8 @@ class BatchQuantileFilter:
 
         # Hash families constructed with the SAME seed derivations as the
         # scalar filter, so both address identical cells.  The seed is
-        # kept because sharded deployments rebuild a scalar twin from it
-        # (repro.parallel.sharded.batch_filter_to_scalar).
+        # kept because a capture rebuilds the filter, or a scalar twin,
+        # from it (repro.core.persistence.restore_engine).
         self.seed = seed
         self._hashes = HashFamily(depth, self.width, seed=seed)
         self._signs = SignHashFamily(depth, seed=seed + 1)

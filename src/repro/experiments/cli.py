@@ -35,6 +35,7 @@ from repro.common.errors import ParameterError
 from repro.experiments import figures
 from repro.experiments.harness import FigureResult, format_rows
 from repro.experiments.scaling import parallel_scaling_study, scaling_study
+from repro.observability.cli import exit_quietly_on_broken_pipe
 
 #: Figure name -> (driver, whether it takes a dataset argument).
 _DRIVERS: Dict[str, Callable[..., FigureResult]] = {
@@ -314,6 +315,7 @@ def matrix_main(argv=None) -> int:
         return 2
 
 
+@exit_quietly_on_broken_pipe
 def main(argv=None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:

@@ -92,10 +92,12 @@ True
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import os
 import sys
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.observability.exporters import (
     render_histogram_summaries,
@@ -703,7 +705,6 @@ def _cmd_record_dump(args: argparse.Namespace) -> int:
     recorder = FlightRecorder(
         filt,
         max_chunks=args.max_chunks,
-        chunk_items=args.chunk_items,
         incident_dir=args.dir,
         registry=registry,
         config={
@@ -777,6 +778,32 @@ def record_main(argv: Optional[list] = None) -> int:
     return _cmd_record_list(args)
 
 
+#: Exit status when the reader closes stdout early: 128 + SIGPIPE, as a
+#: shell reports a writer the signal killed (not a verdict code).
+BROKEN_PIPE_EXIT = 141
+
+
+def exit_quietly_on_broken_pipe(main: Callable) -> Callable:
+    """Wrap a console entry point: a reader closing early (``repro stats
+    | head -1``) ends it with :data:`BROKEN_PIPE_EXIT`, no traceback."""
+
+    @functools.wraps(main)
+    def entry(argv: Optional[list] = None) -> int:
+        try:
+            status = main(argv)
+            sys.stdout.flush()  # meet a closed pipe here, not at exit
+        except BrokenPipeError:
+            # Point stdout at devnull so the flush at exit cannot raise.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return BROKEN_PIPE_EXIT
+        return status
+
+    return entry
+
+
+@exit_quietly_on_broken_pipe
 def main(argv: Optional[list] = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:

@@ -34,17 +34,18 @@ exactly as they were captured.  The batch engine's geometric cold-start
 ramp runs only while ``items_processed`` is 0, which the base state
 restores, so matching the call boundaries matches the arithmetic; the
 scalar filter's ``insert_many`` is item-order identical to per-item
-``insert``.  The default ``comparative`` strategy uses no RNG on the
-insert path, so replays are exact (probabilistic strategies would
-diverge at random tie-breaks and are not recorded).
+``insert``.  The base snapshot carries the RNG states too (the
+``probabilistic`` strategy's swap draws, the scalar integer counters'
+rounding), so every strategy and counter kind replays exactly.
 
 >>> from repro import Criteria, QuantileFilter
 >>> filt = QuantileFilter(Criteria(delta=0.5, threshold=10.0,
 ...                                epsilon=2.0),
 ...                       num_buckets=8, vague_width=16)
->>> rec = FlightRecorder(filt, max_chunks=4, chunk_items=32)
->>> for i in range(100):
-...     _ = rec.insert(i % 5, 30.0)
+>>> rec = FlightRecorder(filt, max_chunks=4)
+>>> keys = [i % 5 for i in range(100)]
+>>> for start in range(0, 100, 25):
+...     _ = rec.feed(keys[start:start + 25], [30.0] * 25)
 >>> result = replay_bundle(rec.bundle("doctest"))
 >>> result.ok, result.items_replayed
 (True, 100)
@@ -75,8 +76,11 @@ PathLike = Union[str, Path]
 
 #: Incident-bundle schema version (bump on incompatible layout changes).
 #: Version 2 stores structural signal values where version 1 stored a
-#: health verdict.
-BUNDLE_SCHEMA_VERSION = 2
+#: health verdict; version 3 stores batch base states in the one state
+#: format of :func:`repro.core.persistence.engine_state` (``vague_rows``
+#: became ``vague_counters``, reported keys are tagged pairs, and the
+#: strategy RNG is saved).
+BUNDLE_SCHEMA_VERSION = 3
 
 #: Help text for the recorder's ``/metrics`` gauges, mirrored into
 #: ``SPEC_INDEX`` at import time like the health and filter families.
@@ -180,13 +184,12 @@ class FlightRecorder:
         a :class:`~repro.core.vectorized.BatchQuantileFilter`.  The
         recorder snapshots it at construction, so attach the recorder
         before (or at) the stream position replays should start from.
+        The threads engine is refused: it commits each flush
+        stripe-sorted, so its chunks would not replay in feed order.
     max_chunks:
         Retained raw chunks; when exceeded the ring rotates — a fresh
-        base snapshot is taken and older chunks are dropped.
-    chunk_items:
-        Items per sealed chunk for the per-item :meth:`insert` tap
-        (chunk-fed callers control their own chunk size via
-        :meth:`feed`).
+        base snapshot is taken and older chunks are dropped.  Callers
+        set the chunk size: each :meth:`feed` call is one chunk.
     forensic_every:
         Take a structural probe (plus a registry snapshot when one is
         attached) every N recorded chunks; 0 disables periodic probes.
@@ -209,7 +212,6 @@ class FlightRecorder:
         filt,
         *,
         max_chunks: int = 32,
-        chunk_items: int = 4_096,
         forensic_every: int = 8,
         incident_dir: Optional[PathLike] = None,
         config: Optional[dict] = None,
@@ -221,20 +223,25 @@ class FlightRecorder:
     ):
         if max_chunks < 1:
             raise ParameterError(f"max_chunks must be >= 1, got {max_chunks}")
-        if chunk_items < 1:
-            raise ParameterError(
-                f"chunk_items must be >= 1, got {chunk_items}"
-            )
         if max_incidents < 1:
             raise ParameterError(
                 f"max_incidents must be >= 1, got {max_incidents}"
             )
         from repro.core.quantile_filter import QuantileFilter
+        from repro.core.vectorized import BatchQuantileFilter
 
+        if isinstance(filt, QuantileFilter):
+            self.engine = "scalar"
+        elif isinstance(filt, BatchQuantileFilter):
+            self.engine = "batch"
+        else:
+            raise ParameterError(
+                "the flight recorder records the scalar engine "
+                "(QuantileFilter) or the batch engine "
+                f"(BatchQuantileFilter), got {type(filt).__name__}"
+            )
         self.filt = filt
-        self.engine = "scalar" if isinstance(filt, QuantileFilter) else "batch"
         self.max_chunks = max_chunks
-        self.chunk_items = chunk_items
         self.forensic_every = forensic_every
         self.incident_dir = Path(incident_dir) if incident_dir else None
         self.config = dict(config or {})
@@ -242,9 +249,6 @@ class FlightRecorder:
         self.max_incidents = max_incidents
         self._lock = threading.RLock()
         self._chunks: Deque[dict] = deque()
-        self._pending_keys: list = []
-        self._pending_values: list = []
-        self._pending_reports: List[dict] = []
         self._probes: Deque[dict] = deque(maxlen=max_probes)
         self._decisions: Deque[dict] = deque(maxlen=max_decisions)
         self._provenance: Deque[dict] = deque(maxlen=max_provenance)
@@ -265,17 +269,12 @@ class FlightRecorder:
         self._base_state = self._snapshot_state()
         self._chunks.clear()
 
-    def _maybe_rotate(self) -> None:
-        if len(self._chunks) >= self.max_chunks:
-            self._rotate()
-
     def note_discontinuity(self, reason: str) -> None:
         """Re-base after an un-replayable in-place mutation of the
-        filter (e.g. a ``retarget``): seals any pending items, then
-        snapshots the mutated state as the new replay origin so no
-        retained chunk straddles the discontinuity."""
+        filter (e.g. a ``retarget``): snapshots the mutated state as the
+        new replay origin so no retained chunk straddles the
+        discontinuity."""
         with self._lock:
-            self._seal_pending()
             self._rotate()
             self._probes.append({
                 "item": self.filt.items_processed,
@@ -290,7 +289,7 @@ class FlightRecorder:
             self._chunks_since_probe = 0
             self.record_probe()
 
-    # -- recording taps -------------------------------------------------
+    # -- recording -----------------------------------------------------
     def feed(self, keys, values):
         """Record one chunk and apply it to the filter.
 
@@ -302,8 +301,8 @@ class FlightRecorder:
         batch engine's sorted newly-reported keys.
         """
         with self._lock:
-            self._seal_pending()
-            self._maybe_rotate()
+            if len(self._chunks) >= self.max_chunks:
+                self._rotate()
             start_item = self.filt.items_processed
             if self.engine == "batch":
                 keys_arr = np.asarray(keys, dtype=np.int64)
@@ -333,45 +332,6 @@ class FlightRecorder:
                 out = reports
             self._forensic_tick()
             return out
-
-    def insert(self, key, value):
-        """Per-item tap (scalar engine): record and insert one item.
-
-        Items buffer into a pending chunk sealed every ``chunk_items``;
-        :meth:`dump` seals any partial chunk first, so nothing recorded
-        is ever lost.
-        """
-        if self.engine != "scalar":
-            raise ParameterError(
-                "per-item insert() needs the scalar engine; feed the "
-                "batch engine whole chunks via feed()"
-            )
-        with self._lock:
-            if not self._pending_keys:
-                self._maybe_rotate()
-            report = self.filt.insert(key, value)
-            self._pending_keys.append(key)
-            self._pending_values.append(value)
-            if report is not None:
-                self._pending_reports.append(_report_entry(report))
-                self._tap_provenance([report])
-            if len(self._pending_keys) >= self.chunk_items:
-                self._seal_pending()
-            return report
-
-    def _seal_pending(self) -> None:
-        if not self._pending_keys:
-            return
-        self._chunks.append({
-            "start_item": self.filt.items_processed - len(self._pending_keys),
-            "keys": list(self._pending_keys),
-            "values": list(self._pending_values),
-            "reports": list(self._pending_reports),
-        })
-        self._pending_keys.clear()
-        self._pending_values.clear()
-        self._pending_reports.clear()
-        self._forensic_tick()
 
     def _tap_provenance(self, reports) -> None:
         from repro.observability.provenance import provenance_record
@@ -442,12 +402,11 @@ class FlightRecorder:
     # -- bundles --------------------------------------------------------
     @property
     def retained_chunks(self) -> int:
-        return len(self._chunks) + (1 if self._pending_keys else 0)
+        return len(self._chunks)
 
     @property
     def retained_items(self) -> int:
-        pending = len(self._pending_keys)
-        return sum(len(c["keys"]) for c in self._chunks) + pending
+        return sum(len(c["keys"]) for c in self._chunks)
 
     @property
     def retained_bytes(self) -> int:
@@ -457,9 +416,8 @@ class FlightRecorder:
     def bundle(self, reason: str, *, extra: Optional[dict] = None) -> dict:
         """Build (in memory) the incident bundle for the current window."""
         with self._lock:
-            self._seal_pending()
             meta = self._base_state["meta"]
-            window_items = sum(len(c["keys"]) for c in self._chunks)
+            window_items = self.retained_items
             manifest = {
                 "schema_version": BUNDLE_SCHEMA_VERSION,
                 "created_unix": time.time(),

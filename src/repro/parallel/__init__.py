@@ -26,7 +26,6 @@ from repro.parallel.sharded import (
     ENGINES,
     ShardRouter,
     ShardedQuantileFilter,
-    batch_filter_to_scalar,
 )
 from repro.parallel.concurrent import (
     ConcurrentQuantileFilter,
@@ -53,7 +52,6 @@ __all__ = [
     "PIPELINE_ENGINES",
     "ShardRouter",
     "ShardedQuantileFilter",
-    "batch_filter_to_scalar",
     "DEFAULT_CHUNK_ITEMS",
     "ParallelPipeline",
     "PipelineError",

@@ -391,49 +391,18 @@ class ConcurrentQuantileFilter:
         return out
 
     # ------------------------------------------------------------------
-    # consistent snapshots / folding
+    # structure-wide operations
     # ------------------------------------------------------------------
     def _all_locks(self):
-        """Acquire every stripe lock (ascending) plus the vague lock."""
-        return _MultiLock([*self._stripe_locks, self._vague_lock])
+        """Acquire every stripe lock (ascending) plus the vague lock.
 
-    def as_batch(self) -> BatchQuantileFilter:
-        """A consistent point-in-time :class:`BatchQuantileFilter` copy.
-
-        Takes all stripe locks (ascending order, so concurrent
-        snapshots cannot deadlock) plus the vague lock, then deep-copies
-        planes, vague rows, and the folded sink tallies.  The copy is a
-        fully independent single-thread filter — persistable with
-        :func:`repro.core.persistence.engine_state`, mergeable via
-        :func:`repro.parallel.sharded.batch_filter_to_scalar`.
+        No flush is half-committed while they are held: :meth:`retarget`
+        swaps the criteria under them, and
+        :func:`~repro.core.persistence.engine_state` captures a
+        consistent point-in-time state (ascending order, so concurrent
+        captures cannot deadlock).
         """
-        core = self._core
-        with self._all_locks():
-            twin = BatchQuantileFilter(
-                core.criteria,
-                num_buckets=core.num_buckets,
-                vague_width=core.width,
-                bucket_size=core.bucket_size,
-                depth=core.depth,
-                fp_bits=core.fp_bits,
-                strategy=core.strategy.name,
-                seed=core.seed,
-            )
-            twin._cand_fps[...] = core._cand_fps
-            twin._cand_qws[...] = core._cand_qws
-            twin._rows[...] = core._rows
-            for sink in self._sinks:
-                twin.reported_keys |= sink.reported_keys
-                twin.report_count += sink.report_count
-                twin.candidate_reports += sink.candidate_reports
-                twin.vague_reports += sink.vague_reports
-                twin.candidate_hits += sink.candidate_hits
-                twin.vague_inserts += sink.vague_inserts
-                twin.swaps += sink.swaps
-                twin.items_processed += sink.items
-            twin.retargets = core.retargets
-            twin.stats_tallies = self.stats_tallies
-            return twin
+        return _MultiLock([*self._stripe_locks, self._vague_lock])
 
     def retarget(self, threshold: float) -> Criteria:
         """Move the value threshold ``T`` under a full-structure lock.

@@ -18,6 +18,10 @@ from repro.core.persistence import (
     state_to_jsonable,
 )
 from repro.core.quantile_filter import QuantileFilter
+from repro.core.vectorized import BatchQuantileFilter
+from repro.parallel.concurrent import ConcurrentQuantileFilter
+
+STRATEGIES = ["comparative", "probabilistic", "forceful"]
 
 
 def build_warm_filter(**kwargs) -> QuantileFilter:
@@ -119,23 +123,54 @@ class TestRestoreContinuesExactly:
         payload = json.loads(json.dumps(state_to_jsonable(engine_state(qf))))
         return restore_engine(state_from_jsonable(payload))
 
-    @pytest.mark.parametrize("strategy", ["comparative", "probabilistic"])
-    def test_restored_run_matches_uninterrupted(self, strategy):
-        keys, values, threshold = self.stream()
+    @staticmethod
+    def build(engine, strategy, threshold):
         crit = Criteria(delta=0.7, threshold=threshold, epsilon=5.0)
+        cls = QuantileFilter if engine == "scalar" else BatchQuantileFilter
+        return cls(crit, memory_bytes=2_048, strategy=strategy, seed=5)
 
-        def build():
-            return QuantileFilter(crit, memory_bytes=2_048,
-                                  strategy=strategy, seed=5)
+    @staticmethod
+    def feed(filt, keys, values):
+        if isinstance(filt, QuantileFilter):
+            filt.insert_many(keys, values)
+        else:
+            filt.process(np.asarray(keys), np.asarray(values))
 
-        whole = build()
-        whole.insert_many(keys, values)
-        first = build()
-        first.insert_many(keys[:30_000], values[:30_000])
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_restored_run_matches_uninterrupted(self, strategy, engine):
+        keys, values, threshold = self.stream()
+        whole = self.build(engine, strategy, threshold)
+        self.feed(whole, keys, values)
+        first = self.build(engine, strategy, threshold)
+        self.feed(first, keys[:30_000], values[:30_000])
         resumed = self.json_round_trip(first)
-        resumed.insert_many(keys[30_000:], values[30_000:])
+        assert type(resumed) is type(whole)
+        self.feed(resumed, keys[30_000:], values[30_000:])
         assert resumed.reported_keys == whole.reported_keys
         assert state_fingerprint(resumed) == state_fingerprint(whole)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_batch_capture_continues_as_scalar(self, strategy):
+        """A batch capture restored as a scalar filter continues with the
+        batch filter's reports, counters and arrays."""
+        keys, values, threshold = self.stream()
+        batch = self.build("batch", strategy, threshold)
+        batch.stats_tallies = True
+        self.feed(batch, keys[:30_000], values[:30_000])
+        payload = json.loads(json.dumps(state_to_jsonable(engine_state(batch))))
+        scalar = restore_engine(state_from_jsonable(payload), engine="scalar")
+        assert isinstance(scalar, QuantileFilter)
+        self.feed(batch, keys[30_000:], values[30_000:])
+        self.feed(scalar, keys[30_000:], values[30_000:])
+        assert scalar.reported_keys == batch.reported_keys
+        for name in ("items_processed", "report_count", "candidate_reports",
+                     "vague_reports", "candidate_hits", "vague_inserts",
+                     "swaps"):
+            assert getattr(scalar, name) == getattr(batch, name), name
+        assert np.array_equal(scalar.candidate._fps, batch._cand_fps)
+        assert np.array_equal(scalar.candidate._qws, batch._cand_qws)
+        assert np.array_equal(scalar.vague.sketch.counters.data, batch._rows)
 
     def test_capture_without_rng_states_still_loads(self):
         keys, values, threshold = self.stream()
@@ -149,6 +184,59 @@ class TestRestoreContinuesExactly:
         assert restored.reported_keys == qf.reported_keys
         assert np.array_equal(restored.vague.sketch.counters.data,
                               qf.vague.sketch.counters.data)
+
+
+class TestEngines:
+    """One format captures every engine; ``engine=`` picks the rebuild."""
+
+    @staticmethod
+    def fed_threads():
+        crit = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
+        cqf = ConcurrentQuantileFilter(crit, memory_bytes=4_096, seed=2,
+                                       num_stripes=4, flush_items=512)
+        rng = np.random.default_rng(8)
+        keys = rng.integers(0, 400, size=6_000)
+        values = np.where(keys < 10, 500.0, rng.uniform(0, 90, 6_000))
+        cqf.process(keys, values)
+        return cqf
+
+    def test_every_engine_saves_the_same_arrays(self):
+        crit = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
+        for filt in (QuantileFilter(crit, memory_bytes=4_096),
+                     BatchQuantileFilter(crit, memory_bytes=4_096),
+                     self.fed_threads()):
+            assert set(engine_state(filt)["arrays"]) == {
+                "candidate_fps", "candidate_qws", "vague_counters"
+            }
+
+    def test_threads_capture_restores_into_batch_filter(self):
+        cqf = self.fed_threads()
+        twin = restore_engine(engine_state(cqf))
+        assert isinstance(twin, BatchQuantileFilter)
+        assert twin.reported_keys == cqf.reported_keys
+        assert twin.items_processed == cqf.items_processed == 6_000
+        assert state_fingerprint(twin) == state_fingerprint(cqf)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(counter_kind="int32"), "counter_kind='int32'"),
+        (dict(counter_kind="float", vague_backend="cmm"),
+         "vague_backend='cmm'"),
+    ])
+    def test_batch_restore_refuses_what_it_cannot_run(self, kwargs, match):
+        qf = build_warm_filter(**kwargs)
+        with pytest.raises(TraceFormatError, match=match):
+            restore_engine(engine_state(qf), engine="batch")
+
+    def test_batch_restore_refuses_per_key_criteria(self):
+        qf = build_warm_filter(counter_kind="float")
+        qf.set_key_criteria(42, Criteria(delta=0.5, threshold=10.0,
+                                         epsilon=0.0))
+        with pytest.raises(TraceFormatError, match="1 per-key criteria"):
+            restore_engine(engine_state(qf), engine="batch")
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(TraceFormatError, match="unknown engine"):
+            restore_engine(engine_state(build_warm_filter()), engine="gpu")
 
 
 class TestFailureModes:

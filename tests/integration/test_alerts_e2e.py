@@ -73,8 +73,8 @@ class TestDriftFiresRuleEndToEnd:
         filt = QuantileFilter(CRITERIA, **GEOMETRY)
         registry = observe_filter(filt)
         recorder = FlightRecorder(
-            filt, max_chunks=16, chunk_items=STRIDE,
-            incident_dir=incident_dir, registry=registry,
+            filt, max_chunks=16, incident_dir=incident_dir,
+            registry=registry,
         )
         monitor = HealthMonitor.for_filter(filt, drift_window_items=1_024)
         clock = {"t": 0.0}

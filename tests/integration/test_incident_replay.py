@@ -70,7 +70,7 @@ def test_drift_incident_replays_bit_identically(engine, tmp_path):
     # engine's stats tallies are part of its state.
     registry = observe_filter(filt)
     recorder = FlightRecorder(
-        filt, max_chunks=8, chunk_items=STRIDE, incident_dir=tmp_path,
+        filt, max_chunks=8, incident_dir=tmp_path,
         config={"scenario": "injected-drift", "engine": engine},
     )
     monitor = HealthMonitor.for_criteria(

@@ -7,10 +7,15 @@ excepted — the pipeline runs batch filters).
 """
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.observability.cli import build_parser, main
 from repro.observability.registry import base_name
@@ -423,3 +428,32 @@ def test_top_prom_degrades_to_plain_lines_off_tty(capsys):
     assert "\x1b[" not in out
     assert out.count("# --- after") >= 1
     assert "# --- final ---" in out
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", [
+    ["repro", "alerts", "list"],
+    ["repro.experiments.cli", "matrix", "report", "--runs", "{runs}"],
+], ids=["repro-alerts-list", "experiments-matrix-report"])
+def test_closed_stdout_exits_141_without_traceback(tmp_path, command,
+                                                   buffered):
+    """Both console entry points end quietly when their reader closes
+    early (``repro stats | head -1``): status 141 (128 + SIGPIPE) and
+    nothing on stderr, whether the write fails inside the command or
+    at the final flush of a buffered stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).parents[1])
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    args = [part.format(runs=tmp_path) for part in command]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", *args], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    )
+    proc.stdout.close()  # before the interpreter has even started
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert stderr == b""

@@ -23,6 +23,7 @@ from repro.observability.recorder import (
 )
 from repro.observability.registry import StatsRegistry
 from repro.observability.timeseries import MetricStore
+from repro.parallel.concurrent import ConcurrentQuantileFilter
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
 GEOMETRY = dict(num_buckets=64, bucket_size=4, vague_width=512, seed=3)
@@ -86,30 +87,12 @@ class TestRingInvariant:
         assert result.ok, result.mismatches
         assert result.items_replayed == rec.retained_items
 
-    def test_insert_tap_seals_chunks_and_replays(self):
-        filt = scalar_filter()
-        rec = FlightRecorder(filt, max_chunks=4, chunk_items=256)
-        keys, values = make_stream(2_000)
-        reports = 0
-        for key, value in zip(keys, values):
-            if rec.insert(key, value) is not None:
-                reports += 1
-        assert reports == filt.report_count
-        # 2000 items / 256 per chunk leaves a partial pending chunk;
-        # bundling seals it so nothing recorded is lost.
-        bundle = rec.bundle("test")
-        assert sum(len(c["keys"]) for c in bundle["chunks"]) \
-            == rec.retained_items
-        result = replay_bundle(bundle)
-        assert result.ok, result.mismatches
-
-    def test_insert_and_feed_mix_matches_unrecorded_filter(self):
+    def test_feed_matches_unrecorded_filter(self):
         keys, values = make_stream(3_000)
         recorded = scalar_filter()
-        rec = FlightRecorder(recorded, max_chunks=8, chunk_items=512)
+        rec = FlightRecorder(recorded, max_chunks=8)
         plain = scalar_filter()
-        for key, value in zip(keys[:1_000], values[:1_000]):
-            rec.insert(key, value)
+        rec.feed(keys[:1_000], values[:1_000])
         rec.feed(keys[1_000:], values[1_000:])
         plain.insert_many(keys, values)
         # Recording must never perturb detection behaviour.
@@ -126,11 +109,28 @@ class TestRingInvariant:
         assert result.ok, result.mismatches
         assert result.engine == "batch"
 
-    def test_insert_tap_rejects_batch_engine(self):
-        filt = BatchQuantileFilter(CRIT, 1 << 16, seed=5)
+    def test_probabilistic_batch_replays(self):
+        """The base snapshot carries the swap RNG of a ``probabilistic``
+        filter, so a window that starts mid-stream replays exactly."""
+        rng = np.random.default_rng(2024)
+        keys = rng.zipf(1.3, size=40_000) % 5_000
+        values = rng.lognormal(mean=3.0, sigma=1.0, size=40_000)
+        crit = Criteria(delta=0.7, threshold=float(np.percentile(values, 80)),
+                        epsilon=5.0)
+        filt = BatchQuantileFilter(crit, memory_bytes=2_048,
+                                   strategy="probabilistic", seed=5)
+        filt.process(keys[:10_000], values[:10_000])
         rec = FlightRecorder(filt)
-        with pytest.raises(ParameterError, match="scalar engine"):
-            rec.insert(1, 2.0)
+        for begin in range(10_000, 40_000, 2_000):
+            rec.feed(keys[begin:begin + 2_000], values[begin:begin + 2_000])
+        result = replay_bundle(json.loads(json.dumps(rec.bundle("test"))))
+        assert result.ok, result.mismatches
+        assert result.chunks_replayed == 15
+
+    def test_threads_engine_refused(self):
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY)
+        with pytest.raises(ParameterError, match="scalar engine.*batch"):
+            FlightRecorder(cqf)
 
     def test_discontinuity_rebases_across_retarget(self):
         filt = scalar_filter()
@@ -155,8 +155,6 @@ class TestRingInvariant:
         filt = scalar_filter()
         with pytest.raises(ParameterError):
             FlightRecorder(filt, max_chunks=0)
-        with pytest.raises(ParameterError):
-            FlightRecorder(filt, chunk_items=0)
         with pytest.raises(ParameterError):
             FlightRecorder(filt, max_incidents=0)
 
@@ -334,8 +332,9 @@ class TestBundlesOnDisk:
         garbage.write_bytes(b"not a bundle")
         with pytest.raises(TraceFormatError, match="cannot read"):
             load_bundle(garbage)
-        # Version 1 bundles stored a health verdict, not signal values.
-        for version in (1, 999):
+        # Version 1 bundles stored a health verdict, not signal values;
+        # version 2 stored batch states in a format no longer read.
+        for version in (1, 2, 999):
             wrong = tmp_path / f"incident-v{version}.json"
             wrong.write_text(json.dumps({"schema_version": version}))
             with pytest.raises(TraceFormatError, match="unsupported"):

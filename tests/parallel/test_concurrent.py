@@ -14,10 +14,11 @@ import pytest
 
 from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
+from repro.core.persistence import engine_state, restore_engine
+from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 from repro.parallel.concurrent import ConcurrentQuantileFilter
 from repro.parallel.pipeline import ParallelPipeline
-from repro.parallel.sharded import batch_filter_to_scalar
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
 GEOMETRY = dict(num_buckets=128, vague_width=512, bucket_size=4, seed=3)
@@ -62,16 +63,21 @@ class TestReadPath:
 
 
 class TestSnapshots:
-    def test_as_batch_is_independent(self):
+    def test_capture_is_independent(self):
         cqf, _, _ = _fed(n=5_000)
-        twin = cqf.as_batch()
+        state = engine_state(cqf)
+        twin = restore_engine(state)
+        assert isinstance(twin, BatchQuantileFilter)
         before = twin.items_processed
+        planes = state["arrays"]["candidate_qws"].copy()
         cqf.process(*_trace(n=1_000, seed=9))
         assert twin.items_processed == before  # frozen copy
+        assert np.array_equal(state["arrays"]["candidate_qws"], planes)
 
-    def test_as_batch_converts_to_scalar(self):
+    def test_capture_restores_as_scalar(self):
         cqf, _, _ = _fed(n=5_000)
-        scalar = batch_filter_to_scalar(cqf.as_batch())
+        scalar = restore_engine(engine_state(cqf), engine="scalar")
+        assert isinstance(scalar, QuantileFilter)
         assert scalar.reported_keys == cqf.reported_keys
 
 
@@ -205,7 +211,7 @@ class TestPipelineThreadsMode:
         assert stats["qf_items_total"] >= 0
         assert result.stats["qf_items_total"] == keys.shape[0]
         assert result.stats["qf_thread_flushes_total"] > 0
-        merged = batch_filter_to_scalar(pipe.filter.as_batch())
+        merged = restore_engine(engine_state(pipe.filter), engine="scalar")
         assert merged.reported_keys == result.reported_keys
 
     def test_retarget_rendezvous(self):

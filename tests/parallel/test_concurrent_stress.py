@@ -96,7 +96,7 @@ def test_racing_threads_lose_and_duplicate_no_reports():
     replayed = replay_witness(cqf.witness, cqf)
     assert cqf.reported_keys == replayed.reported_keys
     assert cqf.report_count == replayed.report_count
-    assert state_fingerprint(cqf.as_batch()) == state_fingerprint(replayed)
+    assert state_fingerprint(cqf) == state_fingerprint(replayed)
 
     # The guaranteed detections all fired.
     assert set(hot.tolist()) <= cqf.reported_keys

@@ -87,7 +87,7 @@ def _assert_same_state(cqf, reference):
     assert cqf.reported_keys == reference.reported_keys
     assert cqf.report_count == reference.report_count
     assert cqf.items_processed == reference.items_processed
-    assert state_fingerprint(cqf.as_batch()) == state_fingerprint(reference)
+    assert state_fingerprint(cqf) == state_fingerprint(reference)
 
 
 @given(scenario=scenarios())

@@ -79,7 +79,7 @@ def test_replay_reproduces_capture_bit_identically(scenario):
             filt.process(warm_keys, warm_values)
 
     # Attach mid-stream: the base snapshot captures the warmed state.
-    rec = FlightRecorder(filt, max_chunks=max_chunks, chunk_items=chunk)
+    rec = FlightRecorder(filt, max_chunks=max_chunks)
     keys, values = make_stream(n, criteria.threshold, stream_seed)
     for begin in range(0, n, chunk):
         rec.feed(keys[begin:begin + chunk].tolist(),
@@ -93,20 +93,3 @@ def test_replay_reproduces_capture_bit_identically(scenario):
     assert result.signals_ok
     assert result.reports_replayed == result.reports_expected
 
-
-@given(scenario=scenarios())
-@settings(max_examples=20, deadline=None)
-def test_scalar_per_item_tap_replays(scenario):
-    (_, num_buckets, bucket_size, vague_width, depth, seed,
-     criteria, _, n, chunk, max_chunks, stream_seed) = scenario
-    filt = QuantileFilter(
-        criteria, num_buckets=num_buckets, bucket_size=bucket_size,
-        vague_width=vague_width, depth=depth, counter_kind="float",
-        seed=seed,
-    )
-    rec = FlightRecorder(filt, max_chunks=max_chunks, chunk_items=chunk)
-    keys, values = make_stream(n, criteria.threshold, stream_seed)
-    for key, value in zip(keys.tolist(), values.tolist()):
-        rec.insert(key, value)
-    result = replay_bundle(json.loads(json.dumps(rec.bundle("property"))))
-    assert result.ok, result.mismatches
