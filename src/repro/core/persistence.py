@@ -123,8 +123,8 @@ def engine_state(filt, include_history: bool = True) -> dict:
     Takes a scalar :class:`~repro.core.quantile_filter.QuantileFilter`,
     a :class:`~repro.core.vectorized.BatchQuantileFilter` or a
     :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter`.  The
-    threads engine is captured under all its locks, with its stripe
-    tallies folded, as a batch filter.
+    threads engine is captured under its commit lock, as the batch
+    filter it commits into.
 
     ``include_history=True`` also stores the deduplicated reported-key
     set and the scalar filter's per-key criteria overrides; both require
@@ -136,21 +136,19 @@ def engine_state(filt, include_history: bool = True) -> dict:
     from repro.parallel.concurrent import ConcurrentQuantileFilter
 
     if isinstance(filt, ConcurrentQuantileFilter):
-        with filt._all_locks():
-            return _capture(filt, filt._core, include_history)
+        with filt._lock:
+            return _capture(filt._core, include_history)
     if not isinstance(filt, (QuantileFilter, BatchQuantileFilter)):
         raise TraceFormatError(
             f"cannot capture state of {type(filt).__name__}; expected "
             "QuantileFilter, BatchQuantileFilter or ConcurrentQuantileFilter"
         )
-    return _capture(filt, filt, include_history)
+    return _capture(filt, include_history)
 
 
-def _capture(filt, core, include_history: bool) -> dict:
-    """``filt``'s tallies and history over ``core``'s arrays (the threads
-    engine keeps its tallies apart from its batch core)."""
-    scalar = isinstance(core, QuantileFilter)
-    arrays, rngs = _parts(core)
+def _capture(filt, include_history: bool) -> dict:
+    scalar = isinstance(filt, QuantileFilter)
+    arrays, rngs = _parts(filt)
     fps, _, counters = arrays
     meta = {
         "version": _FORMAT_VERSION,
@@ -160,7 +158,7 @@ def _capture(filt, core, include_history: bool) -> dict:
         "bucket_size": fps.shape[1],
         "depth": counters.shape[0],
         "vague_width": counters.shape[1],
-        "strategy": core.strategy.name,
+        "strategy": filt.strategy.name,
         "has_history": bool(include_history),
     }
     for name in _TALLIES + (_SCALAR_TALLIES if scalar else ()):
@@ -169,15 +167,15 @@ def _capture(filt, core, include_history: bool) -> dict:
         meta[name] = _rng_state(rng)
     if scalar:
         meta.update(
-            fp_bits=core.candidate.fp_bits, seed=core._seed,
-            vague_backend=core.vague.backend,
-            counter_kind=core.vague.sketch.counters.kind,
-            track_reports=core._track_reports,
+            fp_bits=filt.candidate.fp_bits, seed=filt._seed,
+            vague_backend=filt.vague.backend,
+            counter_kind=filt.vague.sketch.counters.kind,
+            track_reports=filt._track_reports,
         )
     else:
         meta.update(
-            fp_bits=core.fp_bits, seed=core.seed, vague_backend="cs",
-            counter_kind="float", chunk_size=core.chunk_size,
+            fp_bits=filt.fp_bits, seed=filt.seed, vague_backend="cs",
+            counter_kind="float", chunk_size=filt.chunk_size,
             stats_tallies=bool(filt.stats_tallies),
         )
     if include_history:
@@ -189,7 +187,7 @@ def _capture(filt, core, include_history: bool) -> dict:
                 meta["key_criteria"] = sorted(
                     (
                         [_json_safe_key(key), _criteria_to_dict(crit)]
-                        for key, crit in core._key_criteria.items()
+                        for key, crit in filt._key_criteria.items()
                     ),
                     key=repr,
                 )

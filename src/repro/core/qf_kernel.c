@@ -1,9 +1,9 @@
-/* QuantileFilter's per-chunk work: hashing (qf_split) and Algorithm 2
+/* QuantileFilter's per-chunk work: hashing (qf_hash) and Algorithm 2
  * (qf_process).
  *
- * qf_split hashes a chunk of integer keys and float64 values exactly as
- * BatchQuantileFilter._chunk_parts in vectorized.py does, then stably
- * partitions the items by bucket % parts (the threads engine's stripes).
+ * qf_hash hashes a chunk of integer keys and float64 values exactly as
+ * BatchQuantileFilter._chunk_parts in vectorized.py does, in stream
+ * order.
  *
  * keys:    n integer keys as 64-bit two's complement (the canonical key
  *          is mix64 of them, as canonical_keys computes it).
@@ -11,10 +11,7 @@
  * bucket_seed, num_buckets: the candidate-bucket hash.
  * threshold, positive_weight: an item weighs positive_weight when its
  *          value exceeds threshold, -1 otherwise (compared in float64).
- * fps, buckets, weights: the n fingerprints, buckets and weights,
- *          grouped by part, each part in stream order.
- * order:   order[j] is the chunk index of item j in that grouping.
- * bounds:  parts + 1 offsets; part p is items [bounds[p], bounds[p + 1]).
+ * fps, buckets, weights: the n fingerprints, buckets and weights.
  *
  * qf_process runs Algorithm 2 over one chunk, in stream order: the
  * compiled twin of BatchQuantileFilter._scalar_pass in vectorized.py
@@ -26,21 +23,15 @@
  * from a stable insertion sort: equal estimates, a -0.0 and a 0.0 among
  * them, keep their row order, as they do under Python's list.sort.
  *
- * fps, buckets, weights: the chunk's fingerprints, candidate buckets and
- *          item weights (qf_split's output); items [start, n) are
- *          processed.
+ * fps, buckets, weights: the chunk's n fingerprints, candidate buckets
+ *          and item weights (qf_hash's output).
  * cand_fps, cand_qws: the (num_buckets, bucket_size) candidate planes.
  * rows:    the (depth, width) vague rows.
  * row_seeds, sign_seeds: the per-row seeds of the column and sign hashes.
- * stop_at_vague: when non-zero, stop before the first item that needs
- *          the vague part and leave it unprocessed.
  * out:     five tallies (hits, vague inserts, swaps, candidate reports,
  *          vague reports), added to, then the index of every reporting
  *          item in stream order.  The caller zeroes the tallies; the
  *          index list starts at out[5 + tallies[3] + tallies[4]].
- *
- * Returns the index of the first unprocessed item: n, or where
- * stop_at_vague stopped.
  */
 #include <stdint.h>
 
@@ -61,42 +52,18 @@ static int64_t bucket_of(uint64_t canon, uint64_t bucket_seed,
     return (int64_t)(mix64(canon ^ bucket_seed) % (uint64_t)num_buckets);
 }
 
-void qf_split(const uint64_t *keys, const double *values, int64_t n,
-              uint64_t fp_seed, uint64_t fp_mask, uint64_t bucket_seed,
-              int64_t num_buckets, double threshold, double positive_weight,
-              int64_t parts, uint64_t *fps, int64_t *buckets,
-              double *weights, int64_t *order, int64_t *bounds)
+void qf_hash(const uint64_t *keys, const double *values, int64_t n,
+             uint64_t fp_seed, uint64_t fp_mask, uint64_t bucket_seed,
+             int64_t num_buckets, double threshold, double positive_weight,
+             uint64_t *fps, int64_t *buckets, double *weights)
 {
-    int64_t i, p;
-
-    /* Count each part's items into bounds[p + 1], then turn the counts
-     * into each part's first slot. */
-    for (p = 0; p <= parts; p++)
-        bounds[p] = 0;
-    if (parts == 1)
-        bounds[1] = n;
-    else
-        for (i = 0; i < n; i++)
-            bounds[bucket_of(mix64(keys[i]), bucket_seed, num_buckets)
-                   % parts + 1]++;
-    for (p = 1; p <= parts; p++)
-        bounds[p] += bounds[p - 1];
-
-    /* Write each item to its part's next slot: bounds[p] advances from
-     * the part's first slot to its end, which is the next part's first. */
-    for (i = 0; i < n; i++) {
+    for (int64_t i = 0; i < n; i++) {
         uint64_t canon = mix64(keys[i]);
-        int64_t bucket = bucket_of(canon, bucket_seed, num_buckets);
         uint64_t fp = mix64(canon ^ fp_seed) & fp_mask;
-        int64_t j = bounds[bucket % parts]++;
-        fps[j] = fp ? fp : 1;
-        buckets[j] = bucket;
-        weights[j] = values[i] > threshold ? positive_weight : -1.0;
-        order[j] = i;
+        fps[i] = fp ? fp : 1;
+        buckets[i] = bucket_of(canon, bucket_seed, num_buckets);
+        weights[i] = values[i] > threshold ? positive_weight : -1.0;
     }
-    for (p = parts; p > 0; p--)
-        bounds[p] = bounds[p - 1];
-    bounds[0] = 0;
 }
 
 /* The vague cell (flat index into rows) and sign of a (fingerprint,
@@ -120,19 +87,17 @@ static void report(int64_t *out, int64_t item, int source)
     out[source]++;
 }
 
-int64_t qf_process(const uint64_t *fps, const int64_t *buckets,
-                   const double *weights, int64_t start, int64_t n,
-                   uint64_t *cand_fps, double *cand_qws,
-                   int64_t bucket_size, double *rows, int64_t depth,
-                   int64_t width, const uint64_t *row_seeds,
-                   const uint64_t *sign_seeds, double report_threshold,
-                   int64_t stop_at_vague, int64_t *out)
+void qf_process(const uint64_t *fps, const int64_t *buckets,
+                const double *weights, int64_t n, uint64_t *cand_fps,
+                double *cand_qws, int64_t bucket_size, double *rows,
+                int64_t depth, int64_t width, const uint64_t *row_seeds,
+                const uint64_t *sign_seeds, double report_threshold,
+                int64_t *out)
 {
     int64_t cells[depth], evicted_cells[depth];
     double signs[depth], evicted_signs[depth], ests[depth];
-    int64_t i;
 
-    for (i = start; i < n; i++) {
+    for (int64_t i = 0; i < n; i++) {
         uint64_t fp = fps[i];
         int64_t bucket = buckets[i];
         double weight = weights[i];
@@ -172,8 +137,6 @@ int64_t qf_process(const uint64_t *fps, const int64_t *buckets,
         }
 
         /* Case 3: vague part (fused insert + median estimate). */
-        if (stop_at_vague)
-            break;
         out[VAGUE_INSERTS]++;
         address(fp, bucket, depth, width, row_seeds, sign_seeds, cells,
                 signs);
@@ -219,5 +182,4 @@ int64_t qf_process(const uint64_t *fps, const int64_t *buckets,
             bucket_qws[min_slot] = estimate;
         }
     }
-    return i;
 }

@@ -5,7 +5,7 @@ most of its Python time computing hashes and walking Algorithm 2's
 branches one item at a time.  This engine processes the stream in
 chunks.  With the default ``comparative`` strategy, the compiled kernel
 (``qf_kernel.c``, loaded through :mod:`repro.common.native`) does a
-chunk in two C calls: ``qf_split`` computes the fingerprints, candidate
+chunk in two C calls: ``qf_hash`` computes the fingerprints, candidate
 buckets and item weights of integer keys exactly as
 :meth:`BatchQuantileFilter._chunk_parts` does in numpy, and
 ``qf_process`` runs Algorithm 2's per-item branch over every item in
@@ -259,44 +259,40 @@ class BatchQuantileFilter:
     def _chunk_parts(self, keys: np.ndarray, values: np.ndarray):
         """Lock-free per-chunk precompute: fingerprints, buckets, weights.
 
-        Pure functions of the inputs and the (immutable) hash families —
-        no filter state is read or written, so concurrent callers (the
-        thread-parallel engine in :mod:`repro.parallel.concurrent`) may
-        run this outside any lock.
+        Pure functions of the inputs, the (immutable) hash families and
+        the criteria — no other filter state is read and none is
+        written, so concurrent callers (the thread-parallel engine in
+        :mod:`repro.parallel.concurrent`) may run this outside any lock.
         """
-        crit = self.criteria
         canon = canonical_keys(keys)
         fps = self._fp_hasher.fingerprints_batch(canon)
         buckets = (
             _mix64_array(canon ^ self._bucket_seed) % self._num_buckets_u64
         ).astype(np.int64)
+        return fps, buckets, self._item_weights(values)
+
+    def _item_weights(self, values: np.ndarray) -> np.ndarray:
+        """Each item's weight under the criteria in force: the criteria's
+        ``positive_weight`` when its value exceeds ``T``, -1 otherwise."""
+        crit = self.criteria
         # Compared in float64, as the scalar filter does: NumPy would
         # compare a float32 array with T in float32.
-        weights = np.where(
+        return np.where(
             np.asarray(values, dtype=np.float64) > crit.threshold,
             crit.positive_weight, -1.0,
         )
-        return fps, buckets, weights
 
-    def _partition(self, keys: np.ndarray, values: np.ndarray, parts: int,
-                   kernel):
-        """:meth:`_chunk_parts`, with the items grouped by ``bucket % parts``.
+    def _hash(self, keys: np.ndarray, values: np.ndarray, kernel):
+        """:meth:`_chunk_parts`, in one C call where the kernel takes it.
 
-        Returns ``(fps, buckets, weights, order, bounds)``: part ``p`` is
-        items ``bounds[p]:bounds[p + 1]`` of the first three arrays, in
-        stream order, and item ``j`` is ``keys[order[j]]``.  With the
-        compiled ``kernel`` integer keys take one C call (``qf_split``,
-        which releases the GIL); other key dtypes, and hosts without the
-        kernel, take :meth:`_chunk_parts` and a stable argsort.  Either
-        way it reads no filter state but the criteria, so the threads
-        engine runs it outside any lock.
+        With the compiled ``kernel`` integer keys take ``qf_hash``, which
+        releases the GIL; other key dtypes, and hosts without the
+        kernel, take :meth:`_chunk_parts`.  Either way it reads no
+        filter state but the criteria, so the threads engine runs it
+        outside its commit lock.
         """
         if kernel is None or not np.issubdtype(keys.dtype, np.integer):
-            fps, buckets, weights = self._chunk_parts(keys, values)
-            part_of = buckets % parts
-            order = np.argsort(part_of, kind="stable")
-            bounds = np.searchsorted(part_of[order], np.arange(parts + 1))
-            return fps[order], buckets[order], weights[order], order, bounds
+            return self._chunk_parts(keys, values)
         n = int(keys.shape[0])
         # Two's complement bits of any integer dtype, as canonical_keys
         # reads them; kept alive in locals for the foreign call.
@@ -305,18 +301,15 @@ class BatchQuantileFilter:
         fps = np.empty(n, dtype=np.uint64)
         buckets = np.empty(n, dtype=np.int64)
         weights = np.empty(n, dtype=np.float64)
-        order = np.empty(n, dtype=np.int64)
-        bounds = np.empty(parts + 1, dtype=np.int64)
         crit = self.criteria
         fp_hasher = self._fp_hasher
-        kernel.split(
+        kernel.hash(
             key_bits.ctypes.data, values.ctypes.data, n,
             fp_hasher._seed, fp_hasher._mask, int(self._bucket_seed),
-            self.num_buckets, crit.threshold, crit.positive_weight, parts,
+            self.num_buckets, crit.threshold, crit.positive_weight,
             fps.ctypes.data, buckets.ctypes.data, weights.ctypes.data,
-            order.ctypes.data, bounds.ctypes.data,
         )
-        return fps, buckets, weights, order, bounds
+        return fps, buckets, weights
 
     def _classify_chunk(self, fps: np.ndarray, buckets: np.ndarray):
         """Split a (sub)chunk into the fast and scalar tiers.
@@ -327,7 +320,7 @@ class BatchQuantileFilter:
         replacement), so only the hit-prefix of each bucket — items
         strictly before the bucket's first miss — is provably pure.
         Reads the candidate planes: callers that share the planes across
-        threads must hold the owning bucket-stripe lock.
+        threads must hold the lock that guards them.
 
         Returns ``(hit, fast_idx, slow_idx)``: the per-slot hit matrix
         and the index arrays of the two tiers (both in ascending, i.e.
@@ -359,14 +352,18 @@ class BatchQuantileFilter:
         return _qf_kernel() if self.strategy.name == "comparative" else None
 
     def _run_chunk(self, keys: np.ndarray, values: np.ndarray, kernel) -> None:
-        n = int(keys.shape[0])
+        self._commit(kernel, keys, *self._hash(keys, values, kernel))
+
+    def _commit(self, kernel, keys: np.ndarray, fps: np.ndarray,
+                buckets: np.ndarray, weights: np.ndarray) -> None:
+        """Algorithm 2 over one hashed chunk (:meth:`_hash`'s arrays).
+
+        With the compiled ``kernel`` it is one C loop in stream order;
+        without it, the numpy two tiers.
+        """
         if kernel is not None:
-            fps, buckets, weights, order, _ = self._partition(
-                keys, values, 1, kernel
-            )
-            self._compiled_pass(kernel, keys, order, fps, buckets, weights)
+            self._compiled_pass(kernel, keys, fps, buckets, weights)
         else:
-            fps, buckets, weights = self._chunk_parts(keys, values)
             hit, fast_idx, slow_idx = self._classify_chunk(fps, buckets)
             # The two tiers commute: fast items touch only candidate
             # slots of buckets whose chunk prefix is hit-pure, and the
@@ -379,61 +376,46 @@ class BatchQuantileFilter:
                 )
             if slow_idx.size:
                 self._scalar_pass(keys, fps, buckets, weights, slow_idx)
-        self.items_processed += n
+        self.items_processed += int(keys.shape[0])
 
     def _compiled_pass(
         self,
         kernel,
         keys: np.ndarray,
-        order: np.ndarray,
         fps: np.ndarray,
         buckets: np.ndarray,
         weights: np.ndarray,
-        start: int = 0,
-        end: Optional[int] = None,
-        stop_at_vague: bool = False,
-        sink=None,
-    ) -> int:
-        """Algorithm 2 over items ``start:end`` in one C loop, in stream order.
+    ) -> None:
+        """Algorithm 2 over a whole chunk in one C loop, in stream order.
 
-        ``order``, ``fps``, ``buckets`` and ``weights`` are
-        :meth:`_partition`'s C-contiguous arrays; item ``j`` is
-        ``keys[order[j]]``.  ``ctypes`` releases the GIL for the call.
-        With ``stop_at_vague`` the loop stops before the first item that
-        needs the vague part; returns the index of the first item it did
-        not process (``end`` when it ran to the end).  ``sink`` plays
-        the same role as in :meth:`_fast_candidate_pass`.
+        ``fps``, ``buckets`` and ``weights`` are :meth:`_hash`'s
+        C-contiguous arrays.  ``ctypes`` releases the GIL for the call.
         """
-        if sink is None:
-            sink = self
-        if end is None:
-            end = int(fps.shape[0])
-        out = np.zeros(_TALLIES + end - start, dtype=np.int64)
-        stop = kernel.process(
-            fps.ctypes.data, buckets.ctypes.data, weights.ctypes.data,
-            start, end, self._cand_fps.ctypes.data,
-            self._cand_qws.ctypes.data,
+        n = int(fps.shape[0])
+        out = np.zeros(_TALLIES + n, dtype=np.int64)
+        kernel.process(
+            fps.ctypes.data, buckets.ctypes.data, weights.ctypes.data, n,
+            self._cand_fps.ctypes.data, self._cand_qws.ctypes.data,
             self.bucket_size, self._rows.ctypes.data, self.depth, self.width,
             self._hashes._seeds_np.ctypes.data,
             self._signs._seeds_np.ctypes.data,
-            self._report_threshold_eff, stop_at_vague, out.ctypes.data,
+            self._report_threshold_eff, out.ctypes.data,
         )
         hits, vague, swaps, candidate_reports, vague_reports = (
             out[:_TALLIES].tolist()
         )
         reports = candidate_reports + vague_reports
         if reports:
-            sink.reported_keys.update(
-                keys[order[out[_TALLIES:_TALLIES + reports]]].tolist()
+            self.reported_keys.update(
+                keys[out[_TALLIES:_TALLIES + reports]].tolist()
             )
-            sink.report_count += reports
-            sink.candidate_reports += candidate_reports
-            sink.vague_reports += vague_reports
-        if sink.stats_tallies:
-            sink.candidate_hits += hits
-            sink.vague_inserts += vague
-            sink.swaps += swaps
-        return stop
+            self.report_count += reports
+            self.candidate_reports += candidate_reports
+            self.vague_reports += vague_reports
+        if self.stats_tallies:
+            self.candidate_hits += hits
+            self.vague_inserts += vague
+            self.swaps += swaps
 
     def _fast_candidate_pass(
         self,
@@ -442,14 +424,8 @@ class BatchQuantileFilter:
         weights: np.ndarray,
         hit: np.ndarray,
         fast_idx: np.ndarray,
-        sink=None,
     ) -> None:
         """Grouped per-slot Qweight accumulation for pure candidate hits.
-
-        ``sink`` receives the event tallies and reported keys; it
-        defaults to the filter itself and exists so the thread-parallel
-        engine can direct each bucket stripe's tallies at a
-        lock-protected per-stripe accumulator.
 
         A slot is *clean* when its starting Qweight plus the sum of the
         chunk's positive weights provably stays below the report
@@ -463,20 +439,15 @@ class BatchQuantileFilter:
         item-by-item in stream order — slot-local state, so replay
         order relative to other slots is irrelevant.
         """
-        if sink is None:
-            sink = self
         report_threshold = self._report_threshold_eff
         qws_flat = self._cand_qws.reshape(-1)
-        reported = sink.reported_keys
+        reported = self.reported_keys
 
         slots = np.argmax(hit[fast_idx], axis=1)
         gslot = buckets[fast_idx] * self.bucket_size + slots
         fast_weights = weights[fast_idx]
 
         # Conservative crossing screen: per-slot positive-weight mass.
-        # Racing stripe commits may each allocate the scratch plane once;
-        # each uses its own reference and leaves it zeroed, so either
-        # allocation is safe to keep.
         scratch = self._scratch_pos
         if scratch is None:
             scratch = self._scratch_pos = np.zeros(
@@ -512,15 +483,15 @@ class BatchQuantileFilter:
                 if new_qw >= report_threshold:
                     qweight = 0.0
                     reported.add(replay_keys[pos])
-                    sink.report_count += 1
-                    sink.candidate_reports += 1
+                    self.report_count += 1
+                    self.candidate_reports += 1
                 else:
                     qweight = new_qw
             if current_slot >= 0:
                 qws_flat[current_slot] = qweight
 
-        if sink.stats_tallies:
-            sink.candidate_hits += int(fast_idx.size)
+        if self.stats_tallies:
+            self.candidate_hits += int(fast_idx.size)
 
     def _scalar_pass(
         self,
@@ -529,7 +500,6 @@ class BatchQuantileFilter:
         buckets: np.ndarray,
         weights: np.ndarray,
         idx: np.ndarray,
-        sink=None,
     ) -> None:
         """Algorithm 2's exact per-item branch over the ``idx`` subset.
 
@@ -539,15 +509,9 @@ class BatchQuantileFilter:
         Python lists and floats (fast scalar indexing) and written back
         afterwards; vague addressing is computed vectorised for just the
         subset.
-
-        ``sink`` plays the same role as in :meth:`_fast_candidate_pass`:
-        tallies and reported keys go to it instead of ``self`` when the
-        thread-parallel engine supplies a per-stripe accumulator.
         """
         if idx.size == 0:
             return
-        if sink is None:
-            sink = self
         report_threshold = self._report_threshold_eff
         key_list = keys[idx].tolist()
         fp_list = fps[idx].tolist()
@@ -588,8 +552,8 @@ class BatchQuantileFilter:
         depth = self.depth
         bucket_size = self.bucket_size
         should_replace = self.strategy.should_replace
-        reported = sink.reported_keys
-        track = sink.stats_tallies
+        reported = self.reported_keys
+        track = self.stats_tallies
         n_hits = n_vague = n_swaps = 0
 
         for i in range(len(key_list)):
@@ -611,8 +575,8 @@ class BatchQuantileFilter:
                     if new_qw >= report_threshold:
                         bucket_qws[slot] = 0.0
                         reported.add(key_list[i])
-                        sink.report_count += 1
-                        sink.candidate_reports += 1
+                        self.report_count += 1
+                        self.candidate_reports += 1
                     else:
                         bucket_qws[slot] = new_qw
                     matched = True
@@ -628,8 +592,8 @@ class BatchQuantileFilter:
                 if weight >= report_threshold:
                     bucket_qws[free] = 0.0
                     reported.add(key_list[i])
-                    sink.report_count += 1
-                    sink.candidate_reports += 1
+                    self.report_count += 1
+                    self.candidate_reports += 1
                 else:
                     bucket_qws[free] = weight
                 continue
@@ -652,8 +616,8 @@ class BatchQuantileFilter:
                 for r in range(depth):
                     rows[r][col_rows[r][i]] -= sign_rows[r][i] * estimate
                 reported.add(key_list[i])
-                sink.report_count += 1
-                sink.vague_reports += 1
+                self.report_count += 1
+                self.vague_reports += 1
                 estimate = 0.0
 
             # Candidate election against the bucket minimum.
@@ -692,9 +656,9 @@ class BatchQuantileFilter:
                     plane_row[list(row)] = list(row.values())
 
         if track:
-            sink.candidate_hits += n_hits
-            sink.vague_inserts += n_vague
-            sink.swaps += n_swaps
+            self.candidate_hits += n_hits
+            self.vague_inserts += n_vague
+            self.swaps += n_swaps
 
     # ------------------------------------------------------------------
     # accounting
@@ -776,22 +740,24 @@ def _canary_run(depth: int, criteria: Criteria, seed: int, keys: np.ndarray,
     return states
 
 
-def _canary_partitions(kernel) -> bool:
-    """Whether ``qf_split`` groups the canary keys as the numpy path does.
+def _canary_hashes(kernel) -> bool:
+    """Whether ``qf_hash`` hashes the canary keys as the numpy path does.
 
-    The canary streams' keys plus the int64 extremes, into 7 buckets
-    split 2 and 3 ways: every part is non-empty, so the counts, the
-    order within each part and the bounds are all checked.
+    The canary streams' keys, the int64 extremes and one uint64 key at
+    or above 2**63: the Algorithm 2 canary streams hold only small
+    non-negative keys, so the keys with the top bit set are checked
+    here alone.
     """
     streams = _canary_streams()
     extremes = np.array([-1, -(2 ** 63), 2 ** 63 - 1], dtype=np.int64)
-    keys = np.concatenate([stream[2] for stream in streams] + [extremes])
-    values = np.resize(streams[0][3], keys.shape)
+    chunks = (np.concatenate([stream[2] for stream in streams] + [extremes]),
+              np.array([2 ** 63 + 12345], dtype=np.uint64))
     filt = BatchQuantileFilter(Criteria(delta=0.8, threshold=30.0),
                                num_buckets=7, vague_width=5, seed=3)
-    for parts in (2, 3):
-        compiled = filt._partition(keys, values, parts, kernel)
-        reference = filt._partition(keys, values, parts, None)
+    for keys in chunks:
+        values = np.resize(streams[0][3], keys.shape)
+        compiled = filt._hash(keys, values, kernel)
+        reference = filt._chunk_parts(keys, values)
         if not all(map(np.array_equal, compiled, reference)):
             return False
     return True
@@ -800,7 +766,7 @@ def _canary_partitions(kernel) -> bool:
 class _QfKernel(NamedTuple):
     """The routines of ``qf_kernel.c``: hashing and Algorithm 2."""
 
-    split: ctypes._CFuncPtr
+    hash: ctypes._CFuncPtr
     process: ctypes._CFuncPtr
 
 
@@ -831,25 +797,24 @@ def _load_qf_kernel() -> Optional[_QfKernel]:
         return None
     pointer, count = ctypes.c_void_p, ctypes.c_int64
     seed, real = ctypes.c_uint64, ctypes.c_double
-    split = lib.qf_split
-    split.argtypes = (
+    hash_chunk = lib.qf_hash
+    hash_chunk.argtypes = (
         pointer, pointer, count,  # keys, values, n
         seed, seed, seed, count,  # fingerprint seed and mask, bucket hash
-        real, real, count,  # threshold, positive weight, parts
+        real, real,  # threshold, positive weight
         pointer, pointer, pointer,  # fps, buckets, weights
-        pointer, pointer,  # order, bounds
     )
-    split.restype = None
+    hash_chunk.restype = None
     process = lib.qf_process
     process.argtypes = (
-        pointer, pointer, pointer, count, count,  # chunk items[start:n]
+        pointer, pointer, pointer, count,  # the chunk's n items
         pointer, pointer, count,  # candidate planes, bucket size
         pointer, count, count,  # vague rows, depth, width
         pointer, pointer,  # row and sign seeds
-        real, count, pointer,  # threshold, stop flag, out
+        real, pointer,  # threshold, out
     )
-    process.restype = count
-    kernel = _QfKernel(split, process)
+    process.restype = None
+    kernel = _QfKernel(hash_chunk, process)
     for depth in (3, 4):
         for stream in _canary_streams():
             expected = _canary_run(depth, *stream, None)
@@ -860,7 +825,7 @@ def _load_qf_kernel() -> Optional[_QfKernel]:
                     "the numpy path", RuntimeWarning, stacklevel=2,
                 )
                 return None
-    if not _canary_partitions(kernel):
+    if not _canary_hashes(kernel):
         warnings.warn(
             "compiled QuantileFilter hashing diverged from the numpy path "
             "on the canary keys; running the numpy path",

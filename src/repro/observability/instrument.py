@@ -87,8 +87,8 @@ FILTER_METRIC_HELP = {
     "qf_retargets_total":
         "Threshold retargets applied (retarget() calls, state preserved).",
     "qf_thread_flushes_total":
-        "Striped sub-chunk commits completed by updater threads "
-        "(thread-parallel engine).",
+        "Ingest-buffer flushes committed by updater threads, one per "
+        "flush (thread-parallel engine).",
 }
 
 #: Latency-histogram families registered by the pipeline and its
@@ -104,7 +104,7 @@ HISTOGRAM_METRIC_HELP = {
         "Delay between a worker posting a report batch and the master "
         "draining it.",
     "qf_lock_wait_seconds":
-        "Stripe-lock acquisition wait per flush sub-chunk "
+        "Commit-lock acquisition wait per flush "
         "(thread-parallel engine).",
 }
 

@@ -184,8 +184,9 @@ class FlightRecorder:
         a :class:`~repro.core.vectorized.BatchQuantileFilter`.  The
         recorder snapshots it at construction, so attach the recorder
         before (or at) the stream position replays should start from.
-        The threads engine is refused: it commits each flush
-        stripe-sorted, so its chunks would not replay in feed order.
+        The threads engine is refused: its updater threads commit
+        flushes in the order they finish hashing, so its chunks would
+        not replay in feed order.
     max_chunks:
         Retained raw chunks; when exceeded the ring rotates — a fresh
         base snapshot is taken and older chunks are dropped.  Callers

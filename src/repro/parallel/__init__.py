@@ -10,7 +10,7 @@ Two layers:
   with bounded queues and crash surfacing.
 * :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter` — one
   shared set of filter planes updated by N threads through thread-local
-  ingest buffers and striped bucket-range locks (the Quancurrent
+  ingest buffers, each flush committed under one lock (the Quancurrent
   direction); ``ParallelPipeline(engine="threads")`` runs it behind the
   same pipeline API with zero chunk transport.
 

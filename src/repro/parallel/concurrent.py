@@ -16,69 +16,59 @@ Concurrency design
 * **Thread-local ingest** (:class:`ThreadIngest`) — each updater thread
   keeps a private buffer of arrays and flushes it at ``flush_items``
   items.  No shared state is touched per array, only per flush.
-* **Striped bucket-range locks** — the candidate planes are partitioned
-  into ``num_stripes`` stripes by ``bucket % num_stripes``.  A flush
-  hashes its buffer and groups it by stripe (stably, so per-bucket
-  stream order is preserved) outside any lock, then commits each
-  stripe's range while holding only that stripe's lock.  With the
-  compiled kernel (:func:`~repro.core.vectorized.qf_kernel_loaded`)
-  the hashing and grouping is one C call, and the commit is one C
-  loop in stream order that stops at the first item needing the
-  vague part; only then does it take the single vague lock and resume.
-  Without the kernel it is the batch engine's two-tier pass
+* **One commit lock** — a flush hashes its whole buffer outside the
+  lock (with the compiled kernel,
+  :func:`~repro.core.vectorized.qf_kernel_loaded`: one C call without
+  the GIL), then, holding the lock, runs Algorithm 2 over the buffer in
+  stream order, exactly as the batch engine commits one chunk: one C
+  call, or the numpy two-tier pass
   (:meth:`~repro.core.vectorized.BatchQuantileFilter._classify_chunk`
-  + the fast/scalar passes), and sub-chunks with scalar-tier items
-  take the vague lock for the whole commit.  Threads touching disjoint
-  stripes commit concurrently; lock order is always stripe -> vague,
-  so no deadlock is possible.
-* **Lock-free scrapes** — :attr:`reported_keys` copies the stripes'
-  report sets optimistically, retrying a copy that races an insert
-  and falling back to the stripe locks after a few tries.  The tallies
-  and plane counts that telemetry scrapes read
+  + the fast/scalar passes) without the kernel.  Reports and tallies
+  land on the shared batch core under the same lock.  Quancurrent's
+  finer-grained locks do not pay under CPython's GIL: each lock a
+  flush takes costs Python time under the GIL, while the C commit of
+  an item costs less than hashing it, so the updaters overlap one
+  flush's hashing with another's commit instead.
+* **Lock-free scrapes** — :attr:`reported_keys` is one ``set`` copy,
+  a single C call under the GIL that no commit can interleave with.
+  The tallies and plane counts that telemetry scrapes read
   (:func:`~repro.observability.instrument.observe_filter`,
   :func:`~repro.core.inspect.structural_probe`) are plain loads of
   snapshot quality: a scrape during a flush may see part of it.
-* **Per-stripe sinks** (:class:`StripeSink`) — reports and event
-  tallies land in per-stripe accumulators (mutated only under the
-  stripe's lock), because racing ``int +=`` on one shared filter
-  attribute would drop updates.  A key's bucket owns it, so the union
-  of sink report sets is exactly the deduplicated global report set.
 
 Equivalence model (pinned by ``tests/properties/
 test_property_concurrent_equivalence.py``)
 ==========================================
 
-* *Single ingest*: one thread flushing through the striped path is
-  **bit-identical** to :class:`~repro.core.vectorized.
-  BatchQuantileFilter` processing the same stream with each flush
-  buffer stably stripe-sorted — the stripe sort is the only reordering
-  the engine introduces.
+* *Single ingest*: one thread flushing is **bit-identical** to
+  :class:`~repro.core.vectorized.BatchQuantileFilter` processing the
+  same flush chunks: the engine reorders nothing.
 * *No-overflow regime*: candidate interactions are bucket-local, so
   while no bucket overflows into the vague part, any number of racing
   threads produce the exact single-thread report set and candidate
   state as long as each bucket's items arrive through one thread
   (bucket-affine feeding, e.g. :class:`~repro.parallel.sharded.
   ShardRouter`).
-* *General regime*: with ``record_witness=True`` every committed
-  sub-chunk is logged with a global ticket taken inside its innermost
-  lock (a compiled commit that reached the vague part logs its
-  stripe-locked prefix and its vague-locked suffix as two segments).
-  Replaying the witness segments in ticket order through a fresh
-  single-thread batch filter (:func:`replay_witness`) reproduces the
-  shared planes **bit-exactly** — cross-stripe candidate commits touch
-  disjoint memory (they commute), vague-touching commits are totally
-  ordered by the vague lock, and tickets extend both orders.
+* *General regime*: with ``record_witness=True`` every flush is logged
+  as one segment with a global ticket drawn under the commit lock.
+  Replaying the segments in ticket order through a fresh single-thread
+  batch filter (:func:`replay_witness`) reproduces the shared planes
+  **bit-exactly**: the lock totally orders the commits, the tickets
+  follow that order, and each commit is one exact chunk pass under
+  the criteria in force when it commits (a retarget that lands between
+  a flush's hashing and its commit makes the flush recompute its
+  weights under the lock).
 
 Throughput: the compiled kernel is called through :mod:`ctypes`, which
-releases the GIL for every call.  A flush makes one call to hash and
-stripe-split its buffer and one or two per stripe to commit, so the
-updaters hash and commit in parallel; only the per-stripe lock
-bookkeeping and report handling take turns under the GIL.  Without a
-compiler the hashing, the stripe sort and the commits are numpy passes
-plus a per-item Python tier, which hold the GIL for most of their
-time, and the remaining win over ``pipeline_shm`` is skipping the
-per-chunk serialize/copy/deserialize — see the equal-core head-to-head
-in ``benchmarks/test_throughput_smoke.py`` and ``docs/performance.md``.
+releases the GIL for every call.  A flush makes two calls, one to hash
+its buffer and one to commit it, so the updaters hash in parallel and
+one hashes while another commits; only the lock bookkeeping and report
+handling take turns under the GIL.  Without a compiler the hashing and
+the commit are numpy passes plus a per-item Python tier, which hold the
+GIL for most of their time, and the remaining win over ``pipeline_shm``
+is skipping the per-chunk serialize/copy/deserialize — see the
+equal-core head-to-head in ``benchmarks/test_throughput_smoke.py`` and
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -98,60 +88,18 @@ from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
 from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
 from repro.observability.histogram import LogHistogram
 
-#: Default number of bucket stripes.  A multiple of the updater-thread
-#: count keeps steady-state commits contention-free under bucket-affine
-#: feeding (a thread's buckets then map onto a private stripe subset).
-DEFAULT_NUM_STRIPES = 16
-
 #: Default thread-local buffer length between flushes.  Matches the
 #: batch engine's chunk size: each flush is one exact chunk pass.
 DEFAULT_FLUSH_ITEMS = DEFAULT_CHUNK_SIZE
 
-#: Optimistic report-set copies before falling back to the stripe locks.
-_COPY_RETRIES = 64
-
-
-class StripeSink:
-    """Per-stripe report/tally accumulator (mutated under its lock).
-
-    Exposes the exact attribute set the batch engine's tier passes
-    mutate (their ``sink`` parameter), so a stripe commit redirects all
-    bookkeeping here instead of racing on shared filter attributes.
-    """
-
-    __slots__ = (
-        "reported_keys",
-        "report_count",
-        "candidate_reports",
-        "vague_reports",
-        "candidate_hits",
-        "vague_inserts",
-        "swaps",
-        "stats_tallies",
-        "items",
-        "flushes",
-    )
-
-    def __init__(self):
-        self.reported_keys: Set[int] = set()
-        self.report_count = 0
-        self.candidate_reports = 0
-        self.vague_reports = 0
-        self.candidate_hits = 0
-        self.vague_inserts = 0
-        self.swaps = 0
-        self.stats_tallies = False
-        self.items = 0
-        self.flushes = 0
-
 
 @dataclass
 class WitnessSegment:
-    """One committed sub-chunk: its commit ticket and item arrays.
+    """One committed flush: its commit ticket and item arrays.
 
-    ``ticket`` is drawn inside the segment's innermost lock, so sorting
-    segments by ticket linearizes the concurrent execution (see the
-    module docstring); ``keys``/``values`` are private copies.
+    ``ticket`` is drawn under the commit lock, so sorting segments by
+    ticket linearizes the concurrent execution (see the module
+    docstring); ``keys``/``values`` are private copies.
     """
 
     ticket: int
@@ -164,20 +112,16 @@ class ConcurrentQuantileFilter:
 
     Construction mirrors :class:`~repro.core.vectorized.
     BatchQuantileFilter` (integer keys, float counters); the extra
-    knobs are the concurrency geometry:
+    knobs are the ingest geometry:
 
     Parameters
     ----------
-    num_stripes:
-        Bucket-stripe count (lock granularity).  More stripes = less
-        commit contention; ``DEFAULT_NUM_STRIPES`` unless the filter is
-        tiny.
     flush_items:
         Thread-local buffer length of every :meth:`ingest` buffer.
     record_witness:
-        Log every committed sub-chunk with a commit ticket for
+        Log every committed flush with a commit ticket for
         :func:`replay_witness` (test/verification aid; costs one array
-        copy per commit).
+        copy per flush).
     """
 
     def __init__(
@@ -193,14 +137,9 @@ class ConcurrentQuantileFilter:
         fp_bits: int = 16,
         strategy: str = "comparative",
         seed: int = 0,
-        num_stripes: int = DEFAULT_NUM_STRIPES,
         flush_items: int = DEFAULT_FLUSH_ITEMS,
         record_witness: bool = False,
     ):
-        if num_stripes < 1:
-            raise ParameterError(
-                f"num_stripes must be >= 1, got {num_stripes}"
-            )
         if flush_items < 1:
             raise ParameterError(
                 f"flush_items must be >= 1, got {flush_items}"
@@ -219,24 +158,18 @@ class ConcurrentQuantileFilter:
         )
         self.seed = seed
         self.flush_items = flush_items
-        # More stripes than buckets would leave empty stripes holding
-        # locks nothing maps to; clamp silently (tiny test filters).
-        self.num_stripes = min(num_stripes, self._core.num_buckets)
-        self._stripe_locks = [
-            threading.Lock() for _ in range(self.num_stripes)
-        ]
-        self._vague_lock = threading.Lock()
-        self._sinks = [StripeSink() for _ in range(self.num_stripes)]
-        #: Commit tickets; ``itertools.count`` advances atomically on
-        #: CPython, and each draw happens inside a lock anyway.
+        #: Guards the core: its planes, criteria, reports and tallies,
+        #: plus the witness order.  One flush commits at a time.
+        self._lock = threading.Lock()
         self._tickets = itertools.count()
         self.witness: Optional[List[WitnessSegment]] = (
             [] if record_witness else None
         )
-        #: Stripe-lock wait time per flush sub-chunk (seconds), surfaced
-        #: as the ``qf_lock_wait_seconds`` histogram by observe_filter.
+        #: Commit-lock wait per flush (seconds), surfaced as the
+        #: ``qf_lock_wait_seconds`` histogram by observe_filter.
         self.lock_wait = LogHistogram(min_value=1e-7, max_value=10.0)
-        self._telemetry_lock = threading.Lock()
+        #: Flushes committed into the shared planes.
+        self.thread_flushes = 0
 
     # ------------------------------------------------------------------
     # ingest
@@ -261,158 +194,68 @@ class ConcurrentQuantileFilter:
         return self.reported_keys
 
     def _flush(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Commit one ingest buffer, one stripe at a time.
+        """Commit one ingest buffer under the commit lock.
 
-        One :meth:`~repro.core.vectorized.BatchQuantileFilter._partition`
-        call hashes the buffer and groups it by stripe, outside any lock
-        (with the compiled kernel: one C call without the GIL).  Each
-        stripe's ``[lo, hi)`` range then commits under that stripe's
-        lock.  With the kernel the commit runs in stream order and stops
-        at the first item that needs the vague part; only then does it
-        take the vague lock and resume from that item.  The prefix and
-        the suffix are logged as two witness segments, each ticketed
-        under its own innermost lock, so :func:`replay_witness` stays
-        exact.  Without the kernel, the batch engine's two tiers
-        classify the range against current plane state.  Lock order is
-        stripe -> vague everywhere.
+        :meth:`~repro.core.vectorized.BatchQuantileFilter._hash` hashes
+        the buffer outside the lock (with the compiled kernel: one C
+        call without the GIL).  Holding the lock,
+        :meth:`~repro.core.vectorized.BatchQuantileFilter._commit` then
+        runs Algorithm 2 over it in stream order, as the batch engine
+        commits one chunk.  A retarget that landed after the hashing
+        read ``T`` left weights of the old ``T``; they are recomputed
+        under the lock, so every flush commits under the criteria in
+        force when it commits, and a witness replay that retargets at
+        the same witness positions reproduces it.
         """
-        core = self._core
         if keys.shape[0] == 0:
             return
-        kernel = core._kernel()
-        fps, buckets, weights, order, bounds = core._partition(
-            keys, values, self.num_stripes, kernel
-        )
-        bounds = bounds.tolist()
-        for stripe in range(self.num_stripes):
-            lo, hi = bounds[stripe], bounds[stripe + 1]
-            if lo == hi:
-                continue
-            sink = self._sinks[stripe]
-            wait_start = time.perf_counter()
-            with self._stripe_locks[stripe]:
-                waited = time.perf_counter() - wait_start
-                if kernel is None:
-                    self._two_tier_commit(
-                        keys, values, order, fps, buckets, weights,
-                        lo, hi, sink,
-                    )
-                else:
-                    stop = core._compiled_pass(
-                        kernel, keys, order, fps, buckets, weights,
-                        lo, hi, stop_at_vague=True, sink=sink,
-                    )
-                    if stop > lo:
-                        self._record_witness(order[lo:stop], keys, values)
-                    if stop < hi:
-                        with self._vague_lock:
-                            self._record_witness(
-                                order[stop:hi], keys, values
-                            )
-                            core._compiled_pass(
-                                kernel, keys, order, fps, buckets,
-                                weights, stop, hi, sink=sink,
-                            )
-                sink.items += hi - lo
-                sink.flushes += 1
-            with self._telemetry_lock:
-                self.lock_wait.record(waited)
-
-    def _two_tier_commit(self, keys, values, order, fps, buckets, weights,
-                         lo, hi, sink) -> None:
-        """Items ``[lo, hi)`` through the numpy tiers (stripe lock held)."""
         core = self._core
-        idx = order[lo:hi]
-        sub_keys = keys[idx]
-        sub_fps, sub_buckets = fps[lo:hi], buckets[lo:hi]
-        sub_weights = weights[lo:hi]
-        hit, fast_idx, slow_idx = core._classify_chunk(sub_fps, sub_buckets)
-        if slow_idx.size:
-            # Scalar-tier items can spill into the shared vague sketch:
-            # serialize on the vague lock for the whole mixed commit so
-            # the witness ticket (drawn below) extends the vague order.
-            with self._vague_lock:
-                self._record_witness(idx, keys, values)
-                if fast_idx.size:
-                    core._fast_candidate_pass(
-                        sub_keys, sub_buckets, sub_weights,
-                        hit, fast_idx, sink=sink,
-                    )
-                core._scalar_pass(
-                    sub_keys, sub_fps, sub_buckets, sub_weights,
-                    slow_idx, sink=sink,
+        witness = self.witness
+        if witness is not None:
+            # Private copies: the buffered arrays belong to the caller.
+            keys, values = keys.copy(), values.copy()
+        kernel = core._kernel()
+        # Read before hashing reads T: a retarget after this read makes
+        # the commit below recompute the weights.
+        criteria = core.criteria
+        fps, buckets, weights = core._hash(keys, values, kernel)
+        wait_start = time.perf_counter()
+        with self._lock:
+            waited = time.perf_counter() - wait_start
+            if core.criteria is not criteria:
+                weights = core._item_weights(values)
+            core._commit(kernel, keys, fps, buckets, weights)
+            if witness is not None:
+                witness.append(
+                    WitnessSegment(next(self._tickets), keys, values)
                 )
-        else:
-            self._record_witness(idx, keys, values)
-            core._fast_candidate_pass(
-                sub_keys, sub_buckets, sub_weights, hit, fast_idx,
-                sink=sink,
-            )
-
-    def _record_witness(
-        self, idx: np.ndarray, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        if self.witness is None:
-            return
-        segment = WitnessSegment(
-            ticket=next(self._tickets),
-            keys=keys[idx].copy(),
-            values=values[idx].copy(),
-        )
-        # list.append is atomic under the GIL; segments from racing
-        # threads interleave arbitrarily and are sorted by ticket at
-        # replay time.
-        self.witness.append(segment)
+            self.thread_flushes += 1
+            self.lock_wait.record(waited)
 
     # ------------------------------------------------------------------
     # reads (never block inserts)
     # ------------------------------------------------------------------
     @property
     def reported_keys(self) -> Set[int]:
-        """Deduplicated reported keys across all stripes (lock-free).
+        """Deduplicated reported keys: a copy of the shared set.
 
-        Optimistic set copies; a copy that races a concurrent ``add``
-        raises ``RuntimeError`` and is retried, with a bounded fallback
-        to the stripe locks.  The union is exact because each key
-        belongs to exactly one stripe.
+        Lock-free: copying a set is one C call under the GIL, so it
+        never sees a commit's insert half done.
         """
-        for _ in range(_COPY_RETRIES):
-            try:
-                out: Set[int] = set()
-                for sink in self._sinks:
-                    out |= set(sink.reported_keys)
-                return out
-            except RuntimeError:
-                continue
-        out = set()
-        for stripe, sink in enumerate(self._sinks):
-            with self._stripe_locks[stripe]:
-                out |= set(sink.reported_keys)
-        return out
+        return set(self._core.reported_keys)
 
     # ------------------------------------------------------------------
     # structure-wide operations
     # ------------------------------------------------------------------
-    def _all_locks(self):
-        """Acquire every stripe lock (ascending) plus the vague lock.
-
-        No flush is half-committed while they are held: :meth:`retarget`
-        swaps the criteria under them, and
-        :func:`~repro.core.persistence.engine_state` captures a
-        consistent point-in-time state (ascending order, so concurrent
-        captures cannot deadlock).
-        """
-        return _MultiLock([*self._stripe_locks, self._vague_lock])
-
     def retarget(self, threshold: float) -> Criteria:
-        """Move the value threshold ``T`` under a full-structure lock.
+        """Move the value threshold ``T`` under the commit lock.
 
-        Taking every stripe lock guarantees no flush straddles the
-        change — each sub-chunk commits entirely under the old or
-        entirely under the new criteria, exactly the batch engine's
-        chunk-boundary retargeting contract.
+        A flush commits wholly under the old or wholly under the new
+        criteria, exactly the batch engine's chunk-boundary retargeting
+        contract: one that hashed under the old ``T`` and commits after
+        the change recomputes its weights (:meth:`_flush`).
         """
-        with self._all_locks():
+        with self._lock:
             return self._core.retarget(threshold)
 
     # ------------------------------------------------------------------
@@ -457,45 +300,39 @@ class ConcurrentQuantileFilter:
 
     @property
     def items_processed(self) -> int:
-        return sum(sink.items for sink in self._sinks)
+        return self._core.items_processed
 
     @property
     def report_count(self) -> int:
-        return sum(sink.report_count for sink in self._sinks)
+        return self._core.report_count
 
     @property
     def candidate_reports(self) -> int:
-        return sum(sink.candidate_reports for sink in self._sinks)
+        return self._core.candidate_reports
 
     @property
     def vague_reports(self) -> int:
-        return sum(sink.vague_reports for sink in self._sinks)
+        return self._core.vague_reports
 
     @property
     def candidate_hits(self) -> int:
-        return sum(sink.candidate_hits for sink in self._sinks)
+        return self._core.candidate_hits
 
     @property
     def vague_inserts(self) -> int:
-        return sum(sink.vague_inserts for sink in self._sinks)
+        return self._core.vague_inserts
 
     @property
     def swaps(self) -> int:
-        return sum(sink.swaps for sink in self._sinks)
-
-    @property
-    def thread_flushes(self) -> int:
-        """Striped sub-chunk commits completed (all stripes)."""
-        return sum(sink.flushes for sink in self._sinks)
+        return self._core.swaps
 
     @property
     def stats_tallies(self) -> bool:
-        return all(sink.stats_tallies for sink in self._sinks)
+        return self._core.stats_tallies
 
     @stats_tallies.setter
     def stats_tallies(self, value: bool) -> None:
-        for sink in self._sinks:
-            sink.stats_tallies = bool(value)
+        self._core.stats_tallies = bool(value)
 
     def entry_count(self) -> int:
         """Occupied candidate slots (racy scan: snapshot-quality only)."""
@@ -505,10 +342,7 @@ class ConcurrentQuantileFilter:
         return self._core.occupancy()
 
     def candidate_hit_rate(self) -> float:
-        items = self.items_processed
-        if items == 0:
-            return 0.0
-        return self.candidate_hits / items
+        return self._core.candidate_hit_rate()
 
     @property
     def nbytes(self) -> int:
@@ -516,27 +350,9 @@ class ConcurrentQuantileFilter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ConcurrentQuantileFilter(num_stripes={self.num_stripes}, "
-            f"num_buckets={self.num_buckets}, nbytes={self.nbytes})"
+            f"ConcurrentQuantileFilter(num_buckets={self.num_buckets}, "
+            f"nbytes={self.nbytes})"
         )
-
-
-class _MultiLock:
-    """Context manager acquiring a lock list in order, releasing reversed."""
-
-    __slots__ = ("_locks",)
-
-    def __init__(self, locks):
-        self._locks = locks
-
-    def __enter__(self):
-        for lock in self._locks:
-            lock.acquire()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        for lock in reversed(self._locks):
-            lock.release()
 
 
 class ThreadIngest:
@@ -611,10 +427,9 @@ def replay_witness(
     """Replay a witness log through a fresh single-thread batch filter.
 
     Segments are applied in commit-ticket order, each as one exact
-    chunk pass.  Because tickets extend both the per-stripe lock order
-    and the vague lock order, and cross-stripe candidate-only commits
-    touch disjoint plane memory, the result is bit-identical to the
-    concurrent filter's shared planes (see the module docstring and
+    chunk pass.  Because the tickets follow the commit lock's order, the
+    result is bit-identical to the concurrent filter's shared planes
+    (see the module docstring and
     ``tests/properties/test_property_concurrent_equivalence.py``).
     """
     core = template._core

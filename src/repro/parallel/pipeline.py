@@ -323,10 +323,10 @@ def _thread_worker_main(
     extraction diffs the shared report set against a shared ``known``
     set under ``known_lock`` — each reported key is claimed by exactly
     one thread, so batches never duplicate a key.  The diff (a copy of
-    every stripe's report set) only runs when the filter's report
-    count moved since this thread last looked, and empty batches post
-    no message at all: with no shm slot to hand back, the master needs
-    no per-chunk ack.
+    the shared report set) only runs when the filter's report count
+    moved since this thread last looked, and empty batches post no
+    message at all: with no shm slot to hand back, the master needs no
+    per-chunk ack.
     """
     try:
         ingest = filt.ingest()
@@ -393,7 +393,7 @@ class ParallelPipeline:
     ``feed``/``finish``/``retarget`` API, but chunks cross no process
     boundary at all — no shared-memory ring, no per-chunk copy, and no
     master-side key hashing either: whole chunks go to one updater
-    round-robin, because the shared filter's stripe locks make
+    round-robin, because the shared filter's commit lock makes
     any-thread/any-key safe (see the equal-core head-to-head in
     ``benchmarks/test_throughput_smoke.py``).  Tracing and provenance
     stay process-engine features and raise ``ParameterError`` up
@@ -502,17 +502,11 @@ class ParallelPipeline:
         self._filter_registry = None
         if self._threads:
             # The shared filter IS the template: one structure, built
-            # here, updated in place by every worker thread.  Chunks
-            # are handed out round-robin (any thread may touch any
-            # bucket), so the stripe count trades lock granularity
-            # against per-flush sub-chunk overhead; a small multiple
-            # of the thread count keeps racing flushes mostly on
-            # different stripes.
+            # here, updated in place by every worker thread.
             self.filter = ConcurrentQuantileFilter(
                 criteria,
                 memory_bytes,
                 flush_items=chunk_items,
-                num_stripes=2 * num_shards,
                 **template_kwargs,
             )
             resolved_buckets = self.filter.num_buckets
@@ -733,7 +727,7 @@ class ParallelPipeline:
             self._chunk_id += 1
             if self._threads:
                 # The shared filter accepts any key from any thread
-                # (the stripe locks own correctness), so threads mode
+                # (its commit lock owns correctness), so threads mode
                 # needs no key hashing at all: hand the whole chunk to
                 # one updater round-robin.  One queue put per chunk
                 # instead of num_shards, and the master never touches

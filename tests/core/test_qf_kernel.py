@@ -12,7 +12,6 @@ import shutil
 import sys
 import threading
 import time
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -135,10 +134,12 @@ def test_canary_refuses_a_divergent_kernel(unresolved, tmp_path,
         # row's wins.  It differs from Python's list.sort only when the
         # median ties 0.0 with -0.0, which the canary streams reach.
         ("est < ests[j - 1]", "est <= ests[j - 1]", "loop diverged"),
-        # A split that loses the chunk order.  With one part the order
-        # is the identity anyway, so only the canary's 2- and 3-part
-        # partitions can catch it.
-        ("order[j] = i;", "order[j] = j;", "hashing diverged"),
+        # Hashing that drops the top bit of every key: it changes only
+        # negative int64 keys and uint64 keys of 2**63 or more, which
+        # the Algorithm 2 canary streams never hold, so only the
+        # hashing canary can catch it.
+        ("uint64_t canon = mix64(keys[i]);",
+         "uint64_t canon = mix64(keys[i] << 1 >> 1);", "hashing diverged"),
     )
     for index, (original, mutated, message) in enumerate(mutants):
         assert original in source
@@ -189,50 +190,33 @@ def test_filter_references_no_kernel_state():
 
 
 @needs_kernel
-def test_threads_commit_splits_at_the_vague_part():
-    # Tiny buckets overflow into the vague part within most sub-chunks:
-    # each such commit logs its stripe-locked prefix and vague-locked
-    # suffix as two witness segments, and replay is still exact.
-    keys, values = stream(n=4_000)
-    cqf = ConcurrentQuantileFilter(
-        CRIT, num_buckets=8, vague_width=16, bucket_size=2, seed=5,
-        num_stripes=4, flush_items=256, record_witness=True,
-    )
-    cqf.process(keys, values)
-    assert len(cqf.witness) > cqf.thread_flushes
-    replayed = replay_witness(cqf.witness, cqf)
-    assert replayed.reported_keys == cqf.reported_keys
-    assert np.array_equal(replayed._rows, cqf._rows)
-
-
-@needs_kernel
-def test_threads_flush_splits_once_and_commits_each_stripe_at_most_twice(
-    monkeypatch,
-):
-    # The whole buffer is hashed and split by one qf_split call; each
-    # stripe then commits its [lo, hi) range with one qf_process call,
-    # or two when it stops at the vague part and resumes.
+def test_threads_flush_hashes_once_and_commits_once(monkeypatch):
+    # Each flush hashes its whole buffer with one qf_hash call and
+    # commits it with one qf_process call, and logs one witness segment.
     kernel = vectorized._qf_kernel()
-    splits, ranges = [], []
+    hashed, committed = [], []
 
-    def split(*args):
-        splits.append(args[9])  # parts
-        return kernel.split(*args)
+    def hash_chunk(*args):
+        hashed.append(args[2])  # n
+        return kernel.hash(*args)
 
     def process(*args):
-        ranges.append(args[3:5])  # start, end
+        committed.append(args[3])  # n
         return kernel.process(*args)
 
     monkeypatch.setattr(vectorized, "_qf_kernel",
-                        lambda: vectorized._QfKernel(split, process))
+                        lambda: vectorized._QfKernel(hash_chunk, process))
     keys, values = stream(n=2_000)
     cqf = ConcurrentQuantileFilter(
         CRIT, num_buckets=8, vague_width=16, bucket_size=2, seed=5,
-        num_stripes=4,
+        flush_items=512, record_witness=True,
     )
-    cqf._flush(keys, values)
-    assert splits == [4]
-    calls_per_stripe = Counter(end for _, end in ranges)
-    assert len(calls_per_stripe) == 4
-    assert set(calls_per_stripe.values()) <= {1, 2}
-    assert cqf.items_processed == 2_000
+    cqf.stats_tallies = True
+    cqf.process(keys, values)
+    assert hashed == committed == [512, 512, 512, 464]
+    assert [len(segment.keys) for segment in cqf.witness] == committed
+    assert cqf.thread_flushes == 4
+    assert cqf.vague_inserts > 0  # the tiny buckets overflowed
+    replayed = replay_witness(cqf.witness, cqf)
+    assert replayed.reported_keys == cqf.reported_keys
+    assert np.array_equal(replayed._rows, cqf._rows)

@@ -163,7 +163,7 @@ class TestLifecycle:
         """Scrapes against a live thread-parallel engine never error.
 
         /metrics and /healthz read the shared planes without locks
-        while updater threads are committing striped flushes — every
+        while updater threads are committing flushes — every
         scrape must return parseable output and the thread-engine
         families must be present.
         """

@@ -13,8 +13,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ParameterError
+from repro.core import vectorized
 from repro.core.criteria import Criteria
-from repro.core.persistence import engine_state, restore_engine
+from repro.core.persistence import (
+    engine_state,
+    restore_engine,
+    state_fingerprint,
+)
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
 from repro.parallel.concurrent import ConcurrentQuantileFilter
@@ -47,9 +52,12 @@ def _fed(n=20_000, **overrides):
 class TestReadPath:
     def test_reports_alias_and_dedup(self):
         cqf, _, _ = _fed()
-        assert len(cqf.reported_keys) > 0
-        per_stripe = [set(s.reported_keys) for s in cqf._sinks]
-        assert sum(len(s) for s in per_stripe) == len(cqf.reported_keys)
+        reported = cqf.reported_keys
+        assert len(reported) > 0
+        assert cqf.report_count >= len(reported)
+        # A copy of the shared set: the caller cannot alias it.
+        reported.add(-1)
+        assert -1 not in cqf.reported_keys
 
     def test_accounting_proxies(self):
         cqf, keys, _ = _fed()
@@ -89,6 +97,43 @@ class TestRetarget:
         assert cqf.criteria.threshold == 250.0
         assert cqf.retargets == 1
         cqf.process(*_trace(n=2_000, seed=10))  # still ingests fine
+
+    @pytest.mark.parametrize("compiled", [True, False],
+                             ids=["compiled", "numpy"])
+    def test_retarget_between_hashing_and_commit_replays_exactly(
+        self, compiled, monkeypatch
+    ):
+        # A retarget lands after the second flush hashed its buffer
+        # under the old T and before it commits.  The flush must commit
+        # under the new T, as replaying the witness with the retarget at
+        # its epoch boundary does.
+        if not compiled:
+            monkeypatch.setattr(vectorized, "_qf_kernel", lambda: None)
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=1_000,
+                                       record_witness=True)
+        core = cqf._core
+        hash_chunk = core._hash
+        hashed_chunks, epochs = [], []
+
+        def hash_then_retarget(*args):
+            hashed = hash_chunk(*args)
+            hashed_chunks.append(len(args[0]))
+            if len(hashed_chunks) == 2:
+                epochs.append(len(cqf.witness))
+                cqf.retarget(80.0)
+            return hashed
+
+        monkeypatch.setattr(core, "_hash", hash_then_retarget)
+        keys, values = _trace(n=3_000)
+        cqf.process(keys, values)
+        assert hashed_chunks == [1_000] * 3 and epochs == [1]
+
+        replayed = BatchQuantileFilter(CRIT, **GEOMETRY)
+        for index, segment in enumerate(cqf.witness):
+            if index == epochs[0]:
+                replayed.retarget(80.0)
+            replayed.process(segment.keys, segment.values)
+        assert state_fingerprint(cqf) == state_fingerprint(replayed)
 
 
 def _pieces(n, sizes=(1, 4, 2, 7, 3)):
@@ -163,19 +208,9 @@ class TestThreadIngest:
 
 
 class TestValidation:
-    def test_bad_num_stripes(self):
-        with pytest.raises(ParameterError):
-            ConcurrentQuantileFilter(CRIT, **GEOMETRY, num_stripes=0)
-
     def test_bad_flush_items(self):
         with pytest.raises(ParameterError):
             ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=0)
-
-    def test_stripes_clamped_to_buckets(self):
-        cqf = ConcurrentQuantileFilter(
-            CRIT, num_buckets=4, vague_width=64, num_stripes=64
-        )
-        assert cqf.num_stripes == 4
 
 
 class TestPipelineThreadsMode:

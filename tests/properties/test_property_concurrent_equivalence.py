@@ -3,11 +3,10 @@
 Three claims, matching the equivalence model in
 ``repro.parallel.concurrent``'s module docstring:
 
-1. **Single ingest** — one caller flushing through the striped commit
-   path is bit-identical (report set AND state fingerprint) to a
-   ``BatchQuantileFilter`` fed the same stream with each flush buffer
-   stably stripe-sorted: the stripe sort is the only reordering the
-   engine introduces.
+1. **Single ingest** — one caller flushing through the commit lock is
+   bit-identical (report set AND state fingerprint) to a
+   ``BatchQuantileFilter`` fed the same flush chunks: the engine
+   reorders nothing.
 2. **No-overflow regime** — with bucket-affine feeding and buckets that
    never overflow into the vague part, any number of *racing* threads
    produce the exact single-thread state: candidate interactions are
@@ -18,8 +17,8 @@ Three claims, matching the equivalence model in
    witness log through a fresh batch filter reproduces the racing
    filter's shared planes bit-exactly.
 
-Hypothesis picks the geometry, stream, stripe count and flush size —
-any divergence is a real bug in the striped commit path.
+Hypothesis picks the geometry, stream and flush size — any divergence
+is a real bug in the commit path.
 """
 
 import itertools
@@ -61,7 +60,6 @@ def geometries(draw):
 def scenarios(draw):
     return dict(
         geometry=draw(geometries()),
-        num_stripes=draw(st.integers(min_value=1, max_value=12)),
         flush_items=draw(st.sampled_from([1, 3, 17, 64, 256])),
         criteria=Criteria(
             delta=draw(st.sampled_from([0.5, 0.9, 0.95])),
@@ -92,7 +90,7 @@ def _assert_same_state(cqf, reference):
 
 @given(scenario=scenarios())
 @settings(max_examples=60, deadline=None)
-def test_single_ingest_equals_stripe_sorted_batch(scenario):
+def test_single_ingest_equals_batch_over_flushes(scenario):
     criteria = scenario["criteria"]
     keys, values = _stream(
         scenario["stream_seed"], scenario["n"], 30, criteria.threshold
@@ -100,19 +98,15 @@ def test_single_ingest_equals_stripe_sorted_batch(scenario):
 
     cqf = ConcurrentQuantileFilter(
         criteria, **scenario["geometry"],
-        num_stripes=scenario["num_stripes"],
         flush_items=scenario["flush_items"],
     )
     cqf.process(keys, values)
 
     reference = BatchQuantileFilter(criteria, **scenario["geometry"])
-    num_stripes = cqf.num_stripes  # post-clamp value
     for chunk_keys, chunk_values in Trace(keys, values).iter_chunks(
         scenario["flush_items"]
     ):
-        _, buckets, _ = reference._chunk_parts(chunk_keys, chunk_values)
-        order = np.argsort(buckets % num_stripes, kind="stable")
-        reference._process_chunk(chunk_keys[order], chunk_values[order])
+        reference._process_chunk(chunk_keys, chunk_values)
 
     _assert_same_state(cqf, reference)
 
@@ -195,7 +189,6 @@ def test_witness_replay_reproduces_racing_threads_bit_exactly(
 
     cqf = ConcurrentQuantileFilter(
         criteria, **scenario["geometry"],
-        num_stripes=scenario["num_stripes"],
         flush_items=scenario["flush_items"],
         record_witness=True,
     )

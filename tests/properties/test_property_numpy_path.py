@@ -26,7 +26,7 @@ from tests.properties.test_property_batch_equivalence import (  # noqa: F401
 )
 from tests.properties.test_property_concurrent_equivalence import (  # noqa: F401
     test_racing_bucket_affine_threads_match_batch_when_no_overflow,
-    test_single_ingest_equals_stripe_sorted_batch,
+    test_single_ingest_equals_batch_over_flushes,
     test_witness_replay_reproduces_racing_threads_bit_exactly,
 )
 from tests.properties.test_property_vectorized_fast_path import (  # noqa: F401

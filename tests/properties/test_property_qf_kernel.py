@@ -7,11 +7,6 @@ bytes, so signed zeros count), report sets and all five tallies must
 be equal.  Hypothesis picks the geometry (one bucket, width one,
 depth 1–4), the criteria (fractional weights, ``epsilon = 0``), the
 chunk cuts (down to one item) and retargets between chunks.
-
-The threads engine's commit stops before the first item that needs
-the vague part and resumes there under the vague lock; the second
-property checks that the split commit ends where one uninterrupted
-call does.
 """
 
 import numpy as np
@@ -106,31 +101,3 @@ def test_kernel_matches_numpy_path_after_every_chunk(
         start = stop
         if start == len(keys):
             break
-
-
-@given(geometry=geometries(), crit=criteria(), stream=streams(),
-       warmup=st.integers(min_value=0, max_value=100))
-@settings(max_examples=100, deadline=None)
-def test_stopping_at_the_vague_part_and_resuming_equals_one_call(
-    geometry, crit, stream, warmup
-):
-    keys, values = stream
-    kernel = vectorized._qf_kernel()
-    whole, split = twins(geometry, crit)
-    for filt in (whole, split):
-        filt._run_chunk(keys[:warmup], values[:warmup], kernel)
-    keys, values = keys[warmup:], values[warmup:]
-    if not len(keys):
-        return
-    fps, buckets, weights, order, _ = whole._partition(keys, values, 1,
-                                                       kernel)
-    parts = (order, fps, buckets, weights)
-    assert whole._compiled_pass(kernel, keys, *parts) == len(keys)
-    stop = split._compiled_pass(kernel, keys, *parts, stop_at_vague=True)
-    if stop < len(keys):
-        # The item it stopped at misses a full bucket.
-        bucket_fps = split._cand_fps[buckets[stop]]
-        assert fps[stop] not in bucket_fps and 0 not in bucket_fps
-        assert split._compiled_pass(kernel, keys, *parts,
-                                    start=stop) == len(keys)
-    assert state(split) == state(whole)

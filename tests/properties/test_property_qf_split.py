@@ -1,13 +1,11 @@
-"""Property tests: the compiled ``qf_split`` hashes and groups like numpy.
+"""Property tests: the compiled ``qf_hash`` hashes like numpy.
 
-``BatchQuantileFilter._partition`` hashes a chunk of integer keys with
-one C call when the kernel loads.  It must return, bit for bit, what
-``_chunk_parts`` computes followed by a stable argsort by
-``bucket % parts``: the grouped fingerprints, buckets and weights, the
-chunk order and the part bounds.  Hypothesis picks the key dtype (int64
-with its extremes, int32, uint64 above 2^63), the fingerprint width
-(1, 16 and 64 bits), 1-5 parts, one bucket or more, float32 or float64
-values and empty chunks.
+``BatchQuantileFilter._hash`` hashes a chunk of integer keys with one C
+call when the kernel loads.  It must return, bit for bit, what
+``_chunk_parts`` computes: the fingerprints, buckets and weights in
+stream order.  Hypothesis picks the key dtype (int64 with its extremes,
+int32, uint64 above 2^63), the fingerprint width (1, 16 and 64 bits),
+one bucket or more, float32 or float64 values and empty chunks.
 
 Keys of other dtypes keep the ``canonical_keys`` route on both paths:
 strings canonicalise as the scalar filter's ``canonical_key`` does, and
@@ -56,17 +54,6 @@ def chunks(draw):
     return np.array(keys, dtype=dtype), np.array(values, dtype=value_dtype)
 
 
-def reference(filt, keys, values, parts):
-    """``_chunk_parts`` plus a stable argsort by ``bucket % parts``."""
-    fps, buckets, weights = filt._chunk_parts(keys, values)
-    part_of = buckets % parts
-    order = np.argsort(part_of, kind="stable")
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(part_of, minlength=parts)))
-    )
-    return fps[order], buckets[order], weights[order], order, bounds
-
-
 def assert_identical(got, expected):
     for got_array, expected_array in zip(got, expected, strict=True):
         assert got_array.dtype == expected_array.dtype
@@ -77,16 +64,14 @@ def assert_identical(got, expected):
 @given(chunk=chunks(),
        fp_bits=st.sampled_from([1, 16, 64]),
        num_buckets=st.sampled_from([1, 2, 3, 7, 1_000]),
-       parts=st.integers(min_value=1, max_value=5),
        seed=st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=200, deadline=None)
-def test_split_is_chunk_parts_and_a_stable_argsort(chunk, fp_bits,
-                                                   num_buckets, parts, seed):
+def test_hash_is_chunk_parts(chunk, fp_bits, num_buckets, seed):
     keys, values = chunk
     filt = BatchQuantileFilter(CRIT, num_buckets=num_buckets, vague_width=4,
                                fp_bits=fp_bits, seed=seed)
-    assert_identical(filt._partition(keys, values, parts, KERNEL),
-                     reference(filt, keys, values, parts))
+    assert_identical(filt._hash(keys, values, KERNEL),
+                     filt._chunk_parts(keys, values))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -94,18 +79,18 @@ def test_string_keys_canonicalise_as_the_scalar_filter_does(kernel):
     keys = np.array(["a", "bb", "a", "ccc", "", "bb"])
     values = np.array([60.0, 10.0, 70.0, 50.0, 51.0, 49.0])
     filt = BatchQuantileFilter(CRIT, num_buckets=5, vague_width=4, seed=3)
-    fps, buckets, _, order, _ = filt._partition(keys, values, 2, kernel)
+    fps, buckets, _ = filt._hash(keys, values, kernel)
     hasher = FingerprintHasher(bits=16, seed=3 + 7)
-    canon = [canonical_key(key) for key in keys[order].tolist()]
+    canon = [canonical_key(key) for key in keys.tolist()]
     assert fps.tolist() == [hasher.fingerprint(c) for c in canon]
     bucket_seed = mix64(3 ^ 0x1234_5678_9ABC_DEF0)
     assert buckets.tolist() == [mix64(c ^ bucket_seed) % 5 for c in canon]
-    assert_identical(filt._partition(keys, values, 2, kernel),
-                     reference(filt, keys, values, 2))
+    assert_identical(filt._hash(keys, values, kernel),
+                     filt._chunk_parts(keys, values))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_float_keys_raise(kernel):
     filt = BatchQuantileFilter(CRIT, num_buckets=5, vague_width=4)
     with pytest.raises(ParameterError):
-        filt._partition(np.array([1.5, 2.0]), np.zeros(2), 3, kernel)
+        filt._hash(np.array([1.5, 2.0]), np.zeros(2), kernel)
