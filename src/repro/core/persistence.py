@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Union
 
@@ -120,11 +121,11 @@ def _parts(filt) -> tuple:
 def engine_state(filt, include_history: bool = True) -> dict:
     """Capture an engine's full state as ``{"meta": ..., "arrays": ...}``.
 
-    Takes a scalar :class:`~repro.core.quantile_filter.QuantileFilter`,
-    a :class:`~repro.core.vectorized.BatchQuantileFilter` or a
-    :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter`.  The
-    threads engine is captured under its commit lock, as the batch
-    filter it commits into.
+    Takes a scalar :class:`~repro.core.quantile_filter.QuantileFilter`
+    or a :class:`~repro.core.vectorized.BatchQuantileFilter`.  The
+    threads engine (:class:`~repro.parallel.concurrent.
+    ConcurrentQuantileFilter`) is a batch filter, captured under its
+    commit lock.
 
     ``include_history=True`` also stores the deduplicated reported-key
     set and the scalar filter's per-key criteria overrides; both require
@@ -133,17 +134,14 @@ def engine_state(filt, include_history: bool = True) -> dict:
     that case).
     """
     from repro.core.vectorized import BatchQuantileFilter
-    from repro.parallel.concurrent import ConcurrentQuantileFilter
 
-    if isinstance(filt, ConcurrentQuantileFilter):
-        with filt._lock:
-            return _capture(filt._core, include_history)
     if not isinstance(filt, (QuantileFilter, BatchQuantileFilter)):
         raise TraceFormatError(
             f"cannot capture state of {type(filt).__name__}; expected "
-            "QuantileFilter, BatchQuantileFilter or ConcurrentQuantileFilter"
+            "QuantileFilter or BatchQuantileFilter"
         )
-    return _capture(filt, include_history)
+    with getattr(filt, "_lock", nullcontext()):
+        return _capture(filt, include_history)
 
 
 def _capture(filt, include_history: bool) -> dict:

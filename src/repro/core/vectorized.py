@@ -190,7 +190,7 @@ class BatchQuantileFilter:
         # Vague part counters: one C-contiguous (depth, width) plane.
         self._rows = np.zeros((depth, self.width), dtype=np.float64)
 
-        self.reported_keys: Set[int] = set()
+        self._reported: Set[int] = set()
         self.items_processed = 0
         self.report_count = 0
         #: When True, the hot loop maintains the per-event tallies below
@@ -231,7 +231,17 @@ class BatchQuantileFilter:
             )
             start += size
             size = min(size * 2, self.chunk_size)
-        return self.reported_keys
+        return self._reported
+
+    @property
+    def reported_keys(self) -> Set[int]:
+        """Deduplicated reported keys: the live set :meth:`process`
+        returns, which grows as later chunks report."""
+        return self._reported
+
+    @reported_keys.setter
+    def reported_keys(self, keys) -> None:
+        self._reported = set(keys)
 
     def retarget(self, threshold: float) -> Criteria:
         """Move the value threshold ``T``, preserving all sketch state.
@@ -406,7 +416,7 @@ class BatchQuantileFilter:
         )
         reports = candidate_reports + vague_reports
         if reports:
-            self.reported_keys.update(
+            self._reported.update(
                 keys[out[_TALLIES:_TALLIES + reports]].tolist()
             )
             self.report_count += reports
@@ -441,7 +451,7 @@ class BatchQuantileFilter:
         """
         report_threshold = self._report_threshold_eff
         qws_flat = self._cand_qws.reshape(-1)
-        reported = self.reported_keys
+        reported = self._reported
 
         slots = np.argmax(hit[fast_idx], axis=1)
         gslot = buckets[fast_idx] * self.bucket_size + slots
@@ -552,7 +562,7 @@ class BatchQuantileFilter:
         depth = self.depth
         bucket_size = self.bucket_size
         should_replace = self.strategy.should_replace
-        reported = self.reported_keys
+        reported = self._reported
         track = self.stats_tallies
         n_hits = n_vague = n_swaps = 0
 

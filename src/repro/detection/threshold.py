@@ -516,8 +516,9 @@ class ThresholdController:
     estimator:
         Pre-built estimator with ``update``/``update_many``/
         ``quantile``/``count``/``clear`` (overrides ``backend``).
-    kll_k, seed:
-        Forwarded to :func:`make_estimator` for the KLL backend.
+    seed:
+        Forwarded to :func:`make_estimator` for the KLL backend, which
+        runs at its default ``k``.
     """
 
     def __init__(
@@ -531,7 +532,6 @@ class ThresholdController:
         warmup_items: int = 512,
         horizon_items: Optional[int] = None,
         estimator=None,
-        kll_k: int = 200,
         seed: int = 0,
     ):
         if not 0.0 < target_quantile < 1.0:
@@ -561,7 +561,7 @@ class ThresholdController:
         self.warmup_items = warmup_items
         self.estimator = (
             estimator if estimator is not None
-            else make_estimator(backend, target_quantile, k=kll_k, seed=seed)
+            else make_estimator(backend, target_quantile, seed=seed)
         )
         self.backend = backend if estimator is None else "custom"
         self.items_seen = 0

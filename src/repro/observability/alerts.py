@@ -358,6 +358,8 @@ class RuleStatus:
 class AlertEngine:
     """Evaluate a rule set against a store on every collection tick.
 
+    A call without an explicit ``now`` reads the store's clock, as the
+    dashboard does, so the rules and the history share one timeline.
     Thread-safe: evaluation and every read (states, samples, report)
     share one lock, so a ``/metrics`` scrape racing an evaluation never
     observes a half-advanced state machine.
@@ -367,7 +369,6 @@ class AlertEngine:
         self,
         store: MetricStore,
         rules: Sequence[AlertRule],
-        clock: Optional[Callable[[], float]] = None,
     ):
         names = [rule.name for rule in rules]
         dupes = {n for n in names if names.count(n) > 1}
@@ -377,7 +378,6 @@ class AlertEngine:
             )
         self.store = store
         self.rules: Tuple[AlertRule, ...] = tuple(rules)
-        self.clock = clock if clock is not None else store.clock
         self._status: Dict[str, RuleStatus] = {
             rule.name: RuleStatus() for rule in self.rules
         }
@@ -390,7 +390,7 @@ class AlertEngine:
     def evaluate(self, now: Optional[float] = None) -> List[AlertTransition]:
         """Advance every rule one tick; returns the edges taken."""
         if now is None:
-            now = self.clock()
+            now = self.store.clock()
         now = float(now)
         transitions: List[AlertTransition] = []
         with self._lock:
@@ -511,7 +511,7 @@ class AlertEngine:
         without a ``signal`` label is listed as ``alert:<rule>``.
         """
         if now is None:
-            now = self.clock()
+            now = self.store.clock()
         chosen: Dict[str, HealthSignal] = {
             name: HealthSignal(name, "ok", float(value), "no rule firing")
             for name, value in (signals or {}).items()
@@ -544,7 +544,7 @@ class AlertEngine:
     def as_dict(self, now: Optional[float] = None) -> dict:
         """The ``/alerts`` JSON payload."""
         if now is None:
-            now = self.clock()
+            now = self.store.clock()
         with self._lock:
             alerts = [
                 self._status[rule.name].as_dict(rule, now=now)

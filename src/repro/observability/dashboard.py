@@ -40,6 +40,11 @@ from repro.observability.timeseries import MetricStore
 #: Trailing window the sparklines and rate figures summarise.
 DEFAULT_WINDOW_SECONDS = 120.0
 
+#: Frame width the header and its rule are cut to, and the sparkline
+#: width (in cells).
+_WIDTH = 78
+_SPARK_WIDTH = 32
+
 #: Signal gauges surfaced on the one-line signal strip, in order.
 _SIGNAL_STRIP = (
     ("qf_drift_z", "drift z"),
@@ -78,16 +83,12 @@ class Dashboard:
         store: MetricStore,
         engine=None,
         title: str = "repro top",
-        width: int = 78,
-        spark_width: int = 32,
         window_seconds: float = DEFAULT_WINDOW_SECONDS,
         ascii_only: bool = False,
     ):
         self.store = store
         self.engine = engine
         self.title = title
-        self.width = int(width)
-        self.spark_width = int(spark_width)
         self.window_seconds = float(window_seconds)
         self.ascii_only = bool(ascii_only)
         self.ticks = 0
@@ -107,8 +108,8 @@ class Dashboard:
         header = f"{self.title} · tick {self.ticks} · {clock_text}"
         if status:
             header += f" · {status}"
-        lines.append(header[: self.width])
-        lines.append("-" * min(self.width, len(header)))
+        lines.append(header[:_WIDTH])
+        lines.append("-" * min(_WIDTH, len(header)))
 
         verdict = report.verdict if report is not None else "unknown"
         threshold = value("value", "qf_threshold")
@@ -129,11 +130,11 @@ class Dashboard:
                 self.store, metric, self.window_seconds, now=now
             )
             spark = sparkline(
-                rates, width=self.spark_width, ascii_only=self.ascii_only
+                rates, width=_SPARK_WIDTH, ascii_only=self.ascii_only
             )
             current = rates[-1] if rates else 0.0
             lines.append(
-                f"{label:<11} {spark:<{self.spark_width}} "
+                f"{label:<11} {spark:<{_SPARK_WIDTH}} "
                 f"{format_quantity(current)} {unit}"
             )
 

@@ -101,8 +101,8 @@ HISTOGRAM_METRIC_HELP = {
     "worker_insert_seconds":
         "Per-chunk shard insert latency (batch insert time).",
     "pipeline_report_queue_delay_seconds":
-        "Delay between a worker posting a report batch and the master "
-        "draining it.",
+        "Delay between a worker posting a chunk's reports (an empty ack "
+        "too) and the master draining it.",
     "qf_lock_wait_seconds":
         "Commit-lock acquisition wait per flush "
         "(thread-parallel engine).",

@@ -15,7 +15,8 @@ the serve loop already feed in — and retains, in bounded memory:
 * periodic **forensic probes** (:func:`repro.core.inspect.
   structural_probe` plus a registry snapshot), recent
   :class:`~repro.detection.threshold.ThresholdDecision` records and
-  :class:`~repro.observability.provenance.ReportProvenance` entries.
+  :class:`~repro.observability.provenance.ReportProvenance` entries
+  (the newest 32 probes, 512 decisions and 512 provenance records).
 
 When an alert rule enters the firing state
 (:meth:`FlightRecorder.observe_alerts`) or on an explicit ``repro
@@ -73,6 +74,12 @@ from repro.observability.registry import (
 )
 
 PathLike = Union[str, Path]
+
+#: Retained threshold decisions, report provenance records and forensic
+#: probes: each ring keeps its newest entries up to this many.
+_MAX_DECISIONS = 512
+_MAX_PROVENANCE = 512
+_MAX_PROBES = 32
 
 #: Incident-bundle schema version (bump on incompatible layout changes).
 #: Version 2 stores structural signal values where version 1 stored a
@@ -217,9 +224,6 @@ class FlightRecorder:
         incident_dir: Optional[PathLike] = None,
         config: Optional[dict] = None,
         registry: Optional[StatsRegistry] = None,
-        max_decisions: int = 512,
-        max_provenance: int = 512,
-        max_probes: int = 32,
         max_incidents: int = 32,
     ):
         if max_chunks < 1:
@@ -233,7 +237,8 @@ class FlightRecorder:
 
         if isinstance(filt, QuantileFilter):
             self.engine = "scalar"
-        elif isinstance(filt, BatchQuantileFilter):
+        elif type(filt) is BatchQuantileFilter:
+            # By exact type: the threads engine is a batch filter too.
             self.engine = "batch"
         else:
             raise ParameterError(
@@ -250,9 +255,9 @@ class FlightRecorder:
         self.max_incidents = max_incidents
         self._lock = threading.RLock()
         self._chunks: Deque[dict] = deque()
-        self._probes: Deque[dict] = deque(maxlen=max_probes)
-        self._decisions: Deque[dict] = deque(maxlen=max_decisions)
-        self._provenance: Deque[dict] = deque(maxlen=max_provenance)
+        self._probes: Deque[dict] = deque(maxlen=_MAX_PROBES)
+        self._decisions: Deque[dict] = deque(maxlen=_MAX_DECISIONS)
+        self._provenance: Deque[dict] = deque(maxlen=_MAX_PROVENANCE)
         self._known = set(filt.reported_keys) if self.engine == "batch" else None
         self._chunks_since_probe = 0
         self.snapshots_total = 0

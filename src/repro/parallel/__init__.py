@@ -1,6 +1,6 @@
 """Parallel and sharded QuantileFilter deployments.
 
-Two layers:
+Three layers:
 
 * :class:`~repro.parallel.sharded.ShardedQuantileFilter` — in-process
   bucket-affine sharding: N full-geometry shard filters behind one
@@ -8,18 +8,20 @@ Two layers:
 * :class:`~repro.parallel.pipeline.ParallelPipeline` — a
   ``multiprocessing`` pipeline placing one shard per worker process,
   with bounded queues and crash surfacing.
-* :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter` — one
-  shared set of filter planes updated by N threads through thread-local
-  ingest buffers, each flush committed under one lock (the Quancurrent
-  direction); ``ParallelPipeline(engine="threads")`` runs it behind the
-  same pipeline API with zero chunk transport.
+* :class:`~repro.parallel.concurrent.ConcurrentQuantileFilter` — a
+  :class:`~repro.core.vectorized.BatchQuantileFilter` whose planes N
+  threads update through thread-local ingest buffers, each flush
+  committed under one lock (the Quancurrent direction);
+  ``ParallelPipeline(engine="threads")`` runs it behind the same
+  pipeline API with zero chunk transport.
 
-Both share one partition rule (:class:`~repro.parallel.sharded.
+The first two share one partition rule (:class:`~repro.parallel.sharded.
 ShardRouter`), so the process-backed pipeline reports exactly the same
 key set as the in-process sharded filter, which in turn matches a
 single scalar filter whenever the candidate part never overflows (see
 ``tests/parallel/test_shard_equivalence.py`` and the consistency-model
-notes in ``docs/operations.md``).
+notes in ``docs/operations.md``).  The threads engine partitions
+nothing: every updater commits into the one shared filter.
 """
 
 from repro.parallel.sharded import (

@@ -14,8 +14,9 @@ Concurrency design
 ==================
 
 * **Thread-local ingest** (:class:`ThreadIngest`) — each updater thread
-  keeps a private buffer of arrays and flushes it at ``flush_items``
-  items.  No shared state is touched per array, only per flush.
+  keeps a private buffer of arrays and flushes it at the filter's
+  ``chunk_size`` items.  No shared state is touched per array, only per
+  flush.
 * **One commit lock** — a flush hashes its whole buffer outside the
   lock (with the compiled kernel,
   :func:`~repro.core.vectorized.qf_kernel_loaded`: one C call without
@@ -23,8 +24,9 @@ Concurrency design
   stream order, exactly as the batch engine commits one chunk: one C
   call, or the numpy two-tier pass
   (:meth:`~repro.core.vectorized.BatchQuantileFilter._classify_chunk`
-  + the fast/scalar passes) without the kernel.  Reports and tallies
-  land on the shared batch core under the same lock.  Quancurrent's
+  + the fast/scalar passes) without the kernel.  The filter *is* a
+  batch filter, so its reports and tallies land where a batch filter's
+  do, under the same lock.  Quancurrent's
   finer-grained locks do not pay under CPython's GIL: each lock a
   flush takes costs Python time under the GIL, while the C commit of
   an item costs less than hashing it, so the updaters overlap one
@@ -49,15 +51,16 @@ test_property_concurrent_equivalence.py``)
   state as long as each bucket's items arrive through one thread
   (bucket-affine feeding, e.g. :class:`~repro.parallel.sharded.
   ShardRouter`).
-* *General regime*: with ``record_witness=True`` every flush is logged
-  as one segment with a global ticket drawn under the commit lock.
-  Replaying the segments in ticket order through a fresh single-thread
-  batch filter (:func:`replay_witness`) reproduces the shared planes
-  **bit-exactly**: the lock totally orders the commits, the tickets
-  follow that order, and each commit is one exact chunk pass under
-  the criteria in force when it commits (a retarget that lands between
-  a flush's hashing and its commit makes the flush recompute its
-  weights under the lock).
+* *General regime*: with a witness log (``witness = []``) every flush
+  is appended as one segment, with the ``T`` it committed under, and
+  every retarget as an empty segment carrying the new ``T``, both under
+  the commit lock.  Replaying the segments in list order through a
+  fresh single-thread batch filter (:func:`replay_witness`) reproduces
+  the shared planes **bit-exactly**: the lock totally orders the
+  commits and retargets, the list follows that order, and each commit
+  is one exact chunk pass under the criteria in force when it commits
+  (a retarget that lands between a flush's hashing and its commit
+  makes the flush recompute its weights under the lock).
 
 Throughput: the compiled kernel is called through :mod:`ctypes`, which
 releases the GIL for every call.  A flush makes two calls, one to hash
@@ -73,7 +76,6 @@ equal-core head-to-head in ``benchmarks/test_throughput_smoke.py`` and
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass
@@ -81,99 +83,56 @@ from typing import List, Optional, Set
 
 import numpy as np
 
-from repro.common.errors import ParameterError
 from repro.common.validation import require_integer_keys, require_item_arrays
 from repro.core.criteria import Criteria
-from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
-from repro.core.vectorized import DEFAULT_CHUNK_SIZE, BatchQuantileFilter
+from repro.core.vectorized import BatchQuantileFilter
 from repro.observability.histogram import LogHistogram
 
-#: Default thread-local buffer length between flushes.  Matches the
-#: batch engine's chunk size: each flush is one exact chunk pass.
-DEFAULT_FLUSH_ITEMS = DEFAULT_CHUNK_SIZE
+_NO_KEYS = np.empty(0, dtype=np.int64)
+_NO_VALUES = np.empty(0, dtype=np.float64)
 
 
 @dataclass
 class WitnessSegment:
-    """One committed flush: its commit ticket and item arrays.
+    """One committed flush, or a retarget: an empty segment.
 
-    ``ticket`` is drawn under the commit lock, so sorting segments by
-    ticket linearizes the concurrent execution (see the module
-    docstring); ``keys``/``values`` are private copies.
+    ``ticket`` is the segment's position in the witness log, taken under
+    the commit lock, so the log's order linearizes the concurrent
+    execution (see the module docstring).  ``keys``/``values`` are
+    private copies; ``threshold`` is the ``T`` the flush committed
+    under, or the one the retarget moved to.
     """
 
     ticket: int
     keys: np.ndarray
     values: np.ndarray
+    threshold: float
 
 
-class ConcurrentQuantileFilter:
-    """A QuantileFilter whose planes are shared by N updater threads.
+class ConcurrentQuantileFilter(BatchQuantileFilter):
+    """A batch filter whose planes are shared by N updater threads.
 
-    Construction mirrors :class:`~repro.core.vectorized.
-    BatchQuantileFilter` (integer keys, float counters); the extra
-    knobs are the ingest geometry:
-
-    Parameters
-    ----------
-    flush_items:
-        Thread-local buffer length of every :meth:`ingest` buffer.
-    record_witness:
-        Log every committed flush with a commit ticket for
-        :func:`replay_witness` (test/verification aid; costs one array
-        copy per flush).
+    Construction is :class:`~repro.core.vectorized.BatchQuantileFilter`'s;
+    ``chunk_size`` is the length of every :meth:`ingest` buffer's flush.
+    One lock orders the commits, and :meth:`process` and
+    :meth:`retarget` take it; every other read is the batch engine's.
+    Set :attr:`witness` to ``[]`` to log every commit and retarget for
+    :func:`replay_witness` (a verification aid that costs one array copy
+    per flush).
     """
 
-    def __init__(
-        self,
-        criteria: Criteria,
-        memory_bytes: Optional[int] = None,
-        *,
-        num_buckets: Optional[int] = None,
-        vague_width: Optional[int] = None,
-        bucket_size: int = 6,
-        depth: int = 3,
-        candidate_fraction: float = DEFAULT_CANDIDATE_FRACTION,
-        fp_bits: int = 16,
-        strategy: str = "comparative",
-        seed: int = 0,
-        flush_items: int = DEFAULT_FLUSH_ITEMS,
-        record_witness: bool = False,
-    ):
-        if flush_items < 1:
-            raise ParameterError(
-                f"flush_items must be >= 1, got {flush_items}"
-            )
-        self._core = BatchQuantileFilter(
-            criteria,
-            memory_bytes,
-            num_buckets=num_buckets,
-            vague_width=vague_width,
-            bucket_size=bucket_size,
-            depth=depth,
-            candidate_fraction=candidate_fraction,
-            fp_bits=fp_bits,
-            strategy=strategy,
-            seed=seed,
-        )
-        self.seed = seed
-        self.flush_items = flush_items
-        #: Guards the core: its planes, criteria, reports and tallies,
-        #: plus the witness order.  One flush commits at a time.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: Guards the planes, criteria, reports and tallies, plus the
+        #: witness order.  One flush commits at a time.
         self._lock = threading.Lock()
-        self._tickets = itertools.count()
-        self.witness: Optional[List[WitnessSegment]] = (
-            [] if record_witness else None
-        )
+        self.witness: Optional[List[WitnessSegment]] = None
         #: Commit-lock wait per flush (seconds), surfaced as the
         #: ``qf_lock_wait_seconds`` histogram by observe_filter.
         self.lock_wait = LogHistogram(min_value=1e-7, max_value=10.0)
         #: Flushes committed into the shared planes.
         self.thread_flushes = 0
 
-    # ------------------------------------------------------------------
-    # ingest
-    # ------------------------------------------------------------------
     def ingest(self) -> "ThreadIngest":
         """A new thread-local ingest buffer bound to this filter.
 
@@ -186,8 +145,8 @@ class ConcurrentQuantileFilter:
         """Single-caller convenience: ingest + flush the whole stream.
 
         Feeds one :class:`ThreadIngest`, exactly as a lone updater
-        thread would, so the stream commits in ``flush_items`` chunks;
-        returns the deduplicated reported keys.
+        thread would, so the stream commits in ``chunk_size`` chunks;
+        returns a copy of the deduplicated reported keys.
         """
         with self.ingest() as ingest:
             ingest.insert_many(keys, values)
@@ -204,37 +163,32 @@ class ConcurrentQuantileFilter:
         commits one chunk.  A retarget that landed after the hashing
         read ``T`` left weights of the old ``T``; they are recomputed
         under the lock, so every flush commits under the criteria in
-        force when it commits, and a witness replay that retargets at
-        the same witness positions reproduces it.
+        force when it commits, which its witness segment records.
         """
         if keys.shape[0] == 0:
             return
-        core = self._core
         witness = self.witness
         if witness is not None:
             # Private copies: the buffered arrays belong to the caller.
             keys, values = keys.copy(), values.copy()
-        kernel = core._kernel()
+        kernel = self._kernel()
         # Read before hashing reads T: a retarget after this read makes
         # the commit below recompute the weights.
-        criteria = core.criteria
-        fps, buckets, weights = core._hash(keys, values, kernel)
+        criteria = self.criteria
+        fps, buckets, weights = self._hash(keys, values, kernel)
         wait_start = time.perf_counter()
         with self._lock:
             waited = time.perf_counter() - wait_start
-            if core.criteria is not criteria:
-                weights = core._item_weights(values)
-            core._commit(kernel, keys, fps, buckets, weights)
+            if self.criteria is not criteria:
+                weights = self._item_weights(values)
+            self._commit(kernel, keys, fps, buckets, weights)
             if witness is not None:
-                witness.append(
-                    WitnessSegment(next(self._tickets), keys, values)
-                )
+                witness.append(WitnessSegment(
+                    len(witness), keys, values, self.criteria.threshold
+                ))
             self.thread_flushes += 1
             self.lock_wait.record(waited)
 
-    # ------------------------------------------------------------------
-    # reads (never block inserts)
-    # ------------------------------------------------------------------
     @property
     def reported_keys(self) -> Set[int]:
         """Deduplicated reported keys: a copy of the shared set.
@@ -242,124 +196,32 @@ class ConcurrentQuantileFilter:
         Lock-free: copying a set is one C call under the GIL, so it
         never sees a commit's insert half done.
         """
-        return set(self._core.reported_keys)
+        return set(self._reported)
 
-    # ------------------------------------------------------------------
-    # structure-wide operations
-    # ------------------------------------------------------------------
     def retarget(self, threshold: float) -> Criteria:
         """Move the value threshold ``T`` under the commit lock.
 
         A flush commits wholly under the old or wholly under the new
         criteria, exactly the batch engine's chunk-boundary retargeting
         contract: one that hashed under the old ``T`` and commits after
-        the change recomputes its weights (:meth:`_flush`).
+        the change recomputes its weights (:meth:`_flush`).  The witness
+        log records the retarget as an empty segment.
         """
         with self._lock:
-            return self._core.retarget(threshold)
-
-    # ------------------------------------------------------------------
-    # filter-shaped accounting (observe_filter / structural_probe)
-    # ------------------------------------------------------------------
-    @property
-    def criteria(self) -> Criteria:
-        return self._core.criteria
-
-    @property
-    def retargets(self) -> int:
-        return self._core.retargets
-
-    @property
-    def num_buckets(self) -> int:
-        return self._core.num_buckets
-
-    @property
-    def bucket_size(self) -> int:
-        return self._core.bucket_size
-
-    @property
-    def fp_bits(self) -> int:
-        return self._core.fp_bits
-
-    @property
-    def width(self) -> int:
-        return self._core.width
-
-    @property
-    def depth(self) -> int:
-        return self._core.depth
-
-    @property
-    def strategy(self):
-        return self._core.strategy
-
-    @property
-    def _rows(self):
-        # Read-only view for structural_probe's vague-noise estimate.
-        return self._core._rows
-
-    @property
-    def items_processed(self) -> int:
-        return self._core.items_processed
-
-    @property
-    def report_count(self) -> int:
-        return self._core.report_count
-
-    @property
-    def candidate_reports(self) -> int:
-        return self._core.candidate_reports
-
-    @property
-    def vague_reports(self) -> int:
-        return self._core.vague_reports
-
-    @property
-    def candidate_hits(self) -> int:
-        return self._core.candidate_hits
-
-    @property
-    def vague_inserts(self) -> int:
-        return self._core.vague_inserts
-
-    @property
-    def swaps(self) -> int:
-        return self._core.swaps
-
-    @property
-    def stats_tallies(self) -> bool:
-        return self._core.stats_tallies
-
-    @stats_tallies.setter
-    def stats_tallies(self, value: bool) -> None:
-        self._core.stats_tallies = bool(value)
-
-    def entry_count(self) -> int:
-        """Occupied candidate slots (racy scan: snapshot-quality only)."""
-        return self._core.entry_count()
-
-    def occupancy(self) -> float:
-        return self._core.occupancy()
-
-    def candidate_hit_rate(self) -> float:
-        return self._core.candidate_hit_rate()
-
-    @property
-    def nbytes(self) -> int:
-        return self._core.nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ConcurrentQuantileFilter(num_buckets={self.num_buckets}, "
-            f"nbytes={self.nbytes})"
-        )
+            criteria = super().retarget(threshold)
+            witness = self.witness
+            if witness is not None:
+                witness.append(WitnessSegment(
+                    len(witness), _NO_KEYS, _NO_VALUES, criteria.threshold
+                ))
+            return criteria
 
 
 class ThreadIngest:
     """Thread-local ingest buffer feeding one ConcurrentQuantileFilter.
 
     Single-owner: exactly one thread inserts and flushes.  Arrays
-    accumulate by reference until the filter's ``flush_items`` is
+    accumulate by reference until the filter's ``chunk_size`` is
     reached — committing a short piece immediately would defeat the
     point of the buffer (each commit pays a fixed cost in hashing calls
     and locking, so pieces smaller than a chunk amortize it over
@@ -377,8 +239,8 @@ class ThreadIngest:
     def insert_many(self, keys, values) -> None:
         """Buffer whole arrays (by reference, zero copies).
 
-        Flushes once the accumulated total reaches ``flush_items``;
-        oversized inputs stream through in ``flush_items``-sized chunks.
+        Flushes once the accumulated total reaches ``chunk_size``;
+        oversized inputs stream through in ``chunk_size``-sized chunks.
         A rejected pair raises :class:`ParameterError` before anything
         is buffered, so the items already buffered stay pending.
         """
@@ -389,7 +251,7 @@ class ThreadIngest:
             return
         self._arrays.append((keys, values))
         self._array_items += int(keys.shape[0])
-        if self._array_items >= self.filt.flush_items:
+        if self._array_items >= self.filt.chunk_size:
             self.flush()
 
     def flush(self) -> None:
@@ -403,7 +265,7 @@ class ThreadIngest:
             values = np.concatenate([pair[1] for pair in self._arrays])
         self._arrays = []
         self._array_items = 0
-        step = self.filt.flush_items
+        step = self.filt.chunk_size
         for start in range(0, keys.shape[0], step):
             self.filt._flush(
                 keys[start:start + step], values[start:start + step]
@@ -426,26 +288,34 @@ def replay_witness(
 ) -> BatchQuantileFilter:
     """Replay a witness log through a fresh single-thread batch filter.
 
-    Segments are applied in commit-ticket order, each as one exact
-    chunk pass.  Because the tickets follow the commit lock's order, the
-    result is bit-identical to the concurrent filter's shared planes
-    (see the module docstring and
+    The replay starts at the first flush's ``T`` and applies the
+    segments in list order: each flush as one exact chunk pass, each
+    empty segment as a retarget to its ``T``.  Because the list follows
+    the commit lock's order, the result is bit-identical to the
+    concurrent filter's shared planes (see the module docstring and
     ``tests/properties/test_property_concurrent_equivalence.py``).
     """
-    core = template._core
+    threshold = next(
+        (s.threshold for s in segments if s.keys.shape[0]),
+        template.criteria.threshold,
+    )
     replayed = BatchQuantileFilter(
-        core.criteria,
-        num_buckets=core.num_buckets,
-        vague_width=core.width,
-        bucket_size=core.bucket_size,
-        depth=core.depth,
-        fp_bits=core.fp_bits,
-        strategy=core.strategy.name,
-        seed=core.seed,
+        template.criteria.with_updates(threshold=threshold),
+        num_buckets=template.num_buckets,
+        vague_width=template.width,
+        bucket_size=template.bucket_size,
+        depth=template.depth,
+        fp_bits=template.fp_bits,
+        strategy=template.strategy.name,
+        seed=template.seed,
+        chunk_size=template.chunk_size,
     )
     # Tally as the template does, so a filter observed from its first
     # commit on replays its hit/insert/swap tallies exactly too.
     replayed.stats_tallies = template.stats_tallies
-    for segment in sorted(segments, key=lambda s: s.ticket):
-        replayed._process_chunk(segment.keys, segment.values)
+    for segment in segments:
+        if segment.keys.shape[0]:
+            replayed._process_chunk(segment.keys, segment.values)
+        else:
+            replayed.retarget(segment.threshold)
     return replayed

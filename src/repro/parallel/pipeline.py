@@ -121,7 +121,7 @@ class PipelineStallError(PipelineError):
 
 @dataclass
 class ReportBatch:
-    """Newly-reported keys from one (chunk, shard) work unit."""
+    """Newly-reported keys from one (chunk, shard) work unit; never empty."""
 
     chunk_id: int
     shard_id: int
@@ -418,7 +418,8 @@ class ParallelPipeline:
         Items per chunk fed to the workers (also the shm slot size).
     on_reports:
         Callback receiving each :class:`ReportBatch` as the master
-        drains it.
+        drains it.  Work units that reported no fresh key release no
+        batch.
     """
 
     def __init__(
@@ -506,7 +507,7 @@ class ParallelPipeline:
             self.filter = ConcurrentQuantileFilter(
                 criteria,
                 memory_bytes,
-                flush_items=chunk_items,
+                chunk_size=chunk_items,
                 **template_kwargs,
             )
             resolved_buckets = self.filter.num_buckets
@@ -578,7 +579,8 @@ class ParallelPipeline:
         )
         self._batch_counter = self.stats.counter(
             "pipeline_report_batches_total",
-            help="Report batches released to the caller.",
+            help="Report batches released to the caller (each carries "
+                 "at least one fresh key).",
         )
         self._stat_views_counter = self.stats.counter(
             "pipeline_stats_views_total",
@@ -604,13 +606,13 @@ class ParallelPipeline:
             lambda: sum(1 for w in self.workers if w.is_alive()),
             help="Shard worker processes currently alive.",
         )
-        # Report-batch queue delay: stamped by the worker at put() time,
-        # measured when the master drains the batch.  Mergeable log
+        # Report queue delay: stamped by the worker at put() time,
+        # measured when the master drains the message.  Mergeable log
         # buckets, so `repro stats` can print a cross-run p99.
         self._queue_delay_hist = self.stats.histogram(
             "pipeline_report_queue_delay_seconds",
-            help="Delay between a worker posting a report batch and the "
-            "master draining it.",
+            help="Delay between a worker posting a chunk's reports (an "
+            "empty ack too) and the master draining it.",
         )
         if self.tracer is not None:
             self.stats.counter_fn(
@@ -1069,10 +1071,13 @@ class ParallelPipeline:
                 self._queue_delay_hist.record(
                     max(0.0, time.perf_counter() - posted_at)
                 )
-                self._reported.update(keys)
-                self._emit(
-                    ReportBatch(chunk_id=chunk_id, shard_id=shard_id, keys=keys)
-                )
+                # A process worker acks every chunk to hand its slot
+                # back; only acks that carry keys become batches.
+                if keys:
+                    self._reported.update(keys)
+                    self._emit(ReportBatch(
+                        chunk_id=chunk_id, shard_id=shard_id, keys=keys
+                    ))
             elif kind == "reply":
                 _, sync_id, shard_id, payload = message
                 self._replies.setdefault(sync_id, {})[shard_id] = payload

@@ -193,7 +193,7 @@ class TestEngines:
     def fed_threads():
         crit = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
         cqf = ConcurrentQuantileFilter(crit, memory_bytes=4_096, seed=2,
-                                       flush_items=512)
+                                       chunk_size=512)
         rng = np.random.default_rng(8)
         keys = rng.integers(0, 400, size=6_000)
         values = np.where(keys < 10, 500.0, rng.uniform(0, 90, 6_000))

@@ -209,8 +209,9 @@ def test_threads_flush_hashes_once_and_commits_once(monkeypatch):
     keys, values = stream(n=2_000)
     cqf = ConcurrentQuantileFilter(
         CRIT, num_buckets=8, vague_width=16, bucket_size=2, seed=5,
-        flush_items=512, record_witness=True,
+        chunk_size=512,
     )
+    cqf.witness = []
     cqf.stats_tallies = True
     cqf.process(keys, values)
     assert hashed == committed == [512, 512, 512, 464]

@@ -84,6 +84,16 @@ class TestBehaviour:
         parts.process(keys[2_000:], values[2_000:])
         assert parts.reported_keys == whole.reported_keys
 
+    def test_reported_keys_is_the_live_set(self):
+        # Callers may hold the set across process calls and see later
+        # reports land in it; the threads engine's copy is its own.
+        crit = Criteria(delta=0.95, threshold=200.0, epsilon=5.0)
+        keys, values = make_stream(seed=7, n=4_000)
+        batch = BatchQuantileFilter(crit, memory_bytes=16_384, seed=2)
+        held = batch.reported_keys
+        assert batch.process(keys, values) is held
+        assert held and batch.reported_keys is held
+
     def test_only_a_cold_filter_ramps(self, monkeypatch):
         # The first call ramps up from 512-item chunks; later calls (one
         # per chunk, as perfbench and the pipeline workers make them)

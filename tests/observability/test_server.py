@@ -171,7 +171,7 @@ class TestLifecycle:
 
         cqf = ConcurrentQuantileFilter(
             CRIT, num_buckets=64, vague_width=512, bucket_size=4,
-            flush_items=256, seed=0,
+            chunk_size=256, seed=0,
         )
         server = serve_filter(cqf)
         stop = threading.Event()

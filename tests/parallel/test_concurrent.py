@@ -22,7 +22,7 @@ from repro.core.persistence import (
 )
 from repro.core.quantile_filter import QuantileFilter
 from repro.core.vectorized import BatchQuantileFilter
-from repro.parallel.concurrent import ConcurrentQuantileFilter
+from repro.parallel.concurrent import ConcurrentQuantileFilter, replay_witness
 from repro.parallel.pipeline import ParallelPipeline
 
 CRIT = Criteria(delta=0.9, threshold=100.0, epsilon=5.0)
@@ -70,6 +70,23 @@ class TestReadPath:
         assert cqf.candidate_hit_rate() >= 0.0
 
 
+class TestInheritance:
+    #: Batch-engine members the threads engine inherits without its
+    #: lock: each only reads, so a scrape may call it during a commit.
+    READ_ONLY = {"entry_count", "occupancy", "candidate_hit_rate", "nbytes"}
+
+    def test_every_public_batch_member_is_locked_or_read_only(self):
+        # A mutator added to the batch engine fails here until someone
+        # decides how the threads engine takes its lock around it.
+        public = {
+            name for name in vars(BatchQuantileFilter)
+            if not name.startswith("_")
+        }
+        overridden = public & set(vars(ConcurrentQuantileFilter))
+        assert overridden == {"process", "retarget", "reported_keys"}
+        assert public - overridden == self.READ_ONLY
+
+
 class TestSnapshots:
     def test_capture_is_independent(self):
         cqf, _, _ = _fed(n=5_000)
@@ -109,10 +126,9 @@ class TestRetarget:
         # its epoch boundary does.
         if not compiled:
             monkeypatch.setattr(vectorized, "_qf_kernel", lambda: None)
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=1_000,
-                                       record_witness=True)
-        core = cqf._core
-        hash_chunk = core._hash
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, chunk_size=1_000)
+        cqf.witness = []
+        hash_chunk = cqf._hash
         hashed_chunks, epochs = [], []
 
         def hash_then_retarget(*args):
@@ -123,16 +139,39 @@ class TestRetarget:
                 cqf.retarget(80.0)
             return hashed
 
-        monkeypatch.setattr(core, "_hash", hash_then_retarget)
+        monkeypatch.setattr(cqf, "_hash", hash_then_retarget)
         keys, values = _trace(n=3_000)
         cqf.process(keys, values)
         assert hashed_chunks == [1_000] * 3 and epochs == [1]
 
-        replayed = BatchQuantileFilter(CRIT, **GEOMETRY)
+        replayed = BatchQuantileFilter(CRIT, **GEOMETRY, chunk_size=1_000)
         for index, segment in enumerate(cqf.witness):
             if index == epochs[0]:
                 replayed.retarget(80.0)
             replayed.process(segment.keys, segment.values)
+        assert state_fingerprint(cqf) == state_fingerprint(replayed)
+
+    @pytest.mark.parametrize("compiled", [True, False],
+                             ids=["compiled", "numpy"])
+    def test_witness_replay_spans_a_retarget(self, compiled, monkeypatch):
+        # The log records the retarget as an empty segment, so the
+        # replay runs each flush under the T it committed under rather
+        # than every flush under the final T.
+        if not compiled:
+            monkeypatch.setattr(vectorized, "_qf_kernel", lambda: None)
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, chunk_size=1_000)
+        cqf.witness = []
+        keys, values = _trace(n=20_000)
+        cqf.process(keys[:10_000], values[:10_000])
+        cqf.retarget(60.0)
+        cqf.process(keys[10_000:], values[10_000:])
+        lengths = [len(segment.keys) for segment in cqf.witness]
+        assert lengths == [1_000] * 10 + [0] + [1_000] * 10
+        assert [segment.threshold for segment in cqf.witness] == (
+            [100.0] * 10 + [60.0] * 11
+        )
+        replayed = replay_witness(cqf.witness, cqf)
+        assert replayed.reported_keys == cqf.reported_keys
         assert state_fingerprint(cqf) == state_fingerprint(replayed)
 
 
@@ -147,8 +186,8 @@ def _pieces(n, sizes=(1, 4, 2, 7, 3)):
 
 
 class TestThreadIngest:
-    def test_buffers_until_flush_items(self):
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=10)
+    def test_buffers_until_chunk_size(self):
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, chunk_size=10)
         ingest = cqf.ingest()
         keys = np.arange(10, dtype=np.int64)
         ones = np.ones(10)
@@ -161,14 +200,14 @@ class TestThreadIngest:
         assert cqf.items_processed == 10
 
     def test_context_manager_flushes_tail(self):
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=100)
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, chunk_size=100)
         with cqf.ingest() as ingest:
             ingest.insert_many([1, 2, 3], [1.0, 1.0, 1.0])
             assert ingest.pending == 3
         assert cqf.items_processed == 3
 
     def test_insert_many_streams_arrays(self):
-        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=64)
+        cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY, chunk_size=64)
         keys, values = _trace(n=1_000)
         ingest = cqf.ingest()
         ingest.insert_many(keys[:7], values[:7])  # buffered first, in order
@@ -195,7 +234,7 @@ class TestThreadIngest:
     def test_rejected_call_keeps_buffered_items(self, reject):
         cqf = ConcurrentQuantileFilter(
             Criteria(delta=0.5, threshold=10.0, epsilon=2.0),
-            num_buckets=4, vague_width=8, flush_items=8,
+            num_buckets=4, vague_width=8, chunk_size=8,
         )
         ingest = cqf.ingest()
         ingest.insert_many(np.arange(5), np.full(5, 20.0))
@@ -208,9 +247,9 @@ class TestThreadIngest:
 
 
 class TestValidation:
-    def test_bad_flush_items(self):
+    def test_bad_chunk_size(self):
         with pytest.raises(ParameterError):
-            ConcurrentQuantileFilter(CRIT, **GEOMETRY, flush_items=0)
+            ConcurrentQuantileFilter(CRIT, **GEOMETRY, chunk_size=0)
 
 
 class TestPipelineThreadsMode:

@@ -28,8 +28,9 @@ CRIT = Criteria(delta=0.95, threshold=100.0, epsilon=5.0)
 def test_racing_threads_lose_and_duplicate_no_reports():
     cqf = ConcurrentQuantileFilter(
         CRIT, num_buckets=256, vague_width=2_048, bucket_size=4,
-        depth=3, seed=7, flush_items=1_024, record_witness=True,
+        depth=3, seed=7, chunk_size=1_024,
     )
+    cqf.witness = []
     # Observed before the race, so the hot-loop tallies it turns on
     # count every commit (the replay below compares them too).
     registry = observe_filter(cqf)

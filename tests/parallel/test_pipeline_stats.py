@@ -15,7 +15,11 @@ import pytest
 from repro.core.criteria import Criteria
 from repro.observability.instrument import _MEAN_GAUGES, FILTER_METRIC_HELP
 from repro.observability.registry import base_name
-from repro.parallel.pipeline import ParallelPipeline, PipelineError
+from repro.parallel.pipeline import (
+    PIPELINE_ENGINES,
+    ParallelPipeline,
+    PipelineError,
+)
 
 CRIT = Criteria(delta=0.9, threshold=120.0, epsilon=5.0)
 N_ITEMS = 50_000
@@ -143,3 +147,31 @@ class TestStatsOff:
             result = pipe.finish()
         assert result.stats is None
         assert result.per_shard_stats is None
+
+
+class TestReportBatches:
+    @pytest.mark.parametrize("engine", PIPELINE_ENGINES)
+    def test_every_released_batch_carries_keys(self, engine):
+        # A process worker acks every (chunk, shard) to hand its shm
+        # slot back; the master must not turn the empty acks into
+        # batches, so the counter counts exactly what the caller got.
+        keys, values = _trace(60_000, seed=3)
+        batches = []
+        pipe = ParallelPipeline(
+            CRIT, 2, engine=engine, num_buckets=256, vague_width=128,
+            chunk_items=2_000, collect_stats=True, on_reports=batches.append,
+        )
+        with pipe:
+            pipe.feed(keys, values)
+            result = pipe.finish()
+        assert batches
+        assert all(batch.keys for batch in batches)
+        assert result.stats["pipeline_report_batches_total"] == len(batches)
+        released = {key for batch in batches for key in batch.keys}
+        assert released == result.reported_keys
+        # Every ack is still timed: a process worker posts one per chunk
+        # and shard, the threads engine only the ones with keys.
+        acks = len(batches) if engine == "threads" else 30 * 2
+        assert result.stats["pipeline_report_queue_delay_seconds_count"] == (
+            acks
+        )

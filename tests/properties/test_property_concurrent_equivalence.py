@@ -13,9 +13,9 @@ Three claims, matching the equivalence model in
    bucket-local, each bucket's items arrive through one thread in
    stream order, and cross-bucket commits touch disjoint memory.
 3. **Witness replay** — in the general regime (overflow, elections,
-   arbitrary key partition), replaying the commit-ticket-ordered
-   witness log through a fresh batch filter reproduces the racing
-   filter's shared planes bit-exactly.
+   arbitrary key partition), replaying the commit-ordered witness log
+   through a fresh batch filter reproduces the racing filter's shared
+   planes bit-exactly.
 
 Hypothesis picks the geometry, stream and flush size — any divergence
 is a real bug in the commit path.
@@ -60,7 +60,7 @@ def geometries(draw):
 def scenarios(draw):
     return dict(
         geometry=draw(geometries()),
-        flush_items=draw(st.sampled_from([1, 3, 17, 64, 256])),
+        chunk_size=draw(st.sampled_from([1, 3, 17, 64, 256])),
         criteria=Criteria(
             delta=draw(st.sampled_from([0.5, 0.9, 0.95])),
             threshold=50.0,
@@ -97,14 +97,15 @@ def test_single_ingest_equals_batch_over_flushes(scenario):
     )
 
     cqf = ConcurrentQuantileFilter(
-        criteria, **scenario["geometry"],
-        flush_items=scenario["flush_items"],
+        criteria, **scenario["geometry"], chunk_size=scenario["chunk_size"],
     )
     cqf.process(keys, values)
 
-    reference = BatchQuantileFilter(criteria, **scenario["geometry"])
+    reference = BatchQuantileFilter(
+        criteria, **scenario["geometry"], chunk_size=scenario["chunk_size"],
+    )
     for chunk_keys, chunk_values in Trace(keys, values).iter_chunks(
-        scenario["flush_items"]
+        scenario["chunk_size"]
     ):
         reference._process_chunk(chunk_keys, chunk_values)
 
@@ -124,7 +125,7 @@ def affine_scenarios(draw):
         geometry=geometry,
         num_keys=num_keys,
         num_threads=draw(st.integers(min_value=2, max_value=4)),
-        flush_items=draw(st.sampled_from([7, 64])),
+        chunk_size=draw(st.sampled_from([7, 64])),
         n=draw(st.integers(min_value=50, max_value=1_500)),
         stream_seed=draw(st.integers(min_value=0, max_value=1_000)),
     )
@@ -140,11 +141,10 @@ def test_racing_bucket_affine_threads_match_batch_when_no_overflow(scenario):
     )
 
     cqf = ConcurrentQuantileFilter(
-        criteria, **scenario["geometry"],
-        flush_items=scenario["flush_items"],
+        criteria, **scenario["geometry"], chunk_size=scenario["chunk_size"],
     )
     # Bucket-affine partition: each bucket's stream goes to one thread.
-    _, buckets, _ = cqf._core._chunk_parts(keys, values)
+    _, buckets, _ = cqf._chunk_parts(keys, values)
     num_threads = scenario["num_threads"]
     owner = buckets % num_threads
     slices = [np.flatnonzero(owner == t) for t in range(num_threads)]
@@ -167,7 +167,9 @@ def test_racing_bucket_affine_threads_match_batch_when_no_overflow(scenario):
 
     # Any per-thread serialization is a valid linearization here; use
     # the thread-concatenated order (per-bucket order == stream order).
-    reference = BatchQuantileFilter(criteria, **scenario["geometry"])
+    reference = BatchQuantileFilter(
+        criteria, **scenario["geometry"], chunk_size=scenario["chunk_size"],
+    )
     for idx in slices:
         if idx.size:
             reference.process(keys[idx], values[idx])
@@ -188,10 +190,9 @@ def test_witness_replay_reproduces_racing_threads_bit_exactly(
     )
 
     cqf = ConcurrentQuantileFilter(
-        criteria, **scenario["geometry"],
-        flush_items=scenario["flush_items"],
-        record_witness=True,
+        criteria, **scenario["geometry"], chunk_size=scenario["chunk_size"],
     )
+    cqf.witness = []
     # Arbitrary (non-affine) round-robin partition: full general regime.
     slices = [
         np.arange(t, keys.shape[0], num_threads)

@@ -4,7 +4,9 @@ Every relative markdown link in the repo's documentation must resolve
 to a real file (and a real heading, when it carries an anchor), every
 ``path``-shaped inline-code reference to a repo file must point at
 something that exists, and every ``ClassName.attr`` reference to a
-repro class must name an attribute it has.  CI runs this as part of
+repro class must name an attribute it has, and every keyword passed to
+a repro class, in inline code or a python code block, must name a
+parameter of its constructor.  CI runs this as part of
 tier-1, so a rename or deletion that orphans a docs cross-reference
 fails the build instead of rotting in place.
 """
@@ -47,6 +49,13 @@ CODE_PATH = re.compile(
 #: Inline code that starts with a class attribute, e.g.
 #: ``ThreadIngest.insert_many`` or ``Trace.iter_chunks(n)``.
 CLASS_ATTRIBUTE = re.compile(r"`([A-Z]\w*)\.(\w+)")
+
+INLINE_CODE = re.compile(r"`([^`\n]+)`")
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+DOCTEST_PROMPT = re.compile(r"^(?:>>>|\.\.\.) ?", re.M)
+#: A call of a class, e.g. ``ParallelPipeline(`` but not ``np.Foo(``.
+CLASS_CALL = re.compile(r"(?<![\w.])([A-Z]\w*)\(")
+KEYWORD = re.compile(r"^\s*(\w+)\s*=(?!=)")
 
 
 def _repro_class_attributes():
@@ -97,6 +106,93 @@ def _repro_class_attributes():
         return names
 
     return {name: resolve(name) for name in own}
+
+
+def _repro_init_parameters():
+    """``{class name: parameter names of its __init__}`` for every class
+    under ``src/repro``, read with the AST.  A class that takes
+    ``**kwargs``, or defines no ``__init__``, adds what its repro base
+    classes take; dataclasses and named tuples take their fields.  The
+    value is ``None`` where that leads out of repro (``Exception``,
+    ``object``), so the keywords cannot be checked."""
+    own, bases = {}, {}
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases[node.name] = {
+                base.id for base in node.bases if isinstance(base, ast.Name)
+            }
+            init = next(
+                (stmt for stmt in node.body
+                 if isinstance(stmt, ast.FunctionDef)
+                 and stmt.name == "__init__"),
+                None,
+            )
+            decorators = {
+                getattr(dec, "id", getattr(dec, "attr", None))
+                for dec in (
+                    d.func if isinstance(d, ast.Call) else d
+                    for d in node.decorator_list
+                )
+            }
+            if init is not None:
+                args = init.args
+                own[node.name] = (
+                    {arg.arg for arg in
+                     args.posonlyargs + args.args[1:] + args.kwonlyargs},
+                    args.kwarg is not None,
+                )
+            elif "dataclass" in decorators or "NamedTuple" in bases[node.name]:
+                own[node.name] = (
+                    {stmt.target.id for stmt in node.body
+                     if isinstance(stmt, ast.AnnAssign)
+                     and isinstance(stmt.target, ast.Name)},
+                    False,
+                )
+            else:
+                own[node.name] = (set(), True)
+
+    def resolve(name, seen=()):
+        names, inherits = own[name]
+        if not inherits:
+            return set(names)
+        parents = [
+            base for base in bases[name] - {name, *seen} if base in own
+        ]
+        if not parents:
+            return None
+        names = set(names)
+        for base in parents:
+            inherited = resolve(base, (*seen, name))
+            if inherited is None:
+                return None
+            names |= inherited
+        return names
+
+    return {name: resolve(name) for name in own}
+
+
+def _call_keywords(code: str):
+    """``(class name, keyword)`` for every keyword argument of every
+    ``ClassName(...)`` call in ``code``, read at the call's own bracket
+    depth so nested calls keep their keywords to themselves.  A call
+    cut short, as in ``Foo(kw=)``, still yields its keywords."""
+    for match in CLASS_CALL.finditer(code):
+        depth, top = 1, []
+        for char in code[match.end():]:
+            if char in "([{":
+                depth += 1
+            elif char in ")]}":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif depth == 1:
+                top.append(char)
+        for argument in "".join(top).split(","):
+            keyword = KEYWORD.match(argument)
+            if keyword:
+                yield match.group(1), keyword.group(1)
 
 
 def _heading_anchors(path: Path):
@@ -158,6 +254,31 @@ def test_class_attribute_references_exist():
         if cls in attributes and attr not in attributes[cls]
     ]
     assert not stale, f"docs name attributes that do not exist: {stale}"
+
+
+def test_class_call_keywords_name_init_parameters():
+    """Every keyword of a ``ClassName(..., kw=...)`` call of a repro
+    class, in inline code or a python code block of the docs, names a
+    parameter its constructor takes."""
+    parameters = _repro_init_parameters()
+    checked, stale = 0, []
+    for doc in DOC_FILES:
+        text = doc.read_text()
+        snippets = INLINE_CODE.findall(PYTHON_BLOCK.sub("", text)) + [
+            DOCTEST_PROMPT.sub("", block)
+            for block in PYTHON_BLOCK.findall(text)
+        ]
+        for code in snippets:
+            for cls, keyword in _call_keywords(code):
+                if parameters.get(cls) is None:
+                    continue
+                checked += 1
+                if keyword not in parameters[cls]:
+                    stale.append(
+                        f"{doc.relative_to(REPO_ROOT)}: {cls}({keyword}=)"
+                    )
+    assert not stale, f"docs pass keywords no constructor takes: {stale}"
+    assert checked >= 40  # the scan still finds the docs' calls
 
 
 def test_the_audit_actually_covers_the_docs():
