@@ -99,11 +99,9 @@ def test_throughput_smoke():
         filt.process(trace.keys, trace.values)
         return filt
 
-    # ParallelPipeline resolves the candidate/vague split through its
-    # template filter, whose default candidate_fraction is the paper's.
-    pipeline_dims = {
-        k: v for k, v in dims.items() if k != "candidate_fraction"
-    }
+    # ParallelPipeline builds its shards at the default candidate
+    # fraction, depth and fingerprint width, which are the paper's.
+    pipeline_dims = dict(bucket_size=dims["bucket_size"], seed=dims["seed"])
 
     def run_pipeline(workers, engine="batch"):
         # Threads share a single set of planes, so this is the same

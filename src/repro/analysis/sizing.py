@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 from repro.analysis.theory import csketch_depth_for
 from repro.common.errors import ParameterError
-from repro.common.memory import bits_to_bytes
-from repro.core.candidate import QWEIGHT_COUNTER_BYTES
+from repro.common.memory import sizeof_counter
 from repro.core.criteria import Criteria
+from repro.core.shape import slot_bytes
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,8 @@ def recommend(
 
     fp_bits = 16
     counter_kind = "int32"
-    candidate_bytes = num_buckets * bucket_size * (
-        bits_to_bytes(fp_bits) + QWEIGHT_COUNTER_BYTES
-    )
-    vague_bytes = depth * vague_width * 4
+    candidate_bytes = num_buckets * bucket_size * slot_bytes(fp_bits)
+    vague_bytes = depth * vague_width * sizeof_counter(counter_kind)
     return SizingRecommendation(
         num_buckets=num_buckets,
         bucket_size=bucket_size,

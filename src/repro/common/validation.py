@@ -91,10 +91,16 @@ def require_item_arrays(keys, values) -> None:
             f"unsupported value type {values.dtype.name}; "
             "use an array of numbers"
         )
-    # ``minimum`` propagates NaN, so one reduction finds any NaN without
-    # building a mask.  ``values.dot(values)`` is cheaper still on small
-    # arrays, but OpenBLAS runs it on its thread pool above 10000 items,
-    # which steals a core from the threads engine's updaters.
-    if (values.dtype.kind == "f" and values.size
-            and np.isnan(np.minimum.reduce(values))):
+    if contains_nan(values):
         raise ParameterError("values must not be NaN")
+
+
+def contains_nan(values: np.ndarray) -> bool:
+    """Whether a numeric array holds a NaN.
+
+    ``minimum`` propagates NaN, so one reduction finds any.  Not
+    ``values.dot(values)``: OpenBLAS runs a dot over more than 10000
+    values on its thread pool, which keeps burning a core afterwards.
+    """
+    return bool(values.dtype.kind == "f" and values.size
+                and np.isnan(np.minimum.reduce(values)))

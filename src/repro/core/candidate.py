@@ -20,11 +20,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ParameterError
-from repro.common.memory import bits_to_bytes
 from repro.common.validation import require_positive_int
-
-#: Modelled bytes of one Qweight counter in a candidate entry.
-QWEIGHT_COUNTER_BYTES = 4
+from repro.core.shape import slot_bytes
 
 
 class CandidatePart:
@@ -42,16 +39,6 @@ class CandidatePart:
         self.fp_bits = fp_bits
         self._fps = np.zeros((num_buckets, bucket_size), dtype=np.uint64)
         self._qws = np.zeros((num_buckets, bucket_size), dtype=np.float64)
-
-    @classmethod
-    def from_bytes(
-        cls, budget_bytes: int, bucket_size: int = 6, fp_bits: int = 16
-    ) -> "CandidatePart":
-        """Build the largest candidate part fitting in ``budget_bytes``."""
-        per_slot = bits_to_bytes(fp_bits) + QWEIGHT_COUNTER_BYTES
-        slots = max(bucket_size, budget_bytes // per_slot)
-        num_buckets = max(1, slots // bucket_size)
-        return cls(num_buckets, bucket_size=bucket_size, fp_bits=fp_bits)
 
     # ------------------------------------------------------------------
     # slot operations
@@ -139,8 +126,7 @@ class CandidatePart:
     @property
     def nbytes(self) -> int:
         """Modelled bytes: ``(fp_bits/8 + 4)`` per slot."""
-        per_slot = bits_to_bytes(self.fp_bits) + QWEIGHT_COUNTER_BYTES
-        return self.num_buckets * self.bucket_size * per_slot
+        return self.num_buckets * self.bucket_size * slot_bytes(self.fp_bits)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -125,37 +125,33 @@ def structural_probe(filt) -> dict:
     }
 
     candidate = getattr(filt, "candidate", None)
+    if candidate is not None or hasattr(filt, "entry_count"):
+        # Both engines' shape names (repro.core.shape.shape_of).
+        probe.update(
+            num_buckets=int(filt.num_buckets),
+            bucket_size=int(filt.bucket_size),
+            fp_bits=int(filt.fp_bits),
+            vague_width=int(filt.width),
+            vague_depth=int(filt.depth),
+        )
     if candidate is not None:
         # Scalar engine: parts are real objects.
-        probe.update(
-            engine="scalar",
-            num_buckets=int(candidate.num_buckets),
-            bucket_size=int(candidate.bucket_size),
-            fp_bits=int(candidate.fp_bits),
-            candidate_entries=int(candidate.entry_count()),
-            candidate_occupancy=float(candidate.occupancy()),
-        )
         counters = filt.vague.sketch.counters
         probe.update(
-            vague_width=int(filt.vague.width),
-            vague_depth=int(filt.vague.depth),
+            engine="scalar",
+            candidate_entries=int(candidate.entry_count()),
+            candidate_occupancy=float(candidate.occupancy()),
             vague_saturation=float(counters.saturation_fraction()),
             vague_noise_std=_vague_noise_std(
-                np.asarray(counters.data, dtype=np.float64),
-                filt.vague.width,
+                np.asarray(counters.data, dtype=np.float64), filt.width
             ),
         )
     elif hasattr(filt, "entry_count"):
         # Batch engine: flat numpy planes, float counters (no clamp).
         probe.update(
             engine="batch",
-            num_buckets=int(filt.num_buckets),
-            bucket_size=int(filt.bucket_size),
-            fp_bits=int(filt.fp_bits),
             candidate_entries=int(filt.entry_count()),
             candidate_occupancy=float(filt.occupancy()),
-            vague_width=int(filt.width),
-            vague_depth=int(filt.depth),
             vague_saturation=0.0,
         )
         rows = getattr(filt, "_rows", None)

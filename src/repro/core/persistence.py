@@ -49,6 +49,7 @@ import numpy as np
 from repro.common.errors import TraceFormatError
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
+from repro.core.shape import shape_of
 
 PathLike = Union[str, Path]
 
@@ -147,33 +148,23 @@ def engine_state(filt, include_history: bool = True) -> dict:
 def _capture(filt, include_history: bool) -> dict:
     scalar = isinstance(filt, QuantileFilter)
     arrays, rngs = _parts(filt)
-    fps, _, counters = arrays
     meta = {
         "version": _FORMAT_VERSION,
         "engine": "scalar" if scalar else "batch",
         "criteria": _criteria_to_dict(filt.criteria),
-        "num_buckets": fps.shape[0],
-        "bucket_size": fps.shape[1],
-        "depth": counters.shape[0],
-        "vague_width": counters.shape[1],
-        "strategy": filt.strategy.name,
         "has_history": bool(include_history),
+        **shape_of(filt),
     }
     for name in _TALLIES + (_SCALAR_TALLIES if scalar else ()):
         meta[name] = getattr(filt, name)
     for name, rng in rngs.items():
         meta[name] = _rng_state(rng)
     if scalar:
-        meta.update(
-            fp_bits=filt.candidate.fp_bits, seed=filt._seed,
-            vague_backend=filt.vague.backend,
-            counter_kind=filt.vague.sketch.counters.kind,
-            track_reports=filt._track_reports,
-        )
+        meta["track_reports"] = filt._track_reports
     else:
         meta.update(
-            fp_bits=filt.fp_bits, seed=filt.seed, vague_backend="cs",
-            counter_kind="float", chunk_size=filt.chunk_size,
+            vague_backend="cs", counter_kind="float",
+            chunk_size=filt.chunk_size,
             stats_tallies=bool(filt.stats_tallies),
         )
     if include_history:
@@ -218,16 +209,17 @@ def restore_engine(state: dict, engine: Optional[str] = None):
         )
     engine = engine or meta.get("engine", "scalar")
     criteria = _criteria_from_dict(meta["criteria"])
-    geometry = {
+    # The shape every engine's capture holds (repro.core.shape.shape_of).
+    shape = {
         name: meta[name]
-        for name in ("num_buckets", "bucket_size", "fp_bits", "depth",
-                     "vague_width", "strategy", "seed")
+        for name in ("num_buckets", "vague_width", "bucket_size", "depth",
+                     "fp_bits", "strategy", "seed")
     }
     if engine == "scalar":
         filt = QuantileFilter(
             criteria, vague_backend=meta["vague_backend"],
             counter_kind=meta["counter_kind"],
-            track_reports=meta.get("track_reports", True), **geometry,
+            track_reports=meta.get("track_reports", True), **shape,
         )
     elif engine == "batch":
         if (meta["counter_kind"], meta["vague_backend"]) != ("float", "cs") \
@@ -241,7 +233,7 @@ def restore_engine(state: dict, engine: Optional[str] = None):
             )
         filt = BatchQuantileFilter(
             criteria, chunk_size=meta.get("chunk_size", DEFAULT_CHUNK_SIZE),
-            **geometry,
+            **shape,
         )
         filt.stats_tallies = meta.get("stats_tallies", False)
     else:

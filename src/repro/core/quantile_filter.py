@@ -26,16 +26,14 @@ from typing import Callable, Dict, Hashable, Optional, Set
 
 from repro.common.errors import ParameterError
 from repro.common.hashing import FingerprintHasher, canonical_key, mix64
-from repro.common.memory import MemoryModel, split_budget
+from repro.common.memory import MemoryModel, sizeof_counter
 from repro.observability.provenance import ReportProvenance
 from repro.core.candidate import CandidatePart
 from repro.core.criteria import Criteria
+from repro.core.shape import DEFAULT_CANDIDATE_FRACTION, resolve_shape
 from repro.core.strategies import ReplacementStrategy, make_strategy
 from repro.core.vague import VaguePart, vague_key
 from repro.quantiles.base import RANK_EPS
-
-#: Default split of the byte budget: candidate:vague = 4:1 (Fig. 11).
-DEFAULT_CANDIDATE_FRACTION = 0.8
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ class QuantileFilter:
         an override.
     memory_bytes:
         Total byte budget, split ``candidate_fraction`` /
-        ``1 - candidate_fraction`` between the parts.  Alternatively
-        pass explicit ``num_buckets`` and ``vague_width``.
+        ``1 - candidate_fraction`` between the parts
+        (:func:`~repro.core.shape.resolve_shape`).  Alternatively pass
+        explicit ``num_buckets`` and ``vague_width``.
     bucket_size:
         Entries per candidate bucket (paper default 6).
     depth:
@@ -135,36 +134,27 @@ class QuantileFilter:
         trace_hook: Optional[Callable] = None,
     ):
         self.criteria = criteria
-        if memory_bytes is not None:
-            candidate_bytes, vague_bytes = split_budget(
-                memory_bytes, candidate_fraction
-            )
-            self.candidate = CandidatePart.from_bytes(
-                candidate_bytes, bucket_size=bucket_size, fp_bits=fp_bits
-            )
-            self.vague = VaguePart.from_bytes(
-                vague_bytes,
-                depth=depth,
-                backend=vague_backend,
-                counter_kind=counter_kind,
-                seed=seed,
-            )
-        else:
-            if num_buckets is None or vague_width is None:
-                raise ParameterError(
-                    "pass either memory_bytes or both num_buckets and vague_width"
-                )
-            self.candidate = CandidatePart(
-                num_buckets, bucket_size=bucket_size, fp_bits=fp_bits
-            )
-            self.vague = VaguePart(
-                depth=depth,
-                width=vague_width,
-                backend=vague_backend,
-                counter_kind=counter_kind,
-                seed=seed,
-            )
-        self._seed = seed
+        # The shape, under the batch engine's names (shape_of reads them).
+        self.num_buckets, self.width = resolve_shape(
+            memory_bytes, num_buckets, vague_width,
+            counter_bytes=sizeof_counter(counter_kind),
+            bucket_size=bucket_size, depth=depth, fp_bits=fp_bits,
+            candidate_fraction=candidate_fraction,
+        )
+        self.bucket_size = bucket_size
+        self.depth = depth
+        self.fp_bits = fp_bits
+        self.seed = seed
+        self.candidate = CandidatePart(
+            self.num_buckets, bucket_size=bucket_size, fp_bits=fp_bits
+        )
+        self.vague = VaguePart(
+            depth=depth,
+            width=self.width,
+            backend=vague_backend,
+            counter_kind=counter_kind,
+            seed=seed,
+        )
         self._fp_hasher = FingerprintHasher(bits=fp_bits, seed=seed + 7)
         self._bucket_seed = mix64(seed ^ 0x1234_5678_9ABC_DEF0)
         self.strategy: ReplacementStrategy = (
@@ -527,7 +517,7 @@ class QuantileFilter:
             ("vague_depth", self.vague.depth, other.vague.depth),
             ("vague_width", self.vague.width, other.vague.width),
             ("vague_backend", self.vague.backend, other.vague.backend),
-            ("seed", self._seed, other._seed),
+            ("seed", self.seed, other.seed),
             ("criteria", self.criteria, other.criteria),
         ]
         mismatched = [

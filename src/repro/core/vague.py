@@ -4,9 +4,7 @@ A thin façade over :class:`~repro.sketches.count_sketch.CountSketch`
 (default) or :class:`~repro.sketches.count_min.CountMinSketch` (the
 Fig. 12 "CMS" variant) that
 
-* chooses between the two backends by name,
-* sizes itself from a byte budget (the accuracy-vs-memory sweeps hand
-  structures budgets, not widths), and
+* chooses between the two backends by name, and
 * implements the paper's fingerprint-keyed hashing trick: keys entering
   the vague part are addressed by ``mix(fingerprint, bucket_index)``
   rather than the raw key, because after a candidate-part eviction only
@@ -17,7 +15,6 @@ from __future__ import annotations
 
 from repro.common.errors import ParameterError
 from repro.common.hashing import mix64
-from repro.common.memory import sizeof_counter
 from repro.sketches.count_mean_min import CountMeanMinSketch
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
@@ -78,26 +75,6 @@ class VaguePart:
         sketch_cls = _BACKEND_CLASSES[backend]
         self.sketch = sketch_cls(
             depth=depth, width=width, counter_kind=counter_kind, seed=seed
-        )
-
-    @classmethod
-    def from_bytes(
-        cls,
-        budget_bytes: int,
-        depth: int = 3,
-        backend: str = "cs",
-        counter_kind: str = "int32",
-        seed: int = 0,
-    ) -> "VaguePart":
-        """Build the widest vague part fitting in ``budget_bytes``."""
-        per_counter = sizeof_counter(counter_kind)
-        width = max(1, budget_bytes // (depth * per_counter))
-        return cls(
-            depth=depth,
-            width=width,
-            backend=backend,
-            counter_kind=counter_kind,
-            seed=seed,
         )
 
     # ------------------------------------------------------------------

@@ -64,11 +64,14 @@ from repro.common.hashing import (
     canonical_keys,
     mix64,
 )
-from repro.common.memory import bits_to_bytes, sizeof_counter, split_budget
 from repro.common.validation import require_item_arrays, require_positive_int
-from repro.core.candidate import QWEIGHT_COUNTER_BYTES
 from repro.core.criteria import Criteria
-from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION
+from repro.core.shape import (
+    BATCH_COUNTER_BYTES,
+    DEFAULT_CANDIDATE_FRACTION,
+    resolve_shape,
+    slot_bytes,
+)
 from repro.core.strategies import make_strategy
 from repro.core.vague import vague_key
 from repro.quantiles.base import RANK_EPS
@@ -117,7 +120,10 @@ class BatchQuantileFilter:
 
     Parameters mirror :class:`~repro.core.quantile_filter.QuantileFilter`
     where applicable; counters are plain Python floats (no saturation),
-    matching the scalar filter's ``counter_kind="float"`` mode.
+    matching the scalar filter's ``counter_kind="float"`` mode.  A
+    ``memory_bytes`` budget resolves through
+    :func:`~repro.core.shape.resolve_shape` at
+    :data:`~repro.core.shape.BATCH_COUNTER_BYTES` per vague counter.
     """
 
     def __init__(
@@ -145,22 +151,13 @@ class BatchQuantileFilter:
         self.bucket_size = require_positive_int("bucket_size", bucket_size)
         self.depth = depth
         self.fp_bits = fp_bits
-        if memory_bytes is not None:
-            candidate_bytes, vague_bytes = split_budget(
-                memory_bytes, candidate_fraction
-            )
-            per_slot = bits_to_bytes(fp_bits) + QWEIGHT_COUNTER_BYTES
-            slots = max(bucket_size, candidate_bytes // per_slot)
-            self.num_buckets = max(1, slots // bucket_size)
-            per_counter = sizeof_counter("int32")
-            self.width = max(1, vague_bytes // (depth * per_counter))
-        else:
-            if num_buckets is None or vague_width is None:
-                raise ParameterError(
-                    "pass either memory_bytes or both num_buckets and vague_width"
-                )
-            self.num_buckets = require_positive_int("num_buckets", num_buckets)
-            self.width = vague_width
+        num_buckets, self.width = resolve_shape(
+            memory_bytes, num_buckets, vague_width,
+            counter_bytes=BATCH_COUNTER_BYTES,
+            bucket_size=bucket_size, depth=depth, fp_bits=fp_bits,
+            candidate_fraction=candidate_fraction,
+        )
+        self.num_buckets = require_positive_int("num_buckets", num_buckets)
 
         # Hash families constructed with the SAME seed derivations as the
         # scalar filter, so both address identical cells.  The seed is
@@ -693,11 +690,10 @@ class BatchQuantileFilter:
 
     @property
     def nbytes(self) -> int:
-        """Modelled memory footprint (same model as the scalar filter)."""
-        per_slot = bits_to_bytes(self.fp_bits) + QWEIGHT_COUNTER_BYTES
-        candidate = self.num_buckets * self.bucket_size * per_slot
-        vague = self.depth * self.width * sizeof_counter("int32")
-        return candidate + vague
+        """Modelled memory footprint (:mod:`repro.core.shape`'s costs)."""
+        slots = self.num_buckets * self.bucket_size
+        counters = self.depth * self.width
+        return slots * slot_bytes(self.fp_bits) + counters * BATCH_COUNTER_BYTES
 
 
 # ----------------------------------------------------------------------

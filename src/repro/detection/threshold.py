@@ -58,6 +58,7 @@ import numpy as np
 
 from repro.common import native
 from repro.common.errors import ParameterError
+from repro.common.validation import contains_nan
 from repro.quantiles.kll import KLLSketch
 
 #: Estimator backends :func:`make_estimator` can build.
@@ -598,11 +599,7 @@ class ThresholdController:
         split wherever it crosses ``horizon_items``.
         """
         values = _as_values(values)
-        # A sum of squares is NaN exactly when some value is NaN, and on
-        # the short batches a strided control loop passes in it costs
-        # half of building a NaN mask.
-        squares = values.dot(values)
-        if squares != squares:
+        if contains_nan(values):
             values = values[~np.isnan(values)]
         n = len(values)
         if self.horizon_items is None:

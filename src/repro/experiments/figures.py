@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.criteria import Criteria
-from repro.core.vectorized import BatchQuantileFilter
+from repro.core.vectorized import BatchQuantileFilter, qf_kernel_loaded
 from repro.detection.ground_truth import GroundTruthDetector
 from repro.experiments.config import (
     DEFAULT_SCALE,
@@ -225,6 +225,9 @@ def _batch_qf_record(
         fp_bits=PAPER.fp_bits,
         seed=seed,
     )
+    # The first chunk in a process would otherwise time the one-time
+    # build or load of the compiled kernel.
+    qf_kernel_loaded()
     start = time.perf_counter()
     reported = engine.process(trace.keys, trace.values)
     seconds = time.perf_counter() - start

@@ -63,11 +63,13 @@ import numpy as np
 
 from repro.common.errors import ParameterError
 from repro.core.criteria import Criteria
+from repro.core.vectorized import qf_kernel_loaded
 from repro.detection.shadow import ShadowAccuracyEstimator
 from repro.detection.threshold import (
     ESTIMATOR_BACKENDS,
     ThresholdControlLoop,
     ThresholdController,
+    p2_kernel_loaded,
 )
 from repro.experiments.config import DATASETS, PAPER, build_trace
 from repro.experiments.harness import build_detector
@@ -330,8 +332,6 @@ def _run_pipeline_shm(spec: CellSpec, trace: Trace):
         chunk_items=spec.chunk_items,
         seed=spec.seed,
         bucket_size=PAPER.bucket_size,
-        depth=PAPER.depth,
-        fp_bits=PAPER.fp_bits,
     )
     outcome = pipeline.run(trace.keys, trace.values)
     return outcome.reported_keys, outcome.seconds, 0
@@ -351,8 +351,6 @@ def _run_threads(spec: CellSpec, trace: Trace):
         chunk_items=spec.chunk_items,
         seed=spec.seed,
         bucket_size=PAPER.bucket_size,
-        depth=PAPER.depth,
-        fp_bits=PAPER.fp_bits,
     )
     outcome = pipeline.run(trace.keys, trace.values)
     return outcome.reported_keys, outcome.seconds, pipeline.filter.nbytes
@@ -567,6 +565,13 @@ def run_cell(spec: CellSpec) -> dict:
         raise ParameterError(
             f"unknown engine {spec.engine!r}; choose from {ENGINES}"
         )
+    # Build or load the compiled kernels a cell runs before timing it:
+    # the first cell in a process would otherwise time that one-time
+    # load.  Forked pipeline workers inherit the loaded kernel.
+    if spec.engine != "scalar":
+        qf_kernel_loaded()
+    if spec.controller == "p2":
+        p2_kernel_loaded()
     controller_info = None
     score_criteria = None
     if spec.controller != "fixed":

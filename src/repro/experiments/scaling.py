@@ -123,6 +123,7 @@ def parallel_scaling_study(
     the speedup/efficiency columns of
     :func:`repro.metrics.throughput.scaling_table`.
     """
+    from repro.core.vectorized import qf_kernel_loaded
     from repro.parallel.pipeline import ParallelPipeline
     from repro.parallel.sharded import ShardedQuantileFilter
 
@@ -130,6 +131,11 @@ def parallel_scaling_study(
     criteria = default_criteria_for(dataset)
     truth = ground_truth_for(trace, criteria)
     geometry = dict(num_buckets=num_buckets, vague_width=vague_width, seed=seed)
+    if engine == "batch":
+        # Build or load the compiled kernel before the first timed run,
+        # which would time that one-time load; forked pipeline workers
+        # inherit it.
+        qf_kernel_loaded()
 
     records: List[RunRecord] = []
     points: List[ShardScalingPoint] = []

@@ -67,6 +67,7 @@ from typing import Callable, Deque, Dict, List, Optional, Union
 import numpy as np
 
 from repro.common.errors import ParameterError, TraceFormatError
+from repro.common.validation import require_integer_keys, require_item_arrays
 from repro.observability.registry import (
     SPEC_INDEX,
     MetricSpec,
@@ -304,24 +305,29 @@ class FlightRecorder:
         feeder would use (``insert_many`` for scalar, ``process`` for
         batch), so detection behaviour is bit-identical either way.
         Returns the scalar engine's new :class:`Report` objects, or the
-        batch engine's sorted newly-reported keys.
+        batch engine's sorted newly-reported keys.  The batch engine
+        takes integer keys and values other than NaN, as its
+        ``process`` does; any other chunk raises :class:`ParameterError`
+        before the filter or the retained window changes.
         """
+        if self.engine == "batch":
+            keys = require_integer_keys(keys)
+            values = np.asarray(values, dtype=np.float64)
+            require_item_arrays(keys, values)
         with self._lock:
             if len(self._chunks) >= self.max_chunks:
                 self._rotate()
             start_item = self.filt.items_processed
             if self.engine == "batch":
-                keys_arr = np.asarray(keys, dtype=np.int64)
-                values_arr = np.asarray(values, dtype=np.float64)
-                self.filt.process(keys_arr, values_arr)
+                self.filt.process(keys, values)
                 fresh = sorted(
                     int(key) for key in self.filt.reported_keys - self._known
                 )
                 self._known.update(fresh)
                 self._chunks.append({
                     "start_item": start_item,
-                    "keys": keys_arr.tolist(),
-                    "values": values_arr.tolist(),
+                    "keys": keys.tolist(),
+                    "values": values.tolist(),
                     "new_keys": fresh,
                     "report_count": self.filt.report_count,
                 })

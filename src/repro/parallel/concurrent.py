@@ -85,6 +85,7 @@ import numpy as np
 
 from repro.common.validation import require_integer_keys, require_item_arrays
 from repro.core.criteria import Criteria
+from repro.core.shape import shape_of
 from repro.core.vectorized import BatchQuantileFilter
 from repro.observability.histogram import LogHistogram
 
@@ -301,14 +302,8 @@ def replay_witness(
     )
     replayed = BatchQuantileFilter(
         template.criteria.with_updates(threshold=threshold),
-        num_buckets=template.num_buckets,
-        vague_width=template.width,
-        bucket_size=template.bucket_size,
-        depth=template.depth,
-        fp_bits=template.fp_bits,
-        strategy=template.strategy.name,
-        seed=template.seed,
         chunk_size=template.chunk_size,
+        **shape_of(template),
     )
     # Tally as the template does, so a filter observed from its first
     # commit on replays its hit/insert/swap tallies exactly too.

@@ -72,9 +72,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.common.errors import ReproError, ParameterError
+from repro.common.memory import sizeof_counter
 from repro.common.validation import require_integer_keys, require_item_arrays
 from repro.core.criteria import Criteria
 from repro.core.quantile_filter import QuantileFilter
+from repro.core.shape import BATCH_COUNTER_BYTES, resolve_shape
 from repro.core.vectorized import BatchQuantileFilter
 from repro.observability.instrument import observe_filter
 from repro.observability.provenance import provenance_record
@@ -161,23 +163,14 @@ class PipelineResult:
 
 
 def _build_worker_filter(config: dict, on_report=None):
-    common = dict(
-        num_buckets=config["num_buckets"],
-        vague_width=config["vague_width"],
-        bucket_size=config["bucket_size"],
-        depth=config["depth"],
-        fp_bits=config["fp_bits"],
-        strategy=config["strategy"],
-        seed=config["seed"],
-    )
     if config["engine"] == "batch":
-        return BatchQuantileFilter(config["criteria"], **common)
+        return BatchQuantileFilter(config["criteria"], **config["shape"])
     return QuantileFilter(
         config["criteria"],
         counter_kind="float",
         collect_provenance=bool(config.get("provenance")),
         on_report=on_report,
-        **common,
+        **config["shape"],
     )
 
 
@@ -410,6 +403,16 @@ class ParallelPipeline:
 
     Parameters
     ----------
+    memory_bytes:
+        Byte budget of **each** shard's filter: every worker process
+        allocates the full ``memory_bytes``, so ``num_shards`` workers
+        hold ``num_shards`` times it.  Under ``engine="threads"`` it is
+        the budget of the one shared filter.  Alternatively pass
+        explicit ``num_buckets`` and ``vague_width``.  Either way the
+        master resolves the shape once
+        (:func:`~repro.core.shape.resolve_shape`) and every shard's
+        filter is built from it, with ``bucket_size`` slots per bucket
+        and the default depth, fingerprint width and strategy.
     transport:
         Only ``"shm"`` (the default) is accepted: process workers
         receive chunk slices through a shared-memory slot ring (see
@@ -432,9 +435,6 @@ class ParallelPipeline:
         num_buckets: Optional[int] = None,
         vague_width: Optional[int] = None,
         bucket_size: int = 6,
-        depth: int = 3,
-        fp_bits: int = 16,
-        strategy: str = "comparative",
         seed: int = 0,
         transport: str = "shm",
         chunk_items: int = DEFAULT_CHUNK_ITEMS,
@@ -487,60 +487,39 @@ class ParallelPipeline:
         self.tracer: Optional[Tracer] = Tracer() if collect_trace else None
         self._on_reports = on_reports
 
-        # Resolve the geometry once in the master (a throwaway template
-        # filter applies the byte-budget split), then ship explicit
-        # dimensions to the workers so every process agrees exactly.
-        template_kwargs = dict(
-            num_buckets=num_buckets,
-            vague_width=vague_width,
+        # Resolve the shape once in the master, with the counter cost
+        # of the filter each shard runs, then build every shard's filter
+        # from it so every process agrees exactly.
+        shape_buckets, shape_width = resolve_shape(
+            memory_bytes, num_buckets, vague_width,
+            counter_bytes=(
+                sizeof_counter("float") if engine == "scalar"
+                else BATCH_COUNTER_BYTES
+            ),
             bucket_size=bucket_size,
-            depth=depth,
-            fp_bits=fp_bits,
-            strategy=strategy,
-            seed=seed,
         )
+        shape = dict(num_buckets=shape_buckets, vague_width=shape_width,
+                     bucket_size=bucket_size, seed=seed)
         self.filter: Optional[ConcurrentQuantileFilter] = None
         self._filter_registry = None
         if self._threads:
-            # The shared filter IS the template: one structure, built
-            # here, updated in place by every worker thread.
+            # One structure, built here, updated in place by every
+            # worker thread.
             self.filter = ConcurrentQuantileFilter(
-                criteria,
-                memory_bytes,
-                chunk_size=chunk_items,
-                **template_kwargs,
+                criteria, chunk_size=chunk_items, **shape
             )
-            resolved_buckets = self.filter.num_buckets
-            resolved_width = self.filter.width
             if collect_stats:
                 self._filter_registry = observe_filter(self.filter)
-        elif engine == "batch":
-            template = BatchQuantileFilter(
-                criteria, memory_bytes, **template_kwargs
-            )
-            resolved_buckets, resolved_width = template.num_buckets, template.width
-        else:
-            template = QuantileFilter(
-                criteria, memory_bytes, counter_kind="float", **template_kwargs
-            )
-            resolved_buckets = template.candidate.num_buckets
-            resolved_width = template.vague.width
         self._config = dict(
             criteria=criteria,
             engine=engine,
-            num_buckets=resolved_buckets,
-            vague_width=resolved_width,
-            bucket_size=bucket_size,
-            depth=depth,
-            fp_bits=fp_bits,
-            strategy=strategy,
-            seed=seed,
+            shape=shape,
             stats=collect_stats,
             trace=collect_trace,
             trace_sample_every=trace_sample_every,
             provenance=collect_provenance,
         )
-        self.router = ShardRouter(num_shards, resolved_buckets, seed=seed)
+        self.router = ShardRouter(num_shards, shape_buckets, seed=seed)
         self._ctx = multiprocessing.get_context(
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()

@@ -40,7 +40,8 @@ from repro.common.hashing import _mix64_array, canonical_key, canonical_keys, mi
 from repro.common.validation import require_item_arrays
 from repro.core.criteria import Criteria
 from repro.core.persistence import engine_state, restore_engine
-from repro.core.quantile_filter import DEFAULT_CANDIDATE_FRACTION, QuantileFilter
+from repro.core.quantile_filter import QuantileFilter
+from repro.core.shape import shape_of
 from repro.core.vectorized import BatchQuantileFilter
 
 #: Engines a shard can run.
@@ -109,10 +110,10 @@ class ShardRouter:
 class ShardedQuantileFilter:
     """N independent shard filters behind one filter-shaped façade.
 
-    Parameters mirror :class:`~repro.core.quantile_filter.QuantileFilter`
-    — geometry parameters are **per shard** and every shard gets the
-    same seed (required both for routing coherence and for
-    :meth:`merged`).  ``memory_bytes`` is likewise a per-shard budget.
+    Every shard is built alike: the first resolves the shape, and the
+    rest copy it (:func:`~repro.core.shape.shape_of`), so all shards
+    share one geometry and seed, as routing coherence and
+    :meth:`merged` require.
 
     Parameters
     ----------
@@ -124,6 +125,13 @@ class ShardedQuantileFilter:
         ``"scalar"`` (each shard inserts its slice item by item) or
         ``"batch"`` (each shard processes its slice as arrays); both
         take integer-keyed arrays through :meth:`process`.
+    memory_bytes, num_buckets, vague_width, bucket_size, depth, seed:
+        One shard's shape, as
+        :class:`~repro.core.quantile_filter.QuantileFilter` takes it:
+        ``memory_bytes`` is the budget of **each** shard.
+    counter_kind:
+        The scalar shards' vague counter width; batch shards always run
+        float counters.
     """
 
     def __init__(
@@ -137,11 +145,7 @@ class ShardedQuantileFilter:
         vague_width: Optional[int] = None,
         bucket_size: int = 6,
         depth: int = 3,
-        candidate_fraction: float = DEFAULT_CANDIDATE_FRACTION,
-        fp_bits: int = 16,
         counter_kind: str = "int32",
-        vague_backend: str = "cs",
-        strategy: str = "comparative",
         seed: int = 0,
     ):
         if num_shards < 1:
@@ -150,51 +154,24 @@ class ShardedQuantileFilter:
             raise ParameterError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
             )
-        if engine == "batch" and vague_backend != "cs":
-            raise ParameterError(
-                "the batch engine only supports the 'cs' vague backend"
-            )
         self.criteria = criteria
         self.engine = engine
         self.num_shards = num_shards
         self.seed = seed
-        self.shards: List = []
-        for _ in range(num_shards):
-            if engine == "scalar":
-                shard = QuantileFilter(
-                    criteria,
-                    memory_bytes,
-                    num_buckets=num_buckets,
-                    vague_width=vague_width,
-                    bucket_size=bucket_size,
-                    depth=depth,
-                    candidate_fraction=candidate_fraction,
-                    fp_bits=fp_bits,
-                    counter_kind=counter_kind,
-                    vague_backend=vague_backend,
-                    strategy=strategy,
-                    seed=seed,
-                )
-            else:
-                shard = BatchQuantileFilter(
-                    criteria,
-                    memory_bytes,
-                    num_buckets=num_buckets,
-                    vague_width=vague_width,
-                    bucket_size=bucket_size,
-                    depth=depth,
-                    candidate_fraction=candidate_fraction,
-                    fp_bits=fp_bits,
-                    strategy=strategy,
-                    seed=seed,
-                )
-            self.shards.append(shard)
-        resolved_buckets = (
-            self.shards[0].candidate.num_buckets
-            if engine == "scalar"
-            else self.shards[0].num_buckets
+        engine_class, options = (
+            (QuantileFilter, dict(counter_kind=counter_kind))
+            if engine == "scalar" else (BatchQuantileFilter, {})
         )
-        self.router = ShardRouter(num_shards, resolved_buckets, seed=seed)
+        first = engine_class(
+            criteria, memory_bytes, num_buckets=num_buckets,
+            vague_width=vague_width, bucket_size=bucket_size, depth=depth,
+            seed=seed, **options,
+        )
+        shape = shape_of(first)
+        self.shards: List = [first] + [
+            engine_class(criteria, **shape) for _ in range(num_shards - 1)
+        ]
+        self.router = ShardRouter(num_shards, first.num_buckets, seed=seed)
         self.items_processed = 0
 
     # ------------------------------------------------------------------
@@ -257,24 +234,11 @@ class ShardedQuantileFilter:
             else restore_engine(engine_state(shard), engine="scalar")
             for shard in self.shards
         ]
-        merged = self._empty_scalar_like(snapshots[0])
+        template = snapshots[0]
+        merged = QuantileFilter(template.criteria, **shape_of(template))
         for snapshot in snapshots:
             merged.merge(snapshot)
         return merged
-
-    def _empty_scalar_like(self, template: QuantileFilter) -> QuantileFilter:
-        return QuantileFilter(
-            template.criteria,
-            num_buckets=template.candidate.num_buckets,
-            vague_width=template.vague.width,
-            bucket_size=template.candidate.bucket_size,
-            depth=template.vague.depth,
-            fp_bits=template.candidate.fp_bits,
-            counter_kind=template.vague.sketch.counters.kind,
-            vague_backend=template.vague.backend,
-            strategy=template.strategy.name,
-            seed=self.seed,
-        )
 
     # ------------------------------------------------------------------
     # accounting

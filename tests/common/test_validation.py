@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import ParameterError, ReproError
 from repro.common.validation import (
+    contains_nan,
     require_in_open_unit_interval,
     require_non_negative,
     require_positive_int,
@@ -101,6 +102,21 @@ class TestScalarInsertRejectsNan:
         with pytest.raises(ParameterError, match="NaN"):
             qf.insert_many([1, 2, 3], [500.0, float("nan"), 500.0])
         assert qf.items_processed == 0
+
+
+class TestContainsNan:
+    @pytest.mark.parametrize("size", [1, 8_192, 10_001])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_finds_one_nan_anywhere(self, size, dtype):
+        values = np.linspace(-1.0, 1.0, size).astype(dtype)
+        assert not contains_nan(values)
+        values[size // 2] = np.nan
+        assert contains_nan(values)
+
+    def test_infinities_and_other_dtypes_are_not_nan(self):
+        assert not contains_nan(np.array([np.inf, -np.inf]))
+        assert not contains_nan(np.arange(5))
+        assert not contains_nan(np.empty(0))
 
 
 class TestRequirePositiveInt:

@@ -11,6 +11,7 @@ from hypothesis import settings
 
 from repro.core import vectorized
 from repro.core.criteria import Criteria
+from repro.detection import threshold
 
 # Pinned profile for CI: derandomized (the same example sequence on
 # every run and every Python version) with a trimmed example budget.
@@ -34,6 +35,44 @@ def numpy_qf_path():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectorized, "_qf_kernel", lambda: None)
         yield
+
+
+@pytest.fixture
+def kernels_resolved_at(monkeypatch):
+    """Watch which compiled kernels a call finds already resolved.
+
+    The test starts with both kernels (``"qf"``: ``qf_kernel.c``,
+    ``"p2"``: ``p2_kernel.c``) unresolved, as a fresh process has them;
+    resolving one again hands back what this process resolved before,
+    so nothing is rebuilt.  ``kernels_resolved_at(cls, name)`` wraps
+    ``cls.name`` and returns a list to which every call appends the set
+    of kernels resolved when it began.
+    """
+    kernels = {
+        "qf": (vectorized, "_qf_compiled", "_load_qf_kernel",
+               vectorized._qf_kernel()),
+        "p2": (threshold, "_p2_compiled", "_load_p2_kernel",
+               threshold._p2_kernel()),
+    }
+    for module, state, loader, kernel in kernels.values():
+        monkeypatch.setattr(module, loader, lambda kernel=kernel: kernel)
+        monkeypatch.setattr(module, state, module._UNRESOLVED)
+
+    def watch(cls, name):
+        calls = []
+        method = getattr(cls, name)
+
+        def watched(*args, **kwargs):
+            calls.append({
+                kind for kind, (module, state, _, _) in kernels.items()
+                if getattr(module, state) is not module._UNRESOLVED
+            })
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, watched)
+        return calls
+
+    return watch
 
 
 @pytest.fixture

@@ -80,15 +80,6 @@ class TestSizing:
         part = CandidatePart(num_buckets=10, bucket_size=6, fp_bits=16)
         assert part.nbytes == 10 * 6 * 6
 
-    def test_from_bytes_fits_budget(self):
-        part = CandidatePart.from_bytes(6_000, bucket_size=6, fp_bits=16)
-        assert part.nbytes <= 6_000
-        assert part.num_buckets >= 1
-
-    def test_from_bytes_tiny_budget(self):
-        part = CandidatePart.from_bytes(4, bucket_size=6, fp_bits=16)
-        assert part.num_buckets == 1
-
     def test_clear(self):
         part = CandidatePart(num_buckets=2, bucket_size=2)
         part.set_entry(1, 1, 5, 3.0)

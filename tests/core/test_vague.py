@@ -50,20 +50,6 @@ class TestVaguePart:
         assert part.update_and_estimate(vkey, 19.0) == pytest.approx(19.0)
         assert part.update_and_estimate(vkey, -1.0) == pytest.approx(18.0)
 
-    def test_from_bytes_respects_budget(self):
-        part = VaguePart.from_bytes(12_000, depth=3, counter_kind="int32")
-        assert part.nbytes <= 12_000
-        assert part.width == 1_000
-
-    def test_from_bytes_counter_kind_scales_width(self):
-        int16 = VaguePart.from_bytes(12_000, depth=3, counter_kind="int16")
-        int32 = VaguePart.from_bytes(12_000, depth=3, counter_kind="int32")
-        assert int16.width == 2 * int32.width
-
-    def test_from_bytes_tiny_budget(self):
-        part = VaguePart.from_bytes(1, depth=3)
-        assert part.width == 1
-
     def test_clear(self):
         part = VaguePart(depth=2, width=64, seed=3)
         part.update(vague_key(5, 5), 10.0)

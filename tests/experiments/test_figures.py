@@ -6,6 +6,7 @@ plots; the benchmarks run them at meaningful scale.
 
 import pytest
 
+from repro.core.vectorized import BatchQuantileFilter
 from repro.experiments import figures
 
 TINY = dict(scale=1_500, seed=0)
@@ -59,6 +60,15 @@ class TestSweepFigures:
         assert engines == {"scalar", "batch"}
         for record in result.records:
             assert record.mops > 0
+
+    def test_fig8_times_the_batch_engine_with_the_kernel_resolved(
+        self, kernels_resolved_at
+    ):
+        calls = kernels_resolved_at(BatchQuantileFilter, "process")
+        figures.fig8_throughput(
+            memory_points=[16_384], algorithms=(), **TINY
+        )
+        assert calls == [{"qf"}]
 
     def test_fig9_fig10_params(self):
         result = figures.fig9_fig10_parameter_sweeps(

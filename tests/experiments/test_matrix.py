@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.errors import ParameterError
+from repro.core.vectorized import BatchQuantileFilter
+from repro.detection.threshold import ThresholdController
 from repro.experiments.matrix import (
     BASELINES,
     CellSpec,
@@ -12,6 +14,7 @@ from repro.experiments.matrix import (
     run_cell,
 )
 from repro.experiments.runstore import SCHEMA_VERSION
+from repro.parallel.pipeline import ParallelPipeline
 from repro.streams.model import Trace
 
 
@@ -194,6 +197,20 @@ class TestRunCell:
         # One shared structure gets the whole budget (not split per
         # shard the way pipeline-shm divides it).
         assert threaded["actual_bytes"] > 0
+
+    @pytest.mark.parametrize("engine, controller, entry, kernels", [
+        ("batch", "fixed", (BatchQuantileFilter, "process"), {"qf"}),
+        ("pipeline-shm", "fixed", (ParallelPipeline, "start"), {"qf"}),
+        ("threads", "fixed", (ParallelPipeline, "start"), {"qf"}),
+        ("scalar", "p2", (ThresholdController, "observe_many"), {"p2"}),
+    ])
+    def test_cells_are_timed_with_their_kernels_resolved(
+        self, engine, controller, entry, kernels, kernels_resolved_at
+    ):
+        calls = kernels_resolved_at(*entry)
+        run_cell(tiny_cell(engine=engine, controller=controller))
+        assert calls
+        assert all(kernels <= resolved for resolved in calls)
 
     def test_controlled_threads_cell_rejected(self):
         with pytest.raises(ParameterError, match="in-process engines"):

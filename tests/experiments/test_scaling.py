@@ -1,8 +1,52 @@
 """Tests for repro.experiments.scaling."""
 
+import pytest
+
+from repro.experiments import scaling
 from repro.experiments.config import build_trace, default_criteria_for
 from repro.experiments.harness import ground_truth_for
-from repro.experiments.scaling import minimal_budget_for_f1, scaling_study
+from repro.experiments.scaling import (
+    minimal_budget_for_f1,
+    parallel_scaling_study,
+    scaling_study,
+)
+from repro.metrics.accuracy import score_sets
+from repro.parallel.pipeline import ParallelPipeline
+from repro.parallel.sharded import ShardedQuantileFilter
+
+
+class TestParallelScalingStudy:
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_both_backends_report_the_same_keys(self, engine, monkeypatch):
+        reported = []
+
+        def score(keys, truth):
+            reported.append(set(keys))
+            return score_sets(keys, truth)
+
+        monkeypatch.setattr(scaling, "score_sets", score)
+        for backend, processes in (("inprocess", False), ("processes", True)):
+            result = parallel_scaling_study(
+                scale=3_000, max_shards=2, engine=engine,
+                processes=processes,
+            )
+            assert [r.extra["shards"] for r in result.records] == [1, 2]
+            assert {r.extra["backend"] for r in result.records} == {backend}
+        inprocess, processes = reported[:2], reported[2:]
+        assert inprocess == processes
+        assert all(inprocess)
+
+    @pytest.mark.parametrize("processes, entry", [
+        (False, (ShardedQuantileFilter, "process")),
+        (True, (ParallelPipeline, "start")),
+    ], ids=["inprocess", "processes"])
+    def test_runs_are_timed_with_the_kernel_resolved(
+        self, processes, entry, kernels_resolved_at
+    ):
+        calls = kernels_resolved_at(*entry)
+        parallel_scaling_study(scale=2_000, max_shards=2, processes=processes)
+        assert len(calls) == 2
+        assert all("qf" in kernels for kernels in calls)
 
 
 class TestMinimalBudget:

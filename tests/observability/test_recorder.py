@@ -127,6 +127,20 @@ class TestRingInvariant:
         assert result.ok, result.mismatches
         assert result.chunks_replayed == 15
 
+    @pytest.mark.parametrize("keys, values", [
+        ([1.5, 1.9] * 5, [50.0] * 10),
+        ([1, 2], [float("nan"), 50.0]),
+    ], ids=["float-keys", "nan-value"])
+    def test_batch_feed_rejects_bad_chunks_untouched(self, keys, values):
+        filt = BatchQuantileFilter(CRIT, **GEOMETRY)
+        rec = FlightRecorder(filt, max_chunks=1)
+        rec.feed([1, 2, 3], [50.0] * 3)
+        with pytest.raises(ParameterError):
+            rec.feed(keys, values)
+        assert filt.items_processed == 3
+        assert rec.retained_chunks == 1
+        assert rec.retained_items == 3
+
     def test_threads_engine_refused(self):
         cqf = ConcurrentQuantileFilter(CRIT, **GEOMETRY)
         with pytest.raises(ParameterError, match="scalar engine.*batch"):
